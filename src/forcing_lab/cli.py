@@ -6,10 +6,9 @@ so pipelines can consume the machine output without scraping prose.
 Exit codes: 0 success, 1 a checked property does not hold (a set fails
 to force, digraphs are not isomorphic, a verification suite has a
 failing check), 2 usage or domain error, 3 search abandoned on a
-resource limit.  The ``FORCING_LAB_MAX_N`` environment variable
-overrides the solver order limit; ``--jobs`` is accepted for pipeline
-compatibility and currently runs a single worker, which is already well
-within the runtime budget at supported sizes.
+resource limit, 4 internal error (any other exception, reported on one
+stderr line).  The ``FORCING_LAB_MAX_N`` environment variable overrides
+the solver order limit.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .constructions import (
 from .digraph import Digraph
 from .errors import DomainError, ResourceLimitError
 from .families import FamilySpec, _FAMILY_PARAMS
-from .io import digraph_from_json_dict, digraph_to_json_dict, to_dot
+from .io import digraph_to_json_dict, read_digraph, to_dot
 from .iso import are_isomorphic
 from .linalg import adjacency_matrix, mr_and_max_nullity_regular_line, rank_exact
 from .lines import iterated_line
@@ -47,17 +46,6 @@ def _emit(document: object) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _load(path: str) -> tuple[Digraph, tuple[str, ...] | None]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path} is not valid JSON: {exc}") from exc
-    return digraph_from_json_dict(data)
-
-
 def _write_or_emit(document: object, out: str | None, what: str) -> None:
     if out is None:
         _emit(document)
@@ -69,7 +57,7 @@ def _write_or_emit(document: object, out: str | None, what: str) -> None:
 
 
 def _parse_vertex_set(
-    raw: str, g: Digraph, labels: tuple[str, ...] | None
+    raw: str, g: Digraph, labels: list[str] | None
 ) -> frozenset[int]:
     """Accept comma-separated vertex ids, or walk labels such as 0-1-3
     when the digraph carries labels."""
@@ -101,7 +89,7 @@ def _parse_vertex_set(
     return frozenset(vertices)
 
 
-def _solver_limits(args: argparse.Namespace) -> SearchLimits:
+def _solver_limits() -> SearchLimits:
     limits = SearchLimits()
     env = os.environ.get("FORCING_LAB_MAX_N")
     if env is not None:
@@ -113,9 +101,6 @@ def _solver_limits(args: argparse.Namespace) -> SearchLimits:
             )
         except ValueError as exc:
             raise DomainError(f"FORCING_LAB_MAX_N={env!r} is not an integer") from exc
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise DomainError("--jobs must be at least 1")
     return limits
 
 
@@ -133,7 +118,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_line(args: argparse.Namespace) -> int:
-    g, _ = _load(args.input)
+    g, _ = read_digraph(args.input)
     labeled = iterated_line(g, args.iterate)
     document = digraph_to_json_dict(labeled.graph, labels=labeled.label_strings())
     _write_or_emit(document, args.output, labeled.graph.name or "line digraph")
@@ -145,9 +130,9 @@ def _cmd_line(args: argparse.Namespace) -> int:
 
 
 def _cmd_zf(args: argparse.Namespace) -> int:
-    g, labels = _load(args.input)
+    g, labels = read_digraph(args.input)
     if args.action == "min":
-        limits = _solver_limits(args)
+        limits = _solver_limits()
         result = min_zero_forcing(g, limits=limits)
         _emit(
             {
@@ -188,9 +173,9 @@ def _cmd_zf(args: argparse.Namespace) -> int:
 
 
 def _cmd_pd(args: argparse.Namespace) -> int:
-    g, labels = _load(args.input)
+    g, labels = read_digraph(args.input)
     if args.action == "min":
-        limits = _solver_limits(args)
+        limits = _solver_limits()
         result = min_power_dominating(g, limits=limits)
         _emit(
             {
@@ -244,7 +229,7 @@ def _cmd_pd(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    g, _ = _load(args.input)
+    g, _ = read_digraph(args.input)
     if args.line_depth is not None:
         report = mr_and_max_nullity_regular_line(
             g, args.line_depth, allow_degree_one=args.allow_degree_one
@@ -263,7 +248,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    g, _ = _load(args.input)
+    g, _ = read_digraph(args.input)
     if args.cycles:
         factorization = cycle_factorization(g)
         _emit(
@@ -292,8 +277,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    g, _ = _load(args.first)
-    h, _ = _load(args.second)
+    g, _ = read_digraph(args.first)
+    h, _ = read_digraph(args.second)
     mapping = are_isomorphic(g, h)
     if mapping is None:
         _emit({"isomorphic": False})
@@ -305,7 +290,6 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _solver_limits(args)
     results = run_suite(args.suite)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -330,7 +314,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    g, labels = _load(args.input)
+    g, labels = read_digraph(args.input)
     text = to_dot(g, labels=labels)
     if args.output is None:
         print(text, end="")
@@ -369,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     zf.add_argument("action", choices=["closure", "check", "min", "construct"])
     zf.add_argument("input")
     zf.add_argument("--set", default=None, help="comma-separated ids or labels")
-    zf.add_argument("--jobs", type=int, default=1)
     zf.set_defaults(handler=_cmd_zf)
 
     pd = sub.add_parser("pd", help="power domination operations")
@@ -379,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pd.add_argument("input")
     pd.add_argument("--set", default=None, help="comma-separated ids or labels")
-    pd.add_argument("--jobs", type=int, default=1)
     pd.set_defaults(handler=_cmd_pd)
 
     rank = sub.add_parser("rank", help="exact adjacency rank and nullity")
@@ -407,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite")
-    verify.add_argument("--jobs", type=int, default=1)
     verify.set_defaults(handler=_cmd_verify)
 
     export = sub.add_parser("export-dot", help="write Graphviz DOT")
@@ -432,6 +413,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         _info(f"resource limit: {exc}")
         return 3
+    except Exception as exc:
+        _info(f"internal error: {type(exc).__name__}: {exc}")
+        return 4
 
 
 if __name__ == "__main__":

@@ -101,7 +101,6 @@ def _disjoint_family(
     g: Digraph,
     k: int,
     predicate: Callable[[Digraph, frozenset[int]], bool],
-    include_full: bool,
     max_general_n: int,
 ) -> tuple[frozenset[int], ...] | None:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -113,7 +112,7 @@ def _disjoint_family(
     if g.n <= max_general_n:
         general = _general_candidates(g, predicate)
         return _pack_disjoint(general, k)
-    if include_full and k == 1:
+    if k == 1:
         full = frozenset(range(g.n))
         if predicate(g, full):
             return (full,)
@@ -128,7 +127,7 @@ def disjoint_strongly_critical_family(
     Success certifies that the zero forcing number is at least ``k``.
     """
     return _disjoint_family(
-        g, k, lambda gg, w: is_strongly_critical(gg, w), True, max_general_n
+        g, k, lambda gg, w: is_strongly_critical(gg, w), max_general_n
     )
 
 
@@ -141,7 +140,7 @@ def disjoint_critical_family(
     ``k``; the full vertex set is always critical, so ``k = 1`` succeeds.
     """
     return _disjoint_family(
-        g, k, lambda gg, w: is_critical(gg, w), True, max_general_n
+        g, k, lambda gg, w: is_critical(gg, w), max_general_n
     )
 
 

@@ -310,3 +310,15 @@ class Digraph:
                         seen.add(w)
                         stack.append(w)
         return False
+
+
+def adjacency_masks(g: Digraph) -> tuple[list[int], list[int]]:
+    """Out- and in-neighborhoods as bitmasks, built afresh on each call:
+    bit ``v`` of ``out[u]`` and bit ``u`` of ``inn[v]`` are set exactly
+    when ``(u, v)`` is an arc."""
+    out = [0] * g.n
+    inn = [0] * g.n
+    for u, v in g.arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return out, inn

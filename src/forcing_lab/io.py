@@ -79,7 +79,10 @@ def digraph_from_json_dict(doc: object) -> tuple[Digraph, list[str] | None]:
 
 
 def read_digraph(path: str | Path) -> tuple[Digraph, list[str] | None]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

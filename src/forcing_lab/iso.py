@@ -13,7 +13,7 @@ This is intended for the orders that appear in the family identities
 
 from __future__ import annotations
 
-from .digraph import Digraph
+from .digraph import Digraph, adjacency_masks
 
 
 def _refine_colors(g: Digraph, h: Digraph) -> tuple[list[int], list[int]] | None:
@@ -62,15 +62,6 @@ def _refine_colors(g: Digraph, h: Digraph) -> tuple[list[int], list[int]] | None
     return colors_g, colors_h
 
 
-def _masks(g: Digraph) -> tuple[list[int], list[int]]:
-    out = [0] * g.n
-    inn = [0] * g.n
-    for u, v in g.arcs:
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
-    return out, inn
-
-
 def are_isomorphic(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
     """An isomorphism from ``g`` onto ``h`` as a tuple ``phi`` with
     ``phi[u]`` the image of ``u``, or ``None`` when none exists."""
@@ -85,8 +76,8 @@ def are_isomorphic(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
     color_mask_h: dict[int, int] = {}
     for v in range(n):
         color_mask_h[colors_h[v]] = color_mask_h.get(colors_h[v], 0) | (1 << v)
-    out_g, in_g = _masks(g)
-    out_h, in_h = _masks(h)
+    out_g, in_g = adjacency_masks(g)
+    out_h, in_h = adjacency_masks(h)
 
     candidates = [color_mask_h.get(colors_g[u], 0) for u in range(n)]
     if any(c == 0 for c in candidates):

@@ -55,14 +55,6 @@ class LineLabeledDigraph:
         """Walks as dash-joined strings, e.g. ``'3-0-1'``."""
         return ["-".join(str(v) for v in walk) for walk in self.labels]
 
-    def index_of_label(self, label: str) -> int:
-        """Vertex id carrying the given dash-joined walk label."""
-        strings = self.label_strings()
-        try:
-            return strings.index(label)
-        except ValueError:
-            raise DomainError(f"no vertex has label {label!r}") from None
-
 
 def _as_labeled(g: Digraph) -> LineLabeledDigraph:
     return LineLabeledDigraph(

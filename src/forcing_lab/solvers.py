@@ -8,6 +8,14 @@ only concession to speed is a word-level (bitmask) reimplementation of the
 closures; its agreement with the trace-producing engine is covered by
 tests.
 
+That closure deliberately does not share code with the worklist engine in
+:mod:`forcing_lab.propagation`.  Every witness the constructions return is
+certified by that engine, so a fault in it must not be able to reach the
+oracle that re-derives the same numbers.  It is also the faster choice
+here: on the small digraphs the solvers scan, a round of bit operations on
+one word per vertex costs less than the engine's worklist bookkeeping,
+which pays off only on large, sparse closures.
+
 By default no theorem-derived lower bound is applied: the solver scans
 from size 1 so its verdicts stay independent of the results being
 validated.  Callers may opt in to seeding via ``lower_bound`` or
@@ -24,7 +32,7 @@ import time
 from dataclasses import dataclass
 
 from .critical import greedy_forcing_lower_bound
-from .digraph import Digraph
+from .digraph import Digraph, adjacency_masks
 from .errors import DomainError, ResourceLimitError
 
 
@@ -47,13 +55,6 @@ class MinimumSetResult:
     number: int
     witness: frozenset[int]
     subsets_tested: int
-
-
-def _out_masks(g: Digraph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.arcs:
-        masks[u] |= 1 << v
-    return masks
 
 
 def _zf_complete(
@@ -125,7 +126,7 @@ def min_zero_forcing(
         raise DomainError(f"lower bound must be at least 1, got {lower_bound}")
     if seed_critical:
         lower_bound = max(lower_bound, greedy_forcing_lower_bound(g))
-    masks = _out_masks(g)
+    masks, _ = adjacency_masks(g)
     loop_rule = g.has_loops
     full = (1 << g.n) - 1
     budget = _Budget(limits)
@@ -171,7 +172,7 @@ def min_power_dominating(
         if denominator >= 1:
             implied = -(-known_zero_forcing // denominator)
             lower_bound = max(lower_bound, implied)
-    masks = _out_masks(g)
+    masks, _ = adjacency_masks(g)
     loop_rule = g.has_loops
     full = (1 << g.n) - 1
     budget = _Budget(limits)

@@ -212,7 +212,7 @@ def check_generalized_families() -> list[CheckResult]:
 
 def check_wrapped_butterfly() -> list[CheckResult]:
     """WB(2,2): line identity, brute-force zero forcing, exact rank, and
-    the recorded brute-force power domination value."""
+    brute-force power domination against the claimed 2(d-1)."""
     wb = wrapped_butterfly(2, 2)
     base = conjunction(complete_with_loops(2), cycle(2))
     iso = are_isomorphic(wb, line_digraph(base).graph)
@@ -234,8 +234,8 @@ def check_wrapped_butterfly() -> list[CheckResult]:
             f"rank {rank.rank}, nullity {rank.nullity}",
         ),
         _check(
-            "power domination number of WB(2,2) certified by brute force",
-            gp >= 1,
+            "power domination number of WB(2,2) == 2(d-1) = 2",
+            gp == claimed,
             f"brute force found {gp}, which {agreement} the claimed 2(d-1) = {claimed}",
         ),
     ]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from forcing_lab import cli
 from forcing_lab.cli import main
 
 
@@ -189,12 +190,16 @@ def test_env_limit_override(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
-def test_jobs_must_be_positive(capsys, tmp_path):
-    path = _gen(capsys, tmp_path, "b.json", "gen", "cycle", "--n", "4")
-    code, _, err = _run(capsys, "zf", "min", path, "--jobs", "0")
-    assert code == 2 and "--jobs" in err
-    code, _, _ = _run(capsys, "zf", "min", path, "--jobs", "2")
-    assert code == 0
+def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):
+    path = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "3")
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_export_dot", broken)
+    code, out, err = _run(capsys, "export-dot", path)
+    assert code == 4 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_usage_error_without_subcommand(capsys):

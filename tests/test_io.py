@@ -106,3 +106,12 @@ def test_read_reports_offending_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises((DomainError, json.JSONDecodeError)):
         read_digraph(path)
+
+
+def test_unreadable_file_is_domain_error(tmp_path):
+    with pytest.raises(DomainError, match="cannot read"):
+        read_digraph(tmp_path / "absent.json")
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(DomainError, match="cannot read"):
+        read_digraph(path)

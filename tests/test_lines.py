@@ -100,9 +100,6 @@ def test_label_strings_and_lookup():
     lab = line_digraph(de_bruijn(2, 2))
     strings = lab.label_strings()
     assert strings[0] == "0-0"
-    assert lab.index_of_label("0-0") == 0
-    with pytest.raises(DomainError):
-        lab.index_of_label("9-9")
 
 
 def test_labeled_digraph_validation():

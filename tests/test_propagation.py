@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -176,8 +177,30 @@ def test_empty_start_set_rejected():
         zf_closure(g, [])
     with pytest.raises(DomainError):
         pd_closure(g, [])
-    trace = zf_closure(g, [], allow_empty=True)
-    assert trace.final == frozenset() and not trace.covers_all
+
+
+def _relabeled_chain(n: int, bidirected: bool) -> tuple[Digraph, list[int]]:
+    """A relabeled cycle, or a relabeled bidirected path, together with
+    its vertices in chain order."""
+    perm = list(range(n))
+    Random(n).shuffle(perm)
+    steps = list(zip(perm, perm[1:]))
+    if bidirected:
+        steps += [(v, u) for u, v in steps]
+    else:
+        steps.append((perm[-1], perm[0]))
+    return Digraph(n, steps), perm
+
+
+@pytest.mark.parametrize("bidirected", [False, True])
+def test_long_chain_closure_certificate(bidirected):
+    g, perm = _relabeled_chain(10_000, bidirected)
+    chain = tuple((perm[r - 1], perm[r], r) for r in range(1, g.n))
+    for closure in (zf_closure, pd_closure):
+        trace = closure(g, {perm[0]})
+        assert trace.covers_all
+        assert len(trace.rounds) == g.n - 1
+        assert trace.certificate == chain
 
 
 def test_bad_vertex_rejected():
