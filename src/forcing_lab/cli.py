@@ -46,13 +46,20 @@ def _emit(document: object) -> None:
     print(json.dumps(document, indent=2))
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_or_emit(document: object, out: str | None, what: str) -> None:
     if out is None:
         _emit(document)
         return
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    _write_file(out, json.dumps(document, indent=2) + "\n")
     _info(f"wrote {what} to {out}")
 
 
@@ -242,8 +249,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         )
         return 0
     result = rank_exact(adjacency_matrix(g))
-    _emit({"n": g.n, "rank": result.rank, "nullity": result.nullity})
-    _info(f"adjacency rank {result.rank}, nullity {result.nullity}")
+    _emit({"n": g.n, **result._asdict()})
+    _info(
+        f"adjacency rank {result.rank}, nullity {result.nullity} "
+        f"(by {result.method})"
+    )
     return 0
 
 
@@ -319,8 +329,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     if args.output is None:
         print(text, end="")
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(args.output, text)
         _info(f"wrote DOT to {args.output}")
     return 0
 

@@ -1,10 +1,23 @@
 """Exact integer matrix rank and the minimum-rank consequences of line
 digraph structure.
 
-Rank is computed by Bareiss fraction-free elimination over Python's
-arbitrary-precision integers: every division performed is exact, so there
-is no floating point anywhere and the reported rank is the true rank over
-the rationals.
+``rank_exact`` first tries a certified sandwich.  The number of distinct
+nonzero rows is an upper bound on the rank, since a repeated row adds
+nothing to the row space.  The rank over GF(2) of the rows taken mod 2 is
+a lower bound, since a minor that is odd is a nonzero integer.  When the
+two bounds meet, they are the rank over the rationals.  They always meet
+on the adjacency matrix of a line digraph ``L(G)`` whose base has every
+in- and out-degree at least 1: ``A(L(G)) = H T^T`` with ``H`` and ``T``
+the 0/1 head and tail incidence matrices of ``G``, so the distinct rows
+of ``A(L(G))`` are the out-arc indicators of the vertices of ``G``.  Their
+supports are disjoint, so there are ``|V(G)|`` of them, independent over
+GF(2) as well as over the rationals.
+
+When the bounds differ, rank is computed by Bareiss fraction-free
+elimination over Python's arbitrary-precision integers: every division
+performed is exact, so there is no floating point anywhere.  Bareiss is
+the general path and the oracle the sandwich is tested against.  The
+report says which of the two decided the rank.
 
 For a ``d``-regular line digraph, the adjacency matrix has rank equal to
 the order divided by ``d``.  Together with the general sandwich
@@ -57,6 +70,7 @@ class ExactMatrix:
 class RankReport(NamedTuple):
     rank: int
     nullity: int
+    method: str  # "sandwich" when the bounds met, else "bareiss"
 
 
 def adjacency_matrix(g: Digraph) -> ExactMatrix:
@@ -68,10 +82,29 @@ def adjacency_matrix(g: Digraph) -> ExactMatrix:
     return ExactMatrix(tuple(rows))
 
 
-def rank_exact(m: ExactMatrix) -> RankReport:
-    """Exact rank and nullity (columns minus rank) over the rationals."""
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
+def _gf2_rank(rows: Iterable[tuple[int, ...]]) -> int:
+    """Rank over GF(2) of the rows taken mod 2, by an XOR basis keyed by
+    leading bit (``e & 1`` is the parity of negative entries too)."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        mask = 0
+        for j, e in enumerate(row):
+            if e & 1:
+                mask |= 1 << j
+        while mask:
+            lead = mask.bit_length() - 1
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = mask
+                break
+            mask ^= pivot
+    return len(basis)
+
+
+def _bareiss_rank(entries: tuple[tuple[int, ...], ...]) -> int:
+    """Rank over the rationals by Bareiss fraction-free elimination."""
+    a = [list(row) for row in entries]
+    rows, cols = len(entries), len(entries[0])
     rank = 0
     prev_pivot = 1
     for col in range(cols):
@@ -94,7 +127,20 @@ def rank_exact(m: ExactMatrix) -> RankReport:
         rank += 1
         if rank == rows:
             break
-    return RankReport(rank=rank, nullity=cols - rank)
+    return rank
+
+
+def rank_exact(m: ExactMatrix) -> RankReport:
+    """Exact rank and nullity (columns minus rank) over the rationals,
+    with the method that decided the rank."""
+    distinct = set(m.entries)
+    distinct.discard((0,) * m.cols)
+    upper = len(distinct)
+    lower = _gf2_rank(distinct)
+    if lower == upper:
+        return RankReport(rank=upper, nullity=m.cols - upper, method="sandwich")
+    rank = _bareiss_rank(m.entries)
+    return RankReport(rank=rank, nullity=m.cols - rank, method="bareiss")
 
 
 @dataclass(frozen=True)
@@ -104,7 +150,8 @@ class MinimumRankReport:
     ``zero_forcing_number`` is the matching closed-form count; for degree
     at least 2 it coincides with ``max_nullity`` because the adjacency
     nullity meets the zero forcing upper bound.  ``rank_consistent``
-    records that the exact adjacency rank agreed with the predicted value.
+    records that the exact adjacency rank agreed with the predicted value,
+    and ``rank_method`` names how ``rank_exact`` decided that rank.
     """
 
     degree: int
@@ -112,6 +159,7 @@ class MinimumRankReport:
     order: int
     adjacency_rank: int
     adjacency_nullity: int
+    rank_method: str
     min_rank: int
     max_nullity: int
     zero_forcing_number: int
@@ -124,6 +172,7 @@ class MinimumRankReport:
             "order": self.order,
             "adjacency_rank": self.adjacency_rank,
             "adjacency_nullity": self.adjacency_nullity,
+            "rank_method": self.rank_method,
             "min_rank": self.min_rank,
             "max_nullity": self.max_nullity,
             "zero_forcing_number": self.zero_forcing_number,
@@ -167,6 +216,7 @@ def mr_and_max_nullity_regular_line(
             order=line.n,
             adjacency_rank=report.rank,
             adjacency_nullity=report.nullity,
+            rank_method=report.method,
             min_rank=line.n - cycles,
             max_nullity=cycles,
             zero_forcing_number=cycles,
@@ -179,6 +229,7 @@ def mr_and_max_nullity_regular_line(
         order=line.n,
         adjacency_rank=report.rank,
         adjacency_nullity=report.nullity,
+        rank_method=report.method,
         min_rank=expected_rank,
         max_nullity=line.n - expected_rank,
         zero_forcing_number=line.n - expected_rank,

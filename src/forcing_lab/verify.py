@@ -132,7 +132,8 @@ def check_de_bruijn_suite() -> list[CheckResult]:
             report.min_rank == 4
             and report.max_nullity == 4
             and report.rank_consistent,
-            f"adjacency rank {report.adjacency_rank} of order {report.order}",
+            f"adjacency rank {report.adjacency_rank} of order {report.order} "
+            f"by {report.rank_method}",
         )
     )
     return results
@@ -162,7 +163,7 @@ def check_kautz_suite() -> list[CheckResult]:
         _check(
             "mr(K(3,3)) == 12 by exact rank",
             rank.rank == 12 and k33.n == 36,
-            f"rank {rank.rank}, nullity {rank.nullity}",
+            f"rank {rank.rank}, nullity {rank.nullity} by {rank.method}",
         )
     )
     base = complete_without_loops(4)
@@ -231,7 +232,7 @@ def check_wrapped_butterfly() -> list[CheckResult]:
         _check(
             "mr(WB(2,2)) == 4 by exact rank",
             rank.rank == 4,
-            f"rank {rank.rank}, nullity {rank.nullity}",
+            f"rank {rank.rank}, nullity {rank.nullity} by {rank.method}",
         ),
         _check(
             "power domination number of WB(2,2) == 2(d-1) = 2",
@@ -245,19 +246,22 @@ def check_gimbert_rank(count: int = 20, seed: int = 1291) -> list[CheckResult]:
     """Adjacency rank of L(G) equals |V(L(G))|/d for random d-regular G."""
     rng = Random(seed)
     ok = 0
+    by_sandwich = 0
     for i in range(count):
         d = 2 + i % 2
         n = d + 1 + i % 3
         g = random_regular_digraph(rng, n, d)
         lg = line_digraph(g).graph
-        rank = rank_exact(adjacency_matrix(lg)).rank
-        if rank * d == lg.n:
+        report = rank_exact(adjacency_matrix(lg))
+        by_sandwich += report.method == "sandwich"
+        if report.rank * d == lg.n:
             ok += 1
     return [
         _check(
             "rank of the line-digraph adjacency equals order/degree",
             ok == count,
-            f"{ok}/{count} random regular digraphs",
+            f"{ok}/{count} random regular digraphs; {by_sandwich} ranks by "
+            f"sandwich, {count - by_sandwich} by bareiss",
         )
     ]
 

@@ -119,7 +119,8 @@ def test_zf_construct(capsys, tmp_path):
 def test_rank_and_line_depth(capsys, tmp_path):
     path = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "3")
     code, doc, _ = _run_json(capsys, "rank", path)
-    assert code == 0 and doc == {"n": 8, "rank": 4, "nullity": 4}
+    assert code == 0
+    assert doc == {"n": 8, "rank": 4, "nullity": 4, "method": "sandwich"}
 
     k3 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "3")
     code, doc, _ = _run_json(capsys, "rank", k3, "--line-depth", "2")
@@ -173,6 +174,16 @@ def test_export_dot(capsys, tmp_path):
     code, out, _ = _run(capsys, "export-dot", path)
     assert code == 0
     assert "0 -> 1;" in out
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    path = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "3")
+    missing = str(tmp_path / "missing-dir" / "out")
+    for argv in (["gen", "cycle", "--n", "3"], ["export-dot", path]):
+        code, out, err = _run(capsys, *argv, "-o", missing)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {missing}: ")
 
 
 def test_missing_input_file(capsys):

@@ -5,7 +5,11 @@ from random import Random
 import pytest
 import sympy
 
-from forcing_lab.corpus import random_digraph, regular_digraphs_up_to_iso
+from forcing_lab.corpus import (
+    random_digraph,
+    random_regular_digraph,
+    regular_digraphs_up_to_iso,
+)
 from forcing_lab.digraph import Digraph
 from forcing_lab.errors import DomainError
 from forcing_lab.families import (
@@ -20,6 +24,7 @@ from forcing_lab.families import (
 from forcing_lab.iso import are_isomorphic
 from forcing_lab.linalg import (
     ExactMatrix,
+    _bareiss_rank,
     adjacency_matrix,
     mr_and_max_nullity_regular_line,
     rank_exact,
@@ -52,7 +57,9 @@ def test_rank_of_identity_and_zero():
     eye = ExactMatrix.from_rows([[1, 0], [0, 1]])
     zero = ExactMatrix.from_rows([[0, 0], [0, 0]])
     assert rank_exact(eye).rank == 2
-    assert rank_exact(zero) == (0, 2)
+    r = rank_exact(zero)
+    assert (r.rank, r.nullity) == (0, 2)
+    assert r.method == "sandwich"
 
 
 def test_rank_handles_negative_and_large_entries():
@@ -70,7 +77,7 @@ def test_rank_matches_sympy_on_random_adjacencies():
         g = random_digraph(rng, rng.randrange(2, 8), arc_probability=0.4)
         m = adjacency_matrix(g)
         report = rank_exact(m)
-        assert report.rank == _sympy_rank(m)
+        assert report.rank == _bareiss_rank(m.entries) == _sympy_rank(m)
         assert report.rank + report.nullity == g.n
 
 
@@ -82,14 +89,49 @@ def test_rank_matches_sympy_on_random_integer_matrices():
         m = ExactMatrix.from_rows(
             [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
         )
-        assert rank_exact(m).rank == _sympy_rank(m)
+        assert rank_exact(m).rank == _bareiss_rank(m.entries) == _sympy_rank(m)
 
 
 def test_frozen_family_ranks():
-    assert rank_exact(adjacency_matrix(de_bruijn(2, 3))).rank == 4
-    assert rank_exact(adjacency_matrix(wrapped_butterfly(2, 2))).rank == 4
-    assert rank_exact(adjacency_matrix(complete_without_loops(4))).rank == 4
-    assert rank_exact(adjacency_matrix(kautz(3, 3))).rank == 12
+    for g, rank in [
+        (de_bruijn(2, 3), 4),
+        (wrapped_butterfly(2, 2), 4),
+        (complete_without_loops(4), 4),
+        (kautz(3, 3), 12),
+    ]:
+        m = adjacency_matrix(g)
+        report = rank_exact(m)
+        assert report.rank == _bareiss_rank(m.entries) == rank
+        assert report.method == "sandwich"
+
+
+def test_sandwich_decides_line_digraphs_of_random_regular_bases():
+    rng = Random(4410)
+    for i in range(12):
+        d = 2 + i % 2
+        g = random_regular_digraph(rng, d + 1 + i % 4, d)
+        m = adjacency_matrix(line_digraph(g).graph)
+        report = rank_exact(m)
+        assert report.method == "sandwich"
+        assert report.rank == g.n == _bareiss_rank(m.entries) == _sympy_rank(m)
+
+
+def test_bareiss_decides_when_the_bounds_differ():
+    # GF(2) rank 1 below 2 distinct rows; rank 2 over the rationals
+    plus_minus = ExactMatrix.from_rows([[1, 1], [1, -1]])
+    # every entry even: GF(2) rank 0 below 2 distinct rows
+    twice_eye = ExactMatrix.from_rows([[2, 0], [0, 2]])
+    for m in (plus_minus, twice_eye):
+        assert rank_exact(m) == (2, 0, "bareiss")
+        assert _sympy_rank(m) == 2
+    # GF(2) rank 1 and 3 distinct rows, both off the true rank 2
+    between = ExactMatrix.from_rows([[1, 1], [1, -1], [2, 0]])
+    assert rank_exact(between) == (2, 0, "bareiss") and _sympy_rank(between) == 2
+
+
+def test_rank_at_order_1024_by_sandwich():
+    report = rank_exact(adjacency_matrix(de_bruijn(2, 10)))
+    assert report == (512, 512, "sandwich")
 
 
 def test_report_de_bruijn_like_iterate():
@@ -134,6 +176,7 @@ def test_report_json_keys():
     doc = mr_and_max_nullity_regular_line(complete_with_loops(2), 1).to_json_dict()
     assert doc["degree"] == 2 and doc["depth"] == 1
     assert doc["min_rank"] == 2 and doc["max_nullity"] == 2
+    assert doc["rank_method"] == "sandwich"
 
 
 def _compositions(total: int, parts: int):
