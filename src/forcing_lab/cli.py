@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 a checked property does not hold (a set fails
 to force, digraphs are not isomorphic, a verification suite has a
 failing check), 2 usage or domain error, 3 search abandoned on a
 resource limit, 4 internal error (any other exception, reported on one
-stderr line).  The ``FORCING_LAB_MAX_N`` environment variable overrides
-the solver order limit.
+stderr line).  The ``FORCING_LAB_MAX_N`` environment variable, a positive
+integer, overrides the solver order limit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .constructions import (
 )
 from .digraph import Digraph
 from .errors import DomainError, ResourceLimitError
-from .families import FamilySpec, _FAMILY_PARAMS
+from .families import FAMILIES, FamilySpec
 from .io import digraph_to_json_dict, read_digraph, to_dot
 from .iso import are_isomorphic
 from .linalg import adjacency_matrix, mr_and_max_nullity_regular_line, rank_exact
@@ -97,18 +97,16 @@ def _parse_vertex_set(
 
 
 def _solver_limits() -> SearchLimits:
-    limits = SearchLimits()
     env = os.environ.get("FORCING_LAB_MAX_N")
-    if env is not None:
-        try:
-            limits = SearchLimits(
-                max_n=int(env),
-                max_subsets=limits.max_subsets,
-                max_seconds=limits.max_seconds,
-            )
-        except ValueError as exc:
-            raise DomainError(f"FORCING_LAB_MAX_N={env!r} is not an integer") from exc
-    return limits
+    if env is None:
+        return SearchLimits()
+    try:
+        max_n = int(env)
+    except ValueError:
+        max_n = 0
+    if max_n < 1:
+        raise DomainError(f"FORCING_LAB_MAX_N must be a positive integer, got {env!r}")
+    return SearchLimits(max_n=max_n)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named family digraph")
-    gen.add_argument("family", choices=sorted(_FAMILY_PARAMS))
+    gen.add_argument("family", choices=sorted(FAMILIES))
     gen.add_argument("--d", type=int, default=None, help="degree parameter")
     gen.add_argument("--D", type=int, default=None, help="word-length parameter")
     gen.add_argument("--n", type=int, default=None, help="order or level parameter")

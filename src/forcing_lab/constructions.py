@@ -9,18 +9,18 @@ never a property of the input.  Hypothesis violations raise
 :class:`DomainError` instead.
 
 All tie-breaks (choice of excluded out-neighbor, choice of in-neighbor,
-matching augmentation order, factor enumeration order) resolve to the
-least vertex id, making every witness reproducible.
+matching augmentation order) resolve to the least vertex id, making every
+witness reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .digraph import Digraph, check_vertex_set
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .lines import LineLabeledDigraph, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
 
@@ -137,77 +137,69 @@ def in_degree_one_cycles(g: Digraph) -> list[list[int]]:
     return cycles
 
 
-def _perfect_matching(g: Digraph) -> list[int] | None:
-    """Augmenting-path perfect matching tails -> heads; ``result[v]`` is the
-    tail matched to head ``v``.  Deterministic: least ids first."""
-    match_head = [-1] * g.n
-    neighbors = [sorted(g.out_neighborhood(u)) for u in range(g.n)]
+def _out_lists(g: Digraph) -> list[list[int]]:
+    return [sorted(g.out_neighborhood(u)) for u in range(g.n)]
 
-    def augment(u: int, visited: set[int]) -> bool:
-        for v in neighbors[u]:
-            if v in visited:
+
+def _perfect_matching(neighbors: list[list[int]]) -> list[int] | None:
+    """Augmenting-path perfect matching tails -> heads over the sorted
+    out-neighbor lists ``neighbors``; ``result[v]`` is the tail matched to
+    head ``v``.  Deterministic: least ids first.
+
+    The depth-first search keeps an explicit stack of tails, each with the
+    index of the head it is trying, so a path through every vertex needs
+    no recursion.
+    """
+    n = len(neighbors)
+    match_head = [-1] * n
+    visited = [-1] * n  # visited[v] == root: head v seen while augmenting root
+    for root in range(n):
+        tails = [root]
+        positions = [0]
+        while tails:
+            row = neighbors[tails[-1]]
+            i = positions[-1]
+            while i < len(row) and visited[row[i]] == root:
+                i += 1
+            if i == len(row):
+                # No augmenting path through this tail: its parent moves
+                # on to its next head.
+                tails.pop()
+                positions.pop()
+                if positions:
+                    positions[-1] += 1
                 continue
-            visited.add(v)
-            if match_head[v] == -1 or augment(match_head[v], visited):
-                match_head[v] = u
-                return True
-        return False
-
-    for u in range(g.n):
-        if not augment(u, set()):
+            v = row[i]
+            visited[v] = root
+            positions[-1] = i
+            if match_head[v] == -1:
+                for u, j in zip(tails, positions):
+                    match_head[neighbors[u][j]] = u
+                break
+            tails.append(match_head[v])
+            positions.append(0)
+        else:
             return None
     return match_head
 
 
-def _all_factor_maps(g: Digraph) -> Iterator[list[int]]:
-    """Every perfect matching as an ``f`` array, in lexicographic order of
-    the tail -> head assignment."""
-    neighbors = [sorted(g.out_neighborhood(u)) for u in range(g.n)]
-    match_head = [-1] * g.n
-
-    def rec(u: int) -> Iterator[list[int]]:
-        if u == g.n:
-            yield list(match_head)
-            return
-        for v in neighbors[u]:
-            if match_head[v] == -1:
-                match_head[v] = u
-                yield from rec(u + 1)
-                match_head[v] = -1
-
-    return rec(0)
-
-
-def one_factor(
-    g: Digraph, *, require_good: bool = False, enumeration_limit: int = 10
-) -> OneFactor | None:
+def one_factor(g: Digraph, *, require_good: bool = False) -> OneFactor | None:
     """A 1-factor of ``g``, or None when none exists.
 
     With ``require_good`` the factor must have a vertex of in-degree > 1 on
-    every cycle.  When the minimum in-degree is at least 2 any factor
-    qualifies; otherwise, if the first factor fails, all factors are
-    enumerated, which is only attempted up to ``enumeration_limit``
-    vertices (beyond that the answer is unknown and a
-    :class:`ResourceLimitError` is raised rather than guessing).
+    every cycle, and the first factor found decides the answer exactly.
+    On a factor cycle with no vertex of in-degree > 1, each factor arc is
+    the unique in-arc of its head, so the cycle is an in-degree-one cycle
+    of ``g``.  Every 1-factor must use those unique in-arcs, so every
+    1-factor contains that cycle and none is good.
     """
-    match = _perfect_matching(g)
+    match = _perfect_matching(_out_lists(g))
     if match is None:
         return None
     factor = OneFactor(host=g, f=tuple(match))
-    if not require_good:
-        return factor
-    if g.degrees().min_in >= 2 or factor.is_good():
-        return factor
-    if g.n > enumeration_limit:
-        raise ResourceLimitError(
-            f"good-factor search by enumeration is limited to "
-            f"{enumeration_limit} vertices (got {g.n})"
-        )
-    for f in _all_factor_maps(g):
-        candidate = OneFactor(host=g, f=tuple(f))
-        if candidate.is_good():
-            return candidate
-    return None
+    if require_good and not factor.is_good():
+        return None
+    return factor
 
 
 def cycle_factorization(g: Digraph) -> CycleFactorization:
@@ -215,20 +207,21 @@ def cycle_factorization(g: Digraph) -> CycleFactorization:
 
     Each factor is a perfect matching of the remaining arcs; deleting it
     leaves a regular digraph of one smaller degree, so the next matching
-    always exists.
+    always exists.  The factor arcs are deleted from the sorted
+    out-neighbor lists in place, which keep their order.
     """
     d = g.is_regular()
     if d is None:
         raise DomainError("cycle factorization requires a regular digraph")
+    neighbors = _out_lists(g)
     factors = []
-    remaining = g
     for _ in range(d):
-        match = _perfect_matching(remaining)
+        match = _perfect_matching(neighbors)
         if match is None:
             raise AssertionError("regular digraph lost its perfect matching")
-        factor = OneFactor(host=g, f=tuple(match))
-        factors.append(factor)
-        remaining = Digraph(g.n, remaining.arcs - factor.arcs())
+        factors.append(OneFactor(host=g, f=tuple(match)))
+        for v, u in enumerate(match):
+            neighbors[u].remove(v)
     return CycleFactorization(host=g, factors=tuple(factors))
 
 
@@ -278,7 +271,7 @@ def construct_zfs_line(g: Digraph) -> LineWitness:
     _require_degrees(g, 2, 1)
     on_bad_cycle = {v for cycle in in_degree_one_cycles(g) for v in cycle}
     labeled = line_digraph(g)
-    arc_index = {arc: i for i, arc in enumerate(g.arcs_sorted)}
+    arc_index = {arc: i for i, arc in enumerate(labeled.labels)}
     chosen: set[int] = set()
     for v in range(g.n):
         eligible = sorted(g.out_neighborhood(v) - on_bad_cycle)
@@ -410,7 +403,7 @@ def construct_pds_L(g: Digraph, s: Iterable[int]) -> LineWitness:
                 f"vertex {v} has {len(owners)} in-neighbors in the set"
             )
     labeled = line_digraph(g)
-    arc_index = {arc: i for i, arc in enumerate(g.arcs_sorted)}
+    arc_index = {arc: i for i, arc in enumerate(labeled.labels)}
     chosen: set[int] = set()
     for v in range(g.n):
         if v in chosen_s:

@@ -142,16 +142,18 @@ def conjunction(g: Digraph, h: Digraph) -> Digraph:
     return Digraph(g.n * h.n, arcs, name=name)
 
 
-_FAMILY_PARAMS = {
-    "de-bruijn": ("d", "D"),
-    "kautz": ("d", "D"),
-    "gen-de-bruijn": ("d", "n"),
-    "gen-kautz": ("d", "n"),
-    "wrapped-butterfly": ("d", "n"),
-    "complete-loops": ("d",),
-    "complete-noloops": ("n",),
-    "cycle": ("n",),
+FAMILIES = {
+    "de-bruijn": (de_bruijn, ("d", "D")),
+    "kautz": (kautz, ("d", "D")),
+    "gen-de-bruijn": (gen_de_bruijn, ("d", "n")),
+    "gen-kautz": (gen_kautz, ("d", "n")),
+    "wrapped-butterfly": (wrapped_butterfly, ("d", "n")),
+    "complete-loops": (complete_with_loops, ("d",)),
+    "complete-noloops": (complete_without_loops, ("n",)),
+    "cycle": (cycle, ("n",)),
 }
+"""Each family tag with its generator and the names of its parameters, in
+the generator's argument order."""
 
 
 @dataclass(frozen=True)
@@ -164,10 +166,10 @@ class FamilySpec:
     n: int | None = None
 
     def build(self) -> Digraph:
-        if self.family not in _FAMILY_PARAMS:
-            known = ", ".join(sorted(_FAMILY_PARAMS))
+        if self.family not in FAMILIES:
+            known = ", ".join(sorted(FAMILIES))
             raise DomainError(f"unknown family {self.family!r} (known: {known})")
-        wanted = _FAMILY_PARAMS[self.family]
+        builder, wanted = FAMILIES[self.family]
         given = {
             key: value
             for key, value in (("d", self.d), ("D", self.D), ("n", self.n))
@@ -178,18 +180,4 @@ class FamilySpec:
                 f"family {self.family!r} takes parameters "
                 f"{'/'.join('--' + p for p in wanted)}"
             )
-        if self.family == "de-bruijn":
-            return de_bruijn(given["d"], given["D"])
-        if self.family == "kautz":
-            return kautz(given["d"], given["D"])
-        if self.family == "gen-de-bruijn":
-            return gen_de_bruijn(given["d"], given["n"])
-        if self.family == "gen-kautz":
-            return gen_kautz(given["d"], given["n"])
-        if self.family == "wrapped-butterfly":
-            return wrapped_butterfly(given["d"], given["n"])
-        if self.family == "complete-loops":
-            return complete_with_loops(given["d"])
-        if self.family == "complete-noloops":
-            return complete_without_loops(given["n"])
-        return cycle(given["n"])
+        return builder(*(given[p] for p in wanted))

@@ -16,10 +16,9 @@ here: on the small digraphs the solvers scan, a round of bit operations on
 one word per vertex costs less than the engine's worklist bookkeeping,
 which pays off only on large, sparse closures.
 
-By default no theorem-derived lower bound is applied: the solver scans
-from size 1 so its verdicts stay independent of the results being
-validated.  Callers may opt in to seeding via ``lower_bound`` or
-``seed_critical`` when independence does not matter.
+Both problems share one scan.  No theorem-derived lower bound is applied:
+the scan starts at size 1, so its verdicts stay independent of the
+results being validated.
 
 Limits are explicit.  Exceeding any of them raises
 :class:`ResourceLimitError`; the solver never silently approximates.
@@ -31,9 +30,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .critical import greedy_forcing_lower_bound
 from .digraph import Digraph, adjacency_masks
-from .errors import DomainError, ResourceLimitError
+from .errors import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -107,88 +105,41 @@ def _check_order(g: Digraph, limits: SearchLimits) -> None:
         )
 
 
-def min_zero_forcing(
-    g: Digraph,
-    *,
-    limits: SearchLimits | None = None,
-    lower_bound: int = 1,
-    seed_critical: bool = False,
-) -> MinimumSetResult:
-    """Minimum zero forcing set by exhaustive scan, smallest size first.
-
-    ``lower_bound`` skips sizes below a bound the caller certifies;
-    ``seed_critical`` additionally packs a greedy disjoint family of
-    (strongly) critical sets to raise it.  Both default off.
-    """
+def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSetResult:
+    """The lexicographically first set, smallest size first, whose closure
+    colors every vertex; with ``dominate`` each seed first colors its
+    out-neighbors as well."""
     limits = limits or DEFAULT_LIMITS
     _check_order(g, limits)
-    if lower_bound < 1:
-        raise DomainError(f"lower bound must be at least 1, got {lower_bound}")
-    if seed_critical:
-        lower_bound = max(lower_bound, greedy_forcing_lower_bound(g))
     masks, _ = adjacency_masks(g)
+    seeds = [(1 << v) | (masks[v] if dominate else 0) for v in range(g.n)]
     loop_rule = g.has_loops
     full = (1 << g.n) - 1
     budget = _Budget(limits)
-    for size in range(lower_bound, g.n + 1):
+    for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             budget.spend()
             start = 0
             for v in combo:
-                start |= 1 << v
+                start |= seeds[v]
             if _zf_complete(g.n, masks, loop_rule, start, full):
                 return MinimumSetResult(
                     number=size,
                     witness=frozenset(combo),
                     subsets_tested=budget.tested,
                 )
-    raise AssertionError("the full vertex set always forces")
+    raise AssertionError("the full vertex set always succeeds")
+
+
+def min_zero_forcing(
+    g: Digraph, *, limits: SearchLimits | None = None
+) -> MinimumSetResult:
+    """Minimum zero forcing set by exhaustive scan, smallest size first."""
+    return _scan(g, limits, dominate=False)
 
 
 def min_power_dominating(
-    g: Digraph,
-    *,
-    limits: SearchLimits | None = None,
-    lower_bound: int = 1,
-    known_zero_forcing: int | None = None,
-    line_digraph_bound: bool = False,
+    g: Digraph, *, limits: SearchLimits | None = None
 ) -> MinimumSetResult:
-    """Minimum power dominating set by exhaustive scan, smallest size first.
-
-    When the zero forcing number is supplied, sizes below
-    ``ceil(Z / (max_out + 1))`` are skipped (each seed colors itself plus
-    at most ``max_out`` vertices, so the dominated set of a solution is a
-    zero forcing set of bounded size).  ``line_digraph_bound`` sharpens
-    the denominator to ``max_out``, which is only valid when ``g`` is a
-    line digraph; the caller vouches for that.
-    """
-    limits = limits or DEFAULT_LIMITS
-    _check_order(g, limits)
-    if lower_bound < 1:
-        raise DomainError(f"lower bound must be at least 1, got {lower_bound}")
-    if known_zero_forcing is not None:
-        max_out = g.degrees().max_out
-        denominator = max_out if line_digraph_bound else max_out + 1
-        if denominator >= 1:
-            implied = -(-known_zero_forcing // denominator)
-            lower_bound = max(lower_bound, implied)
-    masks, _ = adjacency_masks(g)
-    loop_rule = g.has_loops
-    full = (1 << g.n) - 1
-    budget = _Budget(limits)
-    for size in range(lower_bound, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            budget.spend()
-            start = 0
-            for v in combo:
-                start |= 1 << v
-            dominated = start
-            for v in combo:
-                dominated |= masks[v]
-            if _zf_complete(g.n, masks, loop_rule, dominated, full):
-                return MinimumSetResult(
-                    number=size,
-                    witness=frozenset(combo),
-                    subsets_tested=budget.tested,
-                )
-    raise AssertionError("the full vertex set always power dominates")
+    """Minimum power dominating set by exhaustive scan, smallest size first."""
+    return _scan(g, limits, dominate=True)

@@ -148,6 +148,39 @@ def test_factor_commands(capsys, tmp_path):
     assert code == 1 and doc == {"factor": None}
 
 
+def _write_arcs(tmp_path, name: str, n: int, arcs: list[tuple[int, int]]) -> str:
+    path = str(tmp_path / name)
+    with open(path, "w") as handle:
+        json.dump({"n": n, "arcs": [list(arc) for arc in arcs]}, handle)
+    return path
+
+
+def test_factor_commands_on_a_long_chain_of_loops(capsys, tmp_path):
+    n = 3000
+    arcs = [(v, v) for v in range(n)] + [(v, (v + 1) % n) for v in range(n)]
+    path = _write_arcs(tmp_path, "chain.json", n, arcs)
+    for flags in ((), ("--require-good",)):
+        code, doc, _ = _run_json(capsys, "factor", path, *flags)
+        assert code == 0 and doc["factor"]["cycles"] == [list(range(n))]
+    code, doc, _ = _run_json(capsys, "factor", path, "--cycles")
+    assert code == 0 and doc["degree"] == 2
+
+
+def test_no_good_factor_above_ten_vertices(capsys, tmp_path):
+    # 0 and 1 form an in-degree-one 2-cycle, so no 1-factor is good;
+    # every out-degree is 2 and vertices 2..11 carry loops
+    arcs = [(0, 1), (0, 2), (1, 0), (1, 3)]
+    for v in range(2, 12):
+        arcs += [(v, v), (v, 2 + (v - 1) % 10)]
+    path = _write_arcs(tmp_path, "bad.json", 12, arcs)
+    code, doc, _ = _run_json(capsys, "factor", path)
+    assert code == 0
+    code, doc, err = _run_json(capsys, "factor", path, "--require-good")
+    assert code == 1 and doc == {"factor": None} and "no good 1-factor" in err
+    code, _, err = _run(capsys, "pd", "construct-l2", path)
+    assert code == 2 and "no suitable 1-factor" in err
+
+
 def test_iso_exit_codes(capsys, tmp_path):
     a = _gen(capsys, tmp_path, "a.json", "gen", "cycle", "--n", "4")
     b = _gen(capsys, tmp_path, "b.json", "gen", "cycle", "--n", "5")
@@ -196,9 +229,10 @@ def test_env_limit_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FORCING_LAB_MAX_N", "3")
     code, _, err = _run(capsys, "zf", "min", path)
     assert code == 3 and "limit" in err
-    monkeypatch.setenv("FORCING_LAB_MAX_N", "not-a-number")
-    code, _, err = _run(capsys, "zf", "min", path)
-    assert code == 2
+    for malformed in ("not-a-number", "0", "-1"):
+        monkeypatch.setenv("FORCING_LAB_MAX_N", malformed)
+        code, _, err = _run(capsys, "zf", "min", path)
+        assert code == 2 and "positive integer" in err
 
 
 def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):

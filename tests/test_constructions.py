@@ -15,9 +15,13 @@ from forcing_lab.constructions import (
     in_degree_one_cycles,
     one_factor,
 )
-from forcing_lab.corpus import random_digraph_min_degrees, random_regular_digraph
+from forcing_lab.corpus import (
+    random_digraph,
+    random_digraph_min_degrees,
+    random_regular_digraph,
+)
 from forcing_lab.digraph import Digraph
-from forcing_lab.errors import DomainError, ResourceLimitError
+from forcing_lab.errors import DomainError
 from forcing_lab.families import (
     complete_with_loops,
     complete_without_loops,
@@ -34,6 +38,74 @@ _NO_GOOD_FACTOR = Digraph(
     4,
     [(0, 1), (0, 2), (1, 0), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)],
 )
+
+
+def _in_degree_one_two_cycle(n: int) -> Digraph:
+    """Like ``_NO_GOOD_FACTOR`` at order ``n``: 0 and 1 form an
+    in-degree-one 2-cycle, every other vertex has a loop and an arc to the
+    next one round ``2 .. n-1``, and every out-degree is 2."""
+    arcs = [(0, 1), (0, 2), (1, 0), (1, 3)]
+    for v in range(2, n):
+        arcs += [(v, v), (v, 2 + (v - 1) % (n - 2))]
+    return Digraph(n, arcs)
+
+
+def _chain_of_loops(n: int) -> Digraph:
+    """2-regular: a loop at every vertex plus the cycle ``0 -> 1 -> ... -> 0``.
+    The first matching augments along all ``n`` vertices at once."""
+    return Digraph(n, [(v, v) for v in range(n)] + [(v, (v + 1) % n) for v in range(n)])
+
+
+def _kuhn_matching(g: Digraph) -> list[int] | None:
+    """Recursive Kuhn augmenting paths, heads tried in ascending order;
+    ``result[v]`` is the tail matched to head ``v``."""
+    match = [-1] * g.n
+
+    def augment(u: int, visited: set[int]) -> bool:
+        for v in sorted(w for w in range(g.n) if (u, w) in g.arcs):
+            if v not in visited:
+                visited.add(v)
+                if match[v] == -1 or augment(match[v], visited):
+                    match[v] = u
+                    return True
+        return False
+
+    if all(augment(u, set()) for u in range(g.n)):
+        return match
+    return None
+
+
+def _all_factor_maps(g: Digraph):
+    """Every perfect matching as an ``f`` list (``f[v]`` the tail of head ``v``)."""
+    f = [-1] * g.n
+
+    def extend(u: int):
+        if u == g.n:
+            yield list(f)
+            return
+        for v in range(g.n):
+            if (u, v) in g.arcs and f[v] == -1:
+                f[v] = u
+                yield from extend(u + 1)
+                f[v] = -1
+
+    return extend(0)
+
+
+def _good(g: Digraph, f: list[int]) -> bool:
+    """Every cycle of the permutation ``f`` has a vertex of in-degree > 1."""
+    in_degree = [sum(1 for u in range(g.n) if (u, v) in g.arcs) for v in range(g.n)]
+    seen: set[int] = set()
+    for start in range(g.n):
+        cycle = []
+        v = start
+        while v not in seen:
+            seen.add(v)
+            cycle.append(v)
+            v = f[v]
+        if cycle and all(in_degree[w] == 1 for w in cycle):
+            return False
+    return True
 
 
 def test_one_factor_validation():
@@ -82,10 +154,50 @@ def test_one_factor_good_requirement():
 
 
 def test_one_factor_enumeration_limit():
-    # both factors of this digraph are bad, so a limit of 1 gives up early
-    with pytest.raises(ResourceLimitError):
-        one_factor(_NO_GOOD_FACTOR, require_good=True, enumeration_limit=1)
+    # the good-factor answer is exact at every order: no enumeration runs,
+    # so no order limit applies
     assert one_factor(_NO_GOOD_FACTOR, require_good=True) is None
+    g = _in_degree_one_two_cycle(12)
+    assert one_factor(g) is not None
+    assert one_factor(g, require_good=True) is None
+
+
+def test_one_factor_matches_kuhn_and_enumeration():
+    rng = Random(4177)
+    outcomes = {True: 0, False: 0}
+    for i in range(1500):
+        g = random_digraph(
+            rng,
+            rng.randrange(1, 10),
+            arc_probability=rng.choice([0.2, 0.35, 0.5]),
+            loop_probability=0.3 if i % 2 == 0 else 0.0,
+        )
+        factor = one_factor(g)
+        expected = _kuhn_matching(g)
+        assert (factor is None) == (expected is None)
+        if factor is None:
+            continue
+        assert list(factor.f) == expected
+        good = one_factor(g, require_good=True)
+        exists = any(_good(g, f) for f in _all_factor_maps(g))
+        assert (good is not None) == exists
+        if good is not None:
+            assert good.f == factor.f
+        outcomes[exists] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+def test_factors_of_a_long_chain_of_loops():
+    n = 3000
+    g = _chain_of_loops(n)
+    around = tuple((v - 1) % n for v in range(n))
+    assert one_factor(g).f == around
+    assert one_factor(g, require_good=True).f == around
+    factorization = cycle_factorization(g)
+    assert [factor.f for factor in factorization.factors] == [
+        around,
+        tuple(range(n)),
+    ]
 
 
 def test_cycle_factorization_frozen_complete_case():
@@ -107,6 +219,17 @@ def test_cycle_factorization_partitions_arcs():
         assert not (covered & arcs)
         covered |= arcs
     assert covered == g.arcs
+
+
+def test_cycle_factorization_matches_kuhn_on_the_remaining_arcs():
+    rng = Random(6043)
+    for _ in range(40):
+        n = rng.randrange(2, 10)
+        g = random_regular_digraph(rng, n, rng.randrange(1, min(n, 4) + 1))
+        remaining = g
+        for factor in cycle_factorization(g).factors:
+            assert list(factor.f) == _kuhn_matching(remaining)
+            remaining = Digraph(g.n, remaining.arcs - factor.arcs())
 
 
 def test_cycle_factorization_of_cycle():

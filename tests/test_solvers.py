@@ -137,39 +137,6 @@ def test_wrapped_butterfly_power_domination_degree_three():
     assert min_power_dominating(wrapped_butterfly(3, 2)).number == 4
 
 
-def test_certified_lower_bound_skips_small_sizes():
-    g = de_bruijn(2, 3)
-    free = min_zero_forcing(g)
-    bounded = min_zero_forcing(g, lower_bound=4)
-    assert bounded.number == free.number == 4
-    assert bounded.witness == free.witness
-    assert bounded.subsets_tested < free.subsets_tested
-
-
-def test_seeded_critical_bound_preserves_answers():
-    rng = Random(5150)
-    for i in range(12):
-        g = random_digraph(
-            rng,
-            rng.randrange(2, 6),
-            arc_probability=0.45,
-            loop_probability=0.3 if i % 3 == 0 else 0.0,
-        )
-        plain = min_zero_forcing(g)
-        seeded = min_zero_forcing(g, seed_critical=True)
-        assert (plain.number, plain.witness) == (seeded.number, seeded.witness)
-
-
-def test_known_zero_forcing_prunes_power_domination():
-    g = de_bruijn(3, 2)
-    plain = min_power_dominating(g)
-    primed = min_power_dominating(g, known_zero_forcing=6)
-    sharp = min_power_dominating(g, known_zero_forcing=6, line_digraph_bound=True)
-    assert plain.number == primed.number == sharp.number == 2
-    assert plain.witness == primed.witness == sharp.witness
-    assert sharp.subsets_tested <= primed.subsets_tested <= plain.subsets_tested
-
-
 def test_order_limit():
     with pytest.raises(ResourceLimitError):
         min_zero_forcing(de_bruijn(2, 3), limits=SearchLimits(max_n=4))
