@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import Digraph, check_vertex_set
+from .digraph import Digraph, adjacency_masks, check_vertex_set
 from .errors import DomainError
 from .lines import LineLabeledDigraph, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
@@ -354,27 +354,29 @@ def find_disjoint_outneighborhood_set(
     _require_degrees(g, 2, 2)
     if isinstance(target, bool) or not isinstance(target, int) or target < 1:
         raise DomainError(f"target size must be a positive int, got {target!r}")
+    out, _ = adjacency_masks(g)
     chosen: list[int] = []
-
-    def extend(start: int, blocked: frozenset[int]) -> bool:
+    members = blocked = 0  # the chosen vertices, and their out-neighbors
+    starts = [0]  # per level, the least vertex still to try there
+    while starts:
         if len(chosen) == target:
-            return True
-        for v in range(start, g.n):
-            neighborhood = g.out_neighborhood(v)
-            if blocked & neighborhood:
-                continue
-            if any(v in g.out_neighborhood(x) for x in chosen):
-                continue
-            if (neighborhood & frozenset(chosen)):
-                continue
-            chosen.append(v)
-            if extend(v + 1, blocked | neighborhood):
-                return True
-            chosen.pop()
-        return False
-
-    if extend(0, frozenset()):
-        return frozenset(chosen)
+            return frozenset(chosen)
+        taken = members | blocked
+        for v in range(starts[-1], g.n):
+            if not out[v] & taken and not (blocked >> v) & 1:
+                break
+        else:
+            starts.pop()
+            if chosen:
+                v = chosen.pop()
+                members ^= 1 << v
+                blocked ^= out[v]  # disjoint from the other chosen ones
+            continue
+        starts[-1] = v + 1
+        chosen.append(v)
+        members |= 1 << v
+        blocked |= out[v]
+        starts.append(v + 1)
     return None
 
 

@@ -16,6 +16,10 @@ from .digraph import Digraph
 from .errors import DomainError
 from .iso import are_isomorphic
 
+# Resampling budgets of the two rejection samplers below.
+_MIN_DEGREE_ATTEMPTS = 200
+_REGULAR_ATTEMPTS = 5000
+
 
 def random_digraph(
     rng: Random,
@@ -42,8 +46,6 @@ def random_digraph_min_degrees(
     min_in: int = 1,
     extra_arcs: int = 0,
     allow_loops: bool = True,
-    require_weakly_connected: bool = True,
-    max_attempts: int = 200,
 ) -> Digraph:
     """A sparse random digraph with the given minimum degrees.
 
@@ -54,7 +56,7 @@ def random_digraph_min_degrees(
     """
     if min_out > (n if allow_loops else n - 1):
         raise DomainError("min_out larger than the number of available heads")
-    for _ in range(max_attempts):
+    for _ in range(_MIN_DEGREE_ATTEMPTS):
         arcs: set[tuple[int, int]] = set()
         for u in range(n):
             heads = [v for v in range(n) if allow_loops or v != u]
@@ -83,28 +85,27 @@ def random_digraph_min_degrees(
         for arc in rng.sample(missing, min(extra_arcs, len(missing))):
             arcs.add(arc)
         g = Digraph(n, arcs)
-        if not require_weakly_connected or g.is_weakly_connected():
+        if g.is_weakly_connected():
             return g
     raise DomainError(
-        f"could not sample a weakly connected digraph in {max_attempts} tries"
+        "could not sample a weakly connected digraph in "
+        f"{_MIN_DEGREE_ATTEMPTS} tries"
     )
 
 
-def random_regular_digraph(
-    rng: Random, n: int, d: int, *, max_attempts: int = 5000
-) -> Digraph:
+def random_regular_digraph(rng: Random, n: int, d: int) -> Digraph:
     """A random ``d``-regular digraph as a union of ``d`` disjoint
     permutation factors (loops permitted)."""
     if d > n:
         raise DomainError(f"no {d}-regular digraph on {n} vertices")
-    for _ in range(max_attempts):
+    for _ in range(_REGULAR_ATTEMPTS):
         perms = [rng.sample(range(n), n) for _ in range(d)]
         if all(len({p[i] for p in perms}) == d for i in range(n)):
             arcs = {(i, p[i]) for p in perms for i in range(n)}
             return Digraph(n, arcs)
     raise DomainError(
         f"could not sample a {d}-regular digraph on {n} vertices "
-        f"in {max_attempts} tries"
+        f"in {_REGULAR_ATTEMPTS} tries"
     )
 
 

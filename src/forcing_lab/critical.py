@@ -24,6 +24,9 @@ from typing import Callable, Iterable
 from .digraph import Digraph, check_vertex_set
 from .errors import DomainError
 
+# Orders up to which the family search falls back to all vertex subsets.
+_MAX_GENERAL_N = 12
+
 
 def _checked_nonempty(g: Digraph, w: Iterable[int]) -> frozenset[int]:
     s = check_vertex_set(g, w)
@@ -101,7 +104,6 @@ def _disjoint_family(
     g: Digraph,
     k: int,
     predicate: Callable[[Digraph, frozenset[int]], bool],
-    max_general_n: int,
 ) -> tuple[frozenset[int], ...] | None:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError(f"family size must be a positive int, got {k!r}")
@@ -109,7 +111,7 @@ def _disjoint_family(
     found = _pack_disjoint(candidates, k)
     if found is not None:
         return found
-    if g.n <= max_general_n:
+    if g.n <= _MAX_GENERAL_N:
         general = _general_candidates(g, predicate)
         return _pack_disjoint(general, k)
     if k == 1:
@@ -120,28 +122,24 @@ def _disjoint_family(
 
 
 def disjoint_strongly_critical_family(
-    g: Digraph, k: int, *, max_general_n: int = 12
+    g: Digraph, k: int
 ) -> tuple[frozenset[int], ...] | None:
     """``k`` pairwise disjoint strongly critical sets, or None if not found.
 
     Success certifies that the zero forcing number is at least ``k``.
     """
-    return _disjoint_family(
-        g, k, lambda gg, w: is_strongly_critical(gg, w), max_general_n
-    )
+    return _disjoint_family(g, k, is_strongly_critical)
 
 
 def disjoint_critical_family(
-    g: Digraph, k: int, *, max_general_n: int = 12
+    g: Digraph, k: int
 ) -> tuple[frozenset[int], ...] | None:
     """``k`` pairwise disjoint critical sets, or None if not found.
 
     For loop-free digraphs success certifies a zero forcing lower bound of
     ``k``; the full vertex set is always critical, so ``k = 1`` succeeds.
     """
-    return _disjoint_family(
-        g, k, lambda gg, w: is_critical(gg, w), max_general_n
-    )
+    return _disjoint_family(g, k, is_critical)
 
 
 def greedy_forcing_lower_bound(g: Digraph) -> int:

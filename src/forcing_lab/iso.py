@@ -1,14 +1,26 @@
-"""Digraph isomorphism at desk scale.
+"""Digraph isomorphism by color refinement and one iterative search.
 
-``are_isomorphic`` returns an explicit vertex bijection or ``None``.  The
-search refines vertex colors (degree pairs, then repeated neighborhood
-color multisets) and then backtracks with forward checking over candidate
-bitmasks.  Vertices of the first digraph are assigned in id order and
-candidate images are tried ascending, so the mapping returned is the
-lexicographically least isomorphism.
+``are_isomorphic`` returns an explicit vertex bijection or ``None``.
+Joint color refinement (degrees and loops, then neighborhood color
+multisets) gives each vertex a class that every isomorphism respects.
+The search then places the vertices of the first digraph in id order and
+tries images ascending, so the mapping returned is the lexicographically
+least isomorphism.
 
-This is intended for the orders that appear in the family identities
-(up to a couple of hundred vertices), not as a general-purpose solver.
+Placing ``u`` at ``x`` narrows, along arcs only, the candidates of each
+later out-neighbor of ``u`` to the out-neighbors of ``x`` and of each
+later in-neighbor to its in-neighbors; ``x`` is rejected when a narrowed
+mask has no unused image left.  ``x`` is also rejected unless it has as
+many arcs to, and from, the images placed so far as ``u`` has to, and
+from, the vertices before it.  The narrowing maps each of those arcs of
+``u`` onto an arc of ``x``, and equal counts leave no arc of ``x``
+unmatched, so every partial map is exact.
+
+Limits: non-arcs are never looked ahead, so dense vertex-transitive
+inputs relabelled on both sides search far longer than sparse ones, and a
+hostile id order can make any input exponential (``K(3,4)`` relabelled on
+both sides can run for many minutes).  The id order stays because it
+fixes which mapping is returned.
 """
 
 from __future__ import annotations
@@ -19,47 +31,30 @@ from .digraph import Digraph, adjacency_masks
 def _refine_colors(g: Digraph, h: Digraph) -> tuple[list[int], list[int]] | None:
     """Joint color refinement; None when the color histograms ever differ."""
 
-    def initial(g: Digraph) -> list[tuple]:
+    def signatures(d: Digraph, colors: list[int]) -> list[tuple]:
         return [
-            (g.out_degree(v), g.in_degree(v), (v, v) in g.arcs)
-            for v in range(g.n)
+            (
+                colors[v],
+                tuple(sorted(colors[w] for w in d._out[v])),
+                tuple(sorted(colors[w] for w in d._in[v])),
+            )
+            for v in range(d.n)
         ]
 
-    sig_g = initial(g)
-    sig_h = initial(h)
+    sig_g = [(len(g._out[v]), len(g._in[v]), v in g._out[v]) for v in range(g.n)]
+    sig_h = [(len(h._out[v]), len(h._in[v]), v in h._out[v]) for v in range(h.n)]
     colors_g: list[int] = []
-    colors_h: list[int] = []
     for _ in range(g.n + 1):
         palette: dict[tuple, int] = {}
         new_g = [palette.setdefault(s, len(palette)) for s in sig_g]
-        new_h = []
-        for s in sig_h:
-            if s not in palette:
-                return None
-            new_h.append(palette[s])
+        new_h = [palette.get(s, -1) for s in sig_h]
         if sorted(new_g) != sorted(new_h):
             return None
         if colors_g and len(set(new_g)) == len(set(colors_g)):
-            colors_g, colors_h = new_g, new_h
             break
         colors_g, colors_h = new_g, new_h
-        sig_g = [
-            (
-                colors_g[v],
-                tuple(sorted(colors_g[w] for w in g.out_neighborhood(v))),
-                tuple(sorted(colors_g[w] for w in g.in_neighborhood(v))),
-            )
-            for v in range(g.n)
-        ]
-        sig_h = [
-            (
-                colors_h[v],
-                tuple(sorted(colors_h[w] for w in h.out_neighborhood(v))),
-                tuple(sorted(colors_h[w] for w in h.in_neighborhood(v))),
-            )
-            for v in range(h.n)
-        ]
-    return colors_g, colors_h
+        sig_g, sig_h = signatures(g, colors_g), signatures(h, colors_h)
+    return new_g, new_h
 
 
 def are_isomorphic(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
@@ -72,49 +67,53 @@ def are_isomorphic(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
         return None
     colors_g, colors_h = refined
     n = g.n
-    full = (1 << n) - 1
-    color_mask_h: dict[int, int] = {}
-    for v in range(n):
-        color_mask_h[colors_h[v]] = color_mask_h.get(colors_h[v], 0) | (1 << v)
-    out_g, in_g = adjacency_masks(g)
+    class_h: dict[int, int] = {}
+    for v, c in enumerate(colors_h):
+        class_h[c] = class_h.get(c, 0) | (1 << v)
+    cand = [class_h[c] for c in colors_g]
     out_h, in_h = adjacency_masks(h)
+    # Per vertex u of g: its arcs to and from earlier vertices, counted,
+    # and its later neighbors, each with the h-side masks it must meet.
+    back_out, back_in = [0] * n, [0] * n
+    later: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for u, w in g.arcs:
+        if w > u:
+            later[u].append((w, out_h))
+            back_in[w] += 1
+        elif w < u:
+            later[w].append((u, in_h))
+            back_out[u] += 1
 
-    candidates = [color_mask_h.get(colors_g[u], 0) for u in range(n)]
-    if any(c == 0 for c in candidates):
-        return None
-    phi = [-1] * n
-
-    def assign(u: int, used: int, cand: list[int]) -> bool:
-        if u == n:
-            return True
-        options = cand[u] & ~used
+    # A frame per level: untried images, and the undo-log length and used
+    # images on entry.  Trying an image first undoes the log down to there.
+    undo: list[tuple[int, int]] = []
+    phi = [0] * n
+    stack = [(cand[0], 0, 0)]
+    while stack:
+        options, mark, used = stack.pop()
+        u = len(stack)
         while options:
-            x_bit = options & -options
-            options ^= x_bit
-            x = x_bit.bit_length() - 1
-            # Forward-check every later vertex against adjacency with u.
-            new_cand = list(cand)
-            ok = True
-            for w in range(u + 1, n):
-                if (out_g[u] >> w) & 1:
-                    allowed = out_h[x]
-                else:
-                    allowed = full & ~out_h[x]
-                if (in_g[u] >> w) & 1:
-                    allowed &= in_h[x]
-                else:
-                    allowed &= full & ~in_h[x]
-                new_cand[w] = cand[w] & allowed
-                if new_cand[w] & ~(used | x_bit) == 0:
-                    ok = False
+            bit = options & -options
+            options ^= bit
+            x = bit.bit_length() - 1
+            if (out_h[x] & used).bit_count() != back_out[u]:
+                continue
+            if (in_h[x] & used).bit_count() != back_in[u]:
+                continue
+            while len(undo) > mark:
+                w, mask = undo.pop()
+                cand[w] = mask
+            taken = used | bit
+            for w, adj in later[u]:
+                undo.append((w, cand[w]))
+                cand[w] &= adj[x]
+                if not cand[w] & ~taken:
                     break
-            if ok:
+            else:
                 phi[u] = x
-                if assign(u + 1, used | x_bit, new_cand):
-                    return True
-                phi[u] = -1
-        return False
-
-    if assign(0, 0, candidates):
-        return tuple(phi)
+                if u + 1 == n:
+                    return tuple(phi)
+                stack.append((options, mark, used))
+                stack.append((cand[u + 1] & ~taken, len(undo), taken))
+                break
     return None

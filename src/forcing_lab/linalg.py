@@ -204,25 +204,14 @@ def mr_and_max_nullity_regular_line(
             "degree-1 digraphs are disjoint cycles; their values are known "
             "exactly but not via the adjacency bound (pass allow_degree_one)"
         )
-    labeled = iterated_line(g, k)
-    line = labeled.graph
+    line = iterated_line(g, k).graph
     report = rank_exact(adjacency_matrix(line))
     if d == 1:
-        cycles = len(line.strong_components().components)
-        expected_rank = line.n
-        return MinimumRankReport(
-            degree=d,
-            depth=k,
-            order=line.n,
-            adjacency_rank=report.rank,
-            adjacency_nullity=report.nullity,
-            rank_method=report.method,
-            min_rank=line.n - cycles,
-            max_nullity=cycles,
-            zero_forcing_number=cycles,
-            rank_consistent=report.rank == expected_rank,
-        )
-    expected_rank = line.n // d
+        max_nullity = len(line.strong_components().components)
+        min_rank, expected_rank = line.n - max_nullity, line.n
+    else:
+        min_rank = expected_rank = line.n // d
+        max_nullity = line.n - min_rank
     return MinimumRankReport(
         degree=d,
         depth=k,
@@ -230,8 +219,8 @@ def mr_and_max_nullity_regular_line(
         adjacency_rank=report.rank,
         adjacency_nullity=report.nullity,
         rank_method=report.method,
-        min_rank=expected_rank,
-        max_nullity=line.n - expected_rank,
-        zero_forcing_number=line.n - expected_rank,
+        min_rank=min_rank,
+        max_nullity=max_nullity,
+        zero_forcing_number=max_nullity,
         rank_consistent=report.rank == expected_rank,
     )

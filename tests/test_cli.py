@@ -190,6 +190,12 @@ def test_iso_exit_codes(capsys, tmp_path):
     assert code == 1 and doc == {"isomorphic": False}
 
 
+def test_iso_on_a_long_cycle(capsys, tmp_path):
+    c = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "1500")
+    code, doc, _ = _run_json(capsys, "iso", c, c)
+    assert code == 0 and doc["mapping"] == list(range(1500))
+
+
 def test_verify_suite(capsys):
     code, doc, err = _run_json(capsys, "verify", "de-bruijn")
     assert code == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 import pytest
@@ -321,6 +322,50 @@ def test_find_disjoint_outneighborhood_set():
     )
     base = conjunction(complete_with_loops(2), cycle(2))
     assert find_disjoint_outneighborhood_set(base, 2) is None
+
+
+def _is_disjoint_outneighborhood_set(g: Digraph, s: frozenset[int]) -> bool:
+    for x in s:
+        for y in s - {x}:
+            if y in g.out_neighborhood(x):
+                return False
+            if g.out_neighborhood(x) & g.out_neighborhood(y):
+                return False
+    return True
+
+
+def test_find_disjoint_outneighborhood_set_is_the_least_combination():
+    # Validity is pairwise, so the least valid combination in
+    # itertools order is the lexicographically least set.
+    rng = Random(23)
+    found = missing = 0
+    for _ in range(60):
+        n = rng.randint(4, 9)
+        g = random_regular_digraph(rng, n, rng.randint(2, min(n, 3)))
+        for target in range(1, 4):
+            expected = next(
+                (
+                    frozenset(c)
+                    for c in itertools.combinations(range(n), target)
+                    if _is_disjoint_outneighborhood_set(g, frozenset(c))
+                ),
+                None,
+            )
+            assert find_disjoint_outneighborhood_set(g, target) == expected
+            found += expected is not None
+            missing += expected is None
+    assert found > 50 and missing > 50
+
+
+def test_find_disjoint_outneighborhood_set_at_order_8192():
+    g = iterated_line(complete_with_loops(2), 12).graph
+    s = find_disjoint_outneighborhood_set(g, 1100)
+    assert s is not None and len(s) == 1100
+    reached: set[int] = set()
+    for x in s:
+        assert not g.out_neighborhood(x) & reached
+        assert g.out_neighborhood(x) & s <= {x}
+        reached |= g.out_neighborhood(x)
 
 
 def test_find_disjoint_outneighborhood_set_preconditions():

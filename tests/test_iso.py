@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcing_lab.digraph import Digraph
-from forcing_lab.families import cycle, de_bruijn, kautz
+from forcing_lab.families import complete_with_loops, cycle, de_bruijn, kautz
 from forcing_lab.iso import are_isomorphic
-from forcing_lab.lines import line_digraph
+from forcing_lab.lines import iterated_line, line_digraph
 
 
 def _apply(g: Digraph, phi: list[int]) -> Digraph:
@@ -45,6 +46,44 @@ def test_relabelled_digraph_recovered():
     rng = Random(7)
     g = de_bruijn(2, 3)
     for _ in range(10):
+        phi = list(range(g.n))
+        rng.shuffle(phi)
+        h = _apply(g, phi)
+        found = are_isomorphic(g, h)
+        assert found is not None
+        assert _is_valid_mapping(g, h, found)
+
+
+def test_lex_least_against_all_permutations():
+    rng = Random(31)
+    found = refuted = 0
+    for i in range(400):
+        n = rng.randint(1, 6)
+        loops = i % 2 == 0
+        density = rng.choice([0.2, 0.4, 0.6])
+        pairs = [(u, v) for u in range(n) for v in range(n) if loops or u != v]
+        g = Digraph(n, [p for p in pairs if rng.random() < density])
+        phi = list(range(n))
+        rng.shuffle(phi)
+        arcs = {(phi[u], phi[v]) for u, v in g.arcs}
+        if i % 4 >= 2 and arcs and len(arcs) < len(pairs):
+            # Move one arc: same order and arc count, often not isomorphic.
+            arcs.remove(rng.choice(sorted(arcs)))
+            arcs.add(rng.choice([p for p in pairs if p not in arcs]))
+        h = Digraph(n, arcs)
+        expected = next(
+            (p for p in itertools.permutations(range(n)) if _is_valid_mapping(g, h, p)),
+            None,
+        )
+        assert are_isomorphic(g, h) == expected
+        found += expected is not None
+        refuted += expected is None
+    assert found > 100 and refuted > 50
+
+
+def test_relabellings_found_at_orders_3000_and_4096():
+    rng = Random(3)
+    for g in (cycle(3000), iterated_line(complete_with_loops(2), 11).graph):
         phi = list(range(g.n))
         rng.shuffle(phi)
         h = _apply(g, phi)
