@@ -29,10 +29,10 @@ from .propagation import (
     zf_closure,
 )
 from .critical import (
-    disjoint_critical_family,
-    disjoint_strongly_critical_family,
+    in_twin_classes,
     is_critical,
     is_strongly_critical,
+    twin_forcing_lower_bound,
 )
 from .constructions import (
     CycleFactorization,
@@ -88,10 +88,10 @@ __all__ = [
     "is_zero_forcing_set",
     "pd_closure",
     "zf_closure",
-    "disjoint_critical_family",
-    "disjoint_strongly_critical_family",
+    "in_twin_classes",
     "is_critical",
     "is_strongly_critical",
+    "twin_forcing_lower_bound",
     "CycleFactorization",
     "LineWitness",
     "OneFactor",

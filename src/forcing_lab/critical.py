@@ -1,31 +1,34 @@
-"""Critical and strongly critical sets, and disjoint-family lower bounds.
+"""Forts: the critical-set predicates and the in-twin lower bound.
 
 A non-empty set ``W`` is critical when no vertex outside ``W`` has exactly
-one out-neighbor inside ``W``; it is strongly critical when no vertex at
-all, members of ``W`` included, has exactly one out-neighbor inside ``W``.
-Once the forcing process stalls with white set ``W``, that ``W`` is
-(strongly) critical, so every zero forcing set must meet every strongly
-critical set, and in loop-free digraphs every critical set.  Pairwise
-disjoint families of such sets therefore force a lower bound on the zero
-forcing number: one seed vertex is needed inside each member.
+one out-neighbor inside ``W``; it is strongly critical (a fort) when no
+vertex at all, members of ``W`` included, has exactly one out-neighbor
+inside ``W``.  Every zero forcing set meets every fort: while ``W`` is all
+white, a vertex with 0 or at least 2 out-neighbors in ``W`` cannot force
+into it, whatever its own color, so nothing of ``W`` is ever colored.  In
+loop-free digraphs only colored vertices force, so there every critical
+set is met as well.
 
-The family search prefers candidates drawn from out-neighborhoods (subsets
-of a single out-neighborhood of size at least two, which in line digraphs
-are always strongly critical) and only falls back to scanning all vertex
-subsets on small orders.  A ``None`` result means "not found at this
-scale", never a disproof.
+Twin-fort lemma: two vertices ``u != v`` with the same non-empty
+in-neighborhood ``N`` form a fort.  Proof: a vertex has ``u`` as an
+out-neighbor exactly when it lies in ``N``, and the same holds for ``v``,
+so every vertex has 0 or 2 out-neighbors in ``{u, v}``.
+
+Hence a zero forcing set misses at most one vertex of each in-twin class
+``C``, and ``Z >= sum(|C| - 1)`` over the classes.  In ``L(G)`` an arc
+``(u, v)`` has the in-neighborhood of the arcs into ``u``, so the classes
+are the out-arc groups of the vertices of ``G`` of in-degree at least 1.
+On a base whose degrees are all at least 1 the bound is therefore
+``|A(G)| - |V(G)|``, which is ``Z(L(G))`` once every out-degree is at
+least 2.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .digraph import Digraph, check_vertex_set
 from .errors import DomainError
-
-# Orders up to which the family search falls back to all vertex subsets.
-_MAX_GENERAL_N = 12
 
 
 def _checked_nonempty(g: Digraph, w: Iterable[int]) -> frozenset[int]:
@@ -49,111 +52,18 @@ def is_strongly_critical(g: Digraph, w: Iterable[int]) -> bool:
     return all(len(g.out_neighborhood(v) & s) != 1 for v in range(g.n))
 
 
-def _neighborhood_candidates(
-    g: Digraph, predicate: Callable[[Digraph, frozenset[int]], bool]
-) -> list[frozenset[int]]:
-    seen: set[frozenset[int]] = set()
-    for v in range(g.n):
-        neighborhood = sorted(g.out_neighborhood(v))
-        for size in range(2, len(neighborhood) + 1):
-            for combo in itertools.combinations(neighborhood, size):
-                seen.add(frozenset(combo))
-    candidates = [w for w in seen if predicate(g, w)]
-    candidates.sort(key=lambda w: (len(w), sorted(w)))
-    return candidates
+def in_twin_classes(g: Digraph) -> list[frozenset[int]]:
+    """The classes of at least two vertices that share one non-empty
+    in-neighborhood, ordered by least member; every pair inside a class is
+    a fort."""
+    classes: dict[frozenset[int], list[int]] = {}
+    for v, into in enumerate(g._in):
+        if into:
+            classes.setdefault(into, []).append(v)
+    return [frozenset(c) for c in classes.values() if len(c) > 1]
 
 
-def _general_candidates(
-    g: Digraph, predicate: Callable[[Digraph, frozenset[int]], bool]
-) -> list[frozenset[int]]:
-    found = []
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            w = frozenset(combo)
-            if predicate(g, w):
-                found.append(w)
-    return found
-
-
-def _pack_disjoint(
-    candidates: list[frozenset[int]], k: int
-) -> tuple[frozenset[int], ...] | None:
-    chosen: list[frozenset[int]] = []
-
-    def extend(start: int, used: frozenset[int]) -> bool:
-        if len(chosen) == k:
-            return True
-        if k - len(chosen) > len(candidates) - start:
-            return False
-        for i in range(start, len(candidates)):
-            w = candidates[i]
-            if used & w:
-                continue
-            chosen.append(w)
-            if extend(i + 1, used | w):
-                return True
-            chosen.pop()
-        return False
-
-    if extend(0, frozenset()):
-        return tuple(chosen)
-    return None
-
-
-def _disjoint_family(
-    g: Digraph,
-    k: int,
-    predicate: Callable[[Digraph, frozenset[int]], bool],
-) -> tuple[frozenset[int], ...] | None:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise DomainError(f"family size must be a positive int, got {k!r}")
-    candidates = _neighborhood_candidates(g, predicate)
-    found = _pack_disjoint(candidates, k)
-    if found is not None:
-        return found
-    if g.n <= _MAX_GENERAL_N:
-        general = _general_candidates(g, predicate)
-        return _pack_disjoint(general, k)
-    if k == 1:
-        full = frozenset(range(g.n))
-        if predicate(g, full):
-            return (full,)
-    return None
-
-
-def disjoint_strongly_critical_family(
-    g: Digraph, k: int
-) -> tuple[frozenset[int], ...] | None:
-    """``k`` pairwise disjoint strongly critical sets, or None if not found.
-
-    Success certifies that the zero forcing number is at least ``k``.
-    """
-    return _disjoint_family(g, k, is_strongly_critical)
-
-
-def disjoint_critical_family(
-    g: Digraph, k: int
-) -> tuple[frozenset[int], ...] | None:
-    """``k`` pairwise disjoint critical sets, or None if not found.
-
-    For loop-free digraphs success certifies a zero forcing lower bound of
-    ``k``; the full vertex set is always critical, so ``k = 1`` succeeds.
-    """
-    return _disjoint_family(g, k, is_critical)
-
-
-def greedy_forcing_lower_bound(g: Digraph) -> int:
-    """Size of a greedily packed disjoint family of (strongly) critical sets.
-
-    Uses strongly critical sets when the digraph has loops and plain
-    critical sets otherwise, matching the hypotheses under which disjoint
-    families bound the zero forcing number from below.
-    """
-    predicate = is_strongly_critical if g.has_loops else is_critical
-    used: set[int] = set()
-    count = 0
-    for w in _neighborhood_candidates(g, predicate):
-        if not (w & used):
-            used |= w
-            count += 1
-    return count
+def twin_forcing_lower_bound(g: Digraph) -> int:
+    """``sum(|C| - 1)`` over the in-twin classes: a lower bound on the
+    zero forcing number of ``g``, with or without loops."""
+    return sum(len(c) - 1 for c in in_twin_classes(g))

@@ -16,11 +16,15 @@ from, the vertices before it.  The narrowing maps each of those arcs of
 ``u`` onto an arc of ``x``, and equal counts leave no arc of ``x``
 unmatched, so every partial map is exact.
 
-Limits: non-arcs are never looked ahead, so dense vertex-transitive
-inputs relabelled on both sides search far longer than sparse ones, and a
-hostile id order can make any input exponential (``K(3,4)`` relabelled on
-both sides can run for many minutes).  The id order stays because it
-fixes which mapping is returned.
+Non-arcs are never looked ahead, so when more than half of the ``n^2``
+ordered pairs (loops included) are arcs, the search runs on the two
+complements instead.  A bijection is an isomorphism of the digraphs
+exactly when it is one of their complements, so the mapping returned is
+the same.
+
+Limits: a hostile id order can make any input exponential (``K(3,4)``
+relabelled on both sides can run for many minutes).  The id order stays
+because it fixes which mapping is returned.
 """
 
 from __future__ import annotations
@@ -57,11 +61,21 @@ def _refine_colors(g: Digraph, h: Digraph) -> tuple[list[int], list[int]] | None
     return new_g, new_h
 
 
+def _complement(g: Digraph) -> Digraph:
+    """The digraph of the ordered pairs, loops included, that are not
+    arcs of ``g``."""
+    return Digraph(
+        g.n, [(u, v) for u in range(g.n) for v in range(g.n) if v not in g._out[u]]
+    )
+
+
 def are_isomorphic(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
     """An isomorphism from ``g`` onto ``h`` as a tuple ``phi`` with
     ``phi[u]`` the image of ``u``, or ``None`` when none exists."""
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
+    if 2 * len(g.arcs) > g.n * g.n:
+        g, h = _complement(g), _complement(h)
     refined = _refine_colors(g, h)
     if refined is None:
         return None

@@ -29,7 +29,7 @@ is not tight and the known cycle values are reported instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .digraph import Digraph
@@ -166,18 +166,7 @@ class MinimumRankReport:
     rank_consistent: bool
 
     def to_json_dict(self) -> dict[str, object]:
-        return {
-            "degree": self.degree,
-            "depth": self.depth,
-            "order": self.order,
-            "adjacency_rank": self.adjacency_rank,
-            "adjacency_nullity": self.adjacency_nullity,
-            "rank_method": self.rank_method,
-            "min_rank": self.min_rank,
-            "max_nullity": self.max_nullity,
-            "zero_forcing_number": self.zero_forcing_number,
-            "rank_consistent": self.rank_consistent,
-        }
+        return asdict(self)
 
 
 def mr_and_max_nullity_regular_line(

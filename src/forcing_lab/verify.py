@@ -30,6 +30,7 @@ from .corpus import (
     random_regular_digraph,
     regular_digraphs_up_to_iso,
 )
+from .critical import twin_forcing_lower_bound
 from .digraph import Digraph
 from .families import (
     complete_with_loops,
@@ -140,21 +141,29 @@ def check_de_bruijn_suite() -> list[CheckResult]:
 
 
 def check_kautz_suite() -> list[CheckResult]:
-    """K(3,3) values pinned without brute force: the arc-count formula,
-    exact rank of the 36x36 adjacency, and a constructed power dominating
-    set meeting the matching lower bound."""
-    k32 = kautz(3, 2)
+    """K(3,3) values pinned without brute force: Z by the in-twin fort
+    bound met by a verified witness, exact rank of the 36x36 adjacency,
+    and a constructed power dominating set meeting ceil(Z / max
+    out-degree)."""
     k33 = kautz(3, 3)
-    z_formula = k32.arc_count - k32.n
+    zf_witness = construct_zfs_line(kautz(3, 2))
+    phi = are_isomorphic(zf_witness.line.graph, k33)
+    twin_bound = twin_forcing_lower_bound(k33)
+    zf_on_k33 = phi is not None and is_zero_forcing_set(
+        k33, {phi[v] for v in zf_witness.vertices}
+    )
     results = [
         _check(
-            "Z(K(3,3)) == 24 == |A(K(3,2))| - |V(K(3,2))|",
-            z_formula == 24 and k32.arc_count == 36 and k32.n == 12,
-            f"{k32.arc_count} - {k32.n} = {z_formula}",
+            "Z(K(3,3)) == 24 by the in-twin bound and a verified witness",
+            twin_bound == 24 and len(zf_witness.vertices) == 24 and zf_on_k33,
+            f"in-twin lower bound {twin_bound}; the witness of "
+            f"{len(zf_witness.vertices)} on L(K(3,2)) "
+            f"{'is' if zf_on_k33 else 'is NOT'} zero forcing on K(3,3) "
+            f"through the isomorphism",
         ),
         _check(
             "L(K(3,2)) isomorphic to K(3,3)",
-            are_isomorphic(line_digraph(k32).graph, k33) is not None,
+            phi is not None,
             "line operator reproduces the family",
         ),
     ]
@@ -169,14 +178,17 @@ def check_kautz_suite() -> list[CheckResult]:
     base = complete_without_loops(4)
     witness = construct_pds_L2(base)
     iso = are_isomorphic(witness.line.graph, k33)
-    lower = -(-24 // 3)
+    max_out = k33.degrees().max_out
+    lower = -(-twin_bound // max_out)
     results.append(
         _check(
             "power domination number of K(3,3) == 8",
             len(witness.vertices) == 8 and iso is not None and lower == 8,
             f"constructed set of {len(witness.vertices)} on L^2 of the "
-            f"loop-free complete digraph (isomorphic to K(3,3)); "
-            f"lower bound ceil(24/3) = {lower}",
+            f"loop-free complete digraph (isomorphic to K(3,3)); lower "
+            f"bound ceil({twin_bound}/{max_out}) = {lower}: the in-twin "
+            f"bound through ceil(Z / max out-degree), an inequality the "
+            f"sandwich suite brute-forces but that is not proven here",
         )
     )
     return results

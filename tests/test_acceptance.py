@@ -30,9 +30,10 @@ _CRITERIA = [
     (
         3,
         "kautz",
-        "Z(K(3,3))=24 by the arc-count formula, mr(K(3,3))=12 by exact "
-        "36x36 rank, power domination number 8 by constructed upper and "
-        "ceiling lower bound, no brute force (exact)",
+        "Z(K(3,3))=24 by the in-twin fort bound met by a verified "
+        "witness, mr(K(3,3))=12 by exact 36x36 rank, power domination "
+        "number 8 by a constructed set and ceil(Z / max out-degree), no "
+        "brute force (exact)",
     ),
     (
         4,

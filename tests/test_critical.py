@@ -8,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcing_lab.critical import (
-    disjoint_critical_family,
-    disjoint_strongly_critical_family,
-    greedy_forcing_lower_bound,
+    in_twin_classes,
     is_critical,
     is_strongly_critical,
+    twin_forcing_lower_bound,
 )
 from forcing_lab.corpus import random_digraph, random_digraph_min_degrees
 from forcing_lab.digraph import Digraph
 from forcing_lab.errors import DomainError
-from forcing_lab.families import complete_without_loops, de_bruijn
-from forcing_lab.lines import line_digraph
+from forcing_lab.families import (
+    complete_with_loops,
+    complete_without_loops,
+    de_bruijn,
+    kautz,
+)
+from forcing_lab.lines import iterated_line, line_digraph
 from forcing_lab.solvers import min_zero_forcing
 
 
@@ -95,60 +99,92 @@ def test_line_digraph_out_neighborhood_pairs_are_strongly_critical():
                 assert is_strongly_critical(lg, frozenset(pair))
 
 
-def test_disjoint_family_on_complete_line_digraph():
+def test_in_twin_classes_on_complete_line_digraph():
     lg = line_digraph(complete_without_loops(3)).graph
-    family = disjoint_strongly_critical_family(lg, 3)
-    assert family == (
+    assert in_twin_classes(lg) == [
         frozenset({0, 1}),
         frozenset({2, 3}),
         frozenset({4, 5}),
-    )
+    ]
 
 
-def test_disjoint_family_too_large_returns_none():
-    lg = line_digraph(complete_without_loops(3)).graph
-    assert disjoint_strongly_critical_family(lg, 4) is None
+def test_twin_bound_on_de_bruijn():
+    assert twin_forcing_lower_bound(de_bruijn(2, 2)) == 2
+    assert twin_forcing_lower_bound(kautz(3, 3)) == 24
 
 
-def test_family_size_validation():
-    g = de_bruijn(2, 2)
-    with pytest.raises(DomainError):
-        disjoint_critical_family(g, 0)
-
-
-def test_single_critical_set_always_exists():
-    # the full vertex set is vacuously critical
-    path = Digraph(3, [(0, 1), (1, 2)])
-    family = disjoint_critical_family(path, 1)
-    assert family is not None
-    assert is_critical(path, family[0])
-
-
-def test_family_members_are_disjoint_and_valid():
-    g = de_bruijn(2, 2)
-    family = disjoint_strongly_critical_family(g, 2)
-    assert family is not None
-    seen: set[int] = set()
-    for w in family:
-        assert is_strongly_critical(g, w)
-        assert not (w & seen)
-        seen |= w
-
-
-def test_greedy_bound_on_de_bruijn():
-    assert greedy_forcing_lower_bound(de_bruijn(2, 2)) == 2
+def _corpus(seed: int, count: int) -> list[Digraph]:
+    rng = Random(seed)
+    return [
+        random_digraph(
+            rng,
+            1 + i % 7,
+            arc_probability=rng.choice([0.2, 0.35, 0.5]),
+            loop_probability=0.3 if i % 2 else 0.0,
+        )
+        for i in range(count)
+    ]
 
 
 def test_lower_bounds_never_exceed_brute_force():
-    rng = Random(1105)
-    for _ in range(15):
-        g = random_digraph(rng, 5, arc_probability=0.4, loop_probability=0.2)
+    positive = tight = 0
+    for g in _corpus(1105, 300):
         z = min_zero_forcing(g).number
-        assert greedy_forcing_lower_bound(g) <= z
-        family = (
-            disjoint_strongly_critical_family(g, 2)
-            if g.has_loops
-            else disjoint_critical_family(g, 2)
+        bound = twin_forcing_lower_bound(g)
+        assert bound <= z
+        positive += bound > 0
+        tight += bound == z
+    assert positive > 40 and tight > 15
+
+
+def test_twin_class_pairs_are_strongly_critical():
+    rng = Random(404)
+    graphs = _corpus(2210, 300) + [
+        line_digraph(random_digraph_min_degrees(rng, 5, min_out=2, min_in=1)).graph
+        for _ in range(5)
+    ]
+    pairs = 0
+    for g in graphs:
+        groups: dict[frozenset[int], list[int]] = {}
+        for v in range(g.n):
+            if g.in_neighborhood(v):
+                groups.setdefault(g.in_neighborhood(v), []).append(v)
+        expected = [frozenset(c) for c in groups.values() if len(c) > 1]
+        classes = in_twin_classes(g)
+        assert classes == expected
+        for c in classes:
+            for pair in combinations(sorted(c), 2):
+                assert is_strongly_critical(g, pair)
+                pairs += 1
+    assert pairs > 60
+
+
+def test_twin_bound_equals_arcs_minus_vertices_on_line_digraphs():
+    rng = Random(77)
+    for i in range(40):
+        base = random_digraph_min_degrees(
+            rng,
+            2 + i % 5,
+            min_out=1,
+            min_in=1,
+            extra_arcs=i % 4,
+            allow_loops=i % 2 == 0,
         )
-        if family is not None:
-            assert z >= 2
+        lg = line_digraph(base).graph
+        assert twin_forcing_lower_bound(lg) == base.arc_count - base.n
+
+
+def test_twin_bound_at_order_32768():
+    g = iterated_line(complete_with_loops(2), 14).graph
+    assert g.n == 32768
+    classes = in_twin_classes(g)
+    assert twin_forcing_lower_bound(g) == 16384
+    covered: set[int] = set()
+    for c in classes:
+        members = sorted(c)
+        into = set(g.in_neighborhood(members[0]))
+        assert into
+        assert all(set(g.in_neighborhood(v)) == into for v in members)
+        assert not covered & set(members)
+        covered |= set(members)
+    assert len(classes) == 16384 and len(covered) == 32768

@@ -6,6 +6,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcing_lab.corpus import random_regular_digraph
 from forcing_lab.digraph import Digraph
 from forcing_lab.families import complete_with_loops, cycle, de_bruijn, kautz
 from forcing_lab.iso import are_isomorphic
@@ -90,6 +91,25 @@ def test_relabellings_found_at_orders_3000_and_4096():
         found = are_isomorphic(g, h)
         assert found is not None
         assert _is_valid_mapping(g, h, found)
+
+
+def test_dense_relabellings_searched_through_complements():
+    # Complements of random 3-regular digraphs: 870 of 900 ordered pairs
+    # are arcs, both sides relabelled.
+    for seed in (1, 7):
+        rng = Random(seed)
+        for _ in range(20):
+            sparse = random_regular_digraph(rng, 30, 3)
+            g = Digraph(30, [(u, v) for u in range(30) for v in range(30)
+                             if (u, v) not in sparse.arcs])
+            phi, psi = list(range(30)), list(range(30))
+            rng.shuffle(phi)
+            rng.shuffle(psi)
+            a, b = _apply(g, phi), _apply(g, psi)
+            known = tuple(psi[phi.index(u)] for u in range(30))
+            found = are_isomorphic(a, b)
+            assert found is not None and found <= known
+            assert _is_valid_mapping(a, b, found)
 
 
 def test_order_mismatch():
