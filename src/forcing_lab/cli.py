@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .constructions import (
     construct_pds_L,
@@ -33,8 +33,13 @@ from .io import digraph_to_json_dict, read_digraph, to_dot
 from .iso import are_isomorphic
 from .linalg import adjacency_matrix, mr_and_max_nullity_regular_line, rank_exact
 from .lines import iterated_line
-from .propagation import pd_closure, zf_closure
-from .solvers import SearchLimits, min_power_dominating, min_zero_forcing
+from .propagation import PropagationTrace, pd_closure, zf_closure
+from .solvers import (
+    MinimumSetResult,
+    SearchLimits,
+    min_power_dominating,
+    min_zero_forcing,
+)
 from .verify import run_suite
 
 
@@ -134,23 +139,55 @@ def _cmd_line(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_min(g: Digraph, solve: Callable[..., MinimumSetResult], what: str) -> int:
+    result = solve(g, limits=_solver_limits())
+    _emit(
+        {
+            "number": result.number,
+            "witness": sorted(result.witness),
+            "subsets_tested": result.subsets_tested,
+        }
+    )
+    _info(
+        f"{what} = {result.number}, witness {sorted(result.witness)} "
+        f"({result.subsets_tested} subsets tested)"
+    )
+    return 0
+
+
+def _cmd_closure(
+    args: argparse.Namespace,
+    g: Digraph,
+    labels: list[str] | None,
+    closure: Callable[[Digraph, frozenset[int]], PropagationTrace],
+    closure_note: str,
+    kind: str,
+) -> int:
+    """``closure`` or ``check`` from ``--set``; ``closure_note`` is formatted
+    with ``s``, ``colored``, ``n`` and ``rounds``."""
+    if args.set is None:
+        raise DomainError(f"{args.command} {args.action} needs --set")
+    s = _parse_vertex_set(args.set, g, labels)
+    trace = closure(g, s)
+    _emit(trace.to_json_dict())
+    if args.action == "closure":
+        _info(
+            closure_note.format(
+                s=sorted(s), colored=len(trace.final), n=g.n, rounds=len(trace.rounds)
+            )
+        )
+        return 0
+    if trace.covers_all:
+        _info(f"{sorted(s)} is a {kind}")
+        return 0
+    _info(f"{sorted(s)} is not a {kind}")
+    return 1
+
+
 def _cmd_zf(args: argparse.Namespace) -> int:
     g, labels = read_digraph(args.input)
     if args.action == "min":
-        limits = _solver_limits()
-        result = min_zero_forcing(g, limits=limits)
-        _emit(
-            {
-                "number": result.number,
-                "witness": sorted(result.witness),
-                "subsets_tested": result.subsets_tested,
-            }
-        )
-        _info(
-            f"Z = {result.number}, witness {sorted(result.witness)} "
-            f"({result.subsets_tested} subsets tested)"
-        )
-        return 0
+        return _cmd_min(g, min_zero_forcing, "Z")
     if args.action == "construct":
         witness = construct_zfs_line(g)
         _emit(witness.to_json_dict())
@@ -159,41 +196,14 @@ def _cmd_zf(args: argparse.Namespace) -> int:
             f"{witness.line.graph.n}-vertex line digraph"
         )
         return 0
-    if args.set is None:
-        raise DomainError(f"zf {args.action} needs --set")
-    s = _parse_vertex_set(args.set, g, labels)
-    trace = zf_closure(g, s)
-    _emit(trace.to_json_dict())
-    if args.action == "closure":
-        _info(
-            f"closure of {sorted(s)} colors {len(trace.final)}/{g.n} "
-            f"vertices in {len(trace.rounds)} rounds"
-        )
-        return 0
-    if trace.covers_all:
-        _info(f"{sorted(s)} is a zero forcing set")
-        return 0
-    _info(f"{sorted(s)} is not a zero forcing set")
-    return 1
+    note = "closure of {s} colors {colored}/{n} vertices in {rounds} rounds"
+    return _cmd_closure(args, g, labels, zf_closure, note, "zero forcing set")
 
 
 def _cmd_pd(args: argparse.Namespace) -> int:
     g, labels = read_digraph(args.input)
     if args.action == "min":
-        limits = _solver_limits()
-        result = min_power_dominating(g, limits=limits)
-        _emit(
-            {
-                "number": result.number,
-                "witness": sorted(result.witness),
-                "subsets_tested": result.subsets_tested,
-            }
-        )
-        _info(
-            f"power domination number = {result.number}, witness "
-            f"{sorted(result.witness)} ({result.subsets_tested} subsets tested)"
-        )
-        return 0
+        return _cmd_min(g, min_power_dominating, "power domination number")
     if args.action == "construct-l2":
         witness = construct_pds_L2(g)
         _emit(witness.to_json_dict())
@@ -215,22 +225,8 @@ def _cmd_pd(args: argparse.Namespace) -> int:
             f"{witness.line.graph.n}-vertex line digraph"
         )
         return 0
-    if args.set is None:
-        raise DomainError(f"pd {args.action} needs --set")
-    s = _parse_vertex_set(args.set, g, labels)
-    trace = pd_closure(g, s)
-    _emit(trace.to_json_dict())
-    if args.action == "closure":
-        _info(
-            f"domination plus forcing from {sorted(s)} colors "
-            f"{len(trace.final)}/{g.n} vertices"
-        )
-        return 0
-    if trace.covers_all:
-        _info(f"{sorted(s)} is a power dominating set")
-        return 0
-    _info(f"{sorted(s)} is not a power dominating set")
-    return 1
+    note = "domination plus forcing from {s} colors {colored}/{n} vertices"
+    return _cmd_closure(args, g, labels, pd_closure, note, "power dominating set")
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .digraph import Digraph, adjacency_masks, check_vertex_set
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .lines import LineLabeledDigraph, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
 
@@ -259,6 +259,23 @@ def _require_degrees(g: Digraph, min_out: int, min_in: int) -> None:
         )
 
 
+def _verified(
+    labeled: LineLabeledDigraph,
+    chosen: set[int],
+    size: int,
+    closure: Callable[[Digraph, Iterable[int]], PropagationTrace],
+    what: str,
+) -> LineWitness:
+    """``chosen`` as a witness, once it has ``size`` vertices and
+    ``closure`` colors all of ``labeled``."""
+    if len(chosen) != size:
+        raise AssertionError(f"{what} witness has the wrong size")
+    trace = closure(labeled.graph, chosen)
+    if not trace.covers_all:
+        raise AssertionError(f"constructed set failed {what} verification")
+    return LineWitness(line=labeled, vertices=frozenset(chosen), trace=trace)
+
+
 def construct_zfs_line(g: Digraph) -> LineWitness:
     """A minimum zero forcing set of ``L(g)`` of size ``|A(g)| - |V(g)|``.
 
@@ -283,12 +300,7 @@ def construct_zfs_line(g: Digraph) -> LineWitness:
         for w in g.out_neighborhood(v):
             if w != spared:
                 chosen.add(arc_index[(v, w)])
-    if len(chosen) != g.arc_count - g.n:
-        raise AssertionError("zero forcing witness has the wrong size")
-    trace = zf_closure(labeled.graph, chosen)
-    if not trace.covers_all:
-        raise AssertionError("constructed set failed zero forcing verification")
-    return LineWitness(line=labeled, vertices=frozenset(chosen), trace=trace)
+    return _verified(labeled, chosen, g.arc_count - g.n, zf_closure, "zero forcing")
 
 
 def construct_pds_L2(g: Digraph, factor: OneFactor | None = None) -> LineWitness:
@@ -317,13 +329,9 @@ def construct_pds_L2(g: Digraph, factor: OneFactor | None = None) -> LineWitness
     chosen = {
         walk_index[(f[u], u, v)] for u, v in g.arcs if u != f[v]
     }
-    expected = sum(g.in_degree(v) - 1 for v in range(g.n))
-    if len(chosen) != expected or expected != g.arc_count - g.n:
-        raise AssertionError("power domination witness has the wrong size")
-    trace = pd_closure(labeled.graph, chosen)
-    if not trace.covers_all:
-        raise AssertionError("constructed set failed power domination verification")
-    return LineWitness(line=labeled, vertices=frozenset(chosen), trace=trace)
+    return _verified(
+        labeled, chosen, g.arc_count - g.n, pd_closure, "power domination"
+    )
 
 
 def _condition_failure(g: Digraph, s: frozenset[int]) -> str | None:
@@ -342,6 +350,11 @@ def _condition_failure(g: Digraph, s: frozenset[int]) -> str | None:
     return None
 
 
+# Vertices find_disjoint_outneighborhood_set may choose before it gives up:
+# a few seconds of search.
+_DISJOINT_SEARCH_NODES = 1_000_000
+
+
 def find_disjoint_outneighborhood_set(
     g: Digraph, target: int
 ) -> frozenset[int] | None:
@@ -350,18 +363,27 @@ def find_disjoint_outneighborhood_set(
 
     Requires minimum out- and in-degree 2.  The search backtracks over
     vertices in ascending order, so a found set is lexicographically least.
+    It backtracks as soon as too few vertices are left for the
+    out-neighborhoods still to choose, and raises
+    :class:`ResourceLimitError` after ``_DISJOINT_SEARCH_NODES`` choices.
     """
     _require_degrees(g, 2, 2)
     if isinstance(target, bool) or not isinstance(target, int) or target < 1:
         raise DomainError(f"target size must be a positive int, got {target!r}")
     out, _ = adjacency_masks(g)
+    min_out = g.degrees().min_out
     chosen: list[int] = []
     members = blocked = 0  # the chosen vertices, and their out-neighbors
     starts = [0]  # per level, the least vertex still to try there
+    nodes = 0
     while starts:
         if len(chosen) == target:
             return frozenset(chosen)
         taken = members | blocked
+        # Each vertex still to choose needs min_out or more vertices
+        # outside taken, disjoint from those of the others.
+        if (target - len(chosen)) * min_out > g.n - taken.bit_count():
+            starts[-1] = g.n
         for v in range(starts[-1], g.n):
             if not out[v] & taken and not (blocked >> v) & 1:
                 break
@@ -372,6 +394,12 @@ def find_disjoint_outneighborhood_set(
                 members ^= 1 << v
                 blocked ^= out[v]  # disjoint from the other chosen ones
             continue
+        nodes += 1
+        if nodes > _DISJOINT_SEARCH_NODES:
+            raise ResourceLimitError(
+                f"disjoint out-neighborhood search for {target} vertices "
+                f"gave up after {_DISJOINT_SEARCH_NODES} choices"
+            )
         starts[-1] = v + 1
         chosen.append(v)
         members |= 1 << v
@@ -397,27 +425,18 @@ def construct_pds_L(g: Digraph, s: Iterable[int]) -> LineWitness:
     reason = _condition_failure(g, chosen_s)
     if reason is not None:
         raise DomainError(f"set fails the out-neighborhood conditions: {reason}")
-    covered = frozenset().union(*(g.out_neighborhood(x) for x in chosen_s))
-    for v in covered:
-        owners = [x for x in chosen_s if v in g.out_neighborhood(x)]
-        if len(owners) != 1:
-            raise AssertionError(
-                f"vertex {v} has {len(owners)} in-neighbors in the set"
-            )
+    owner: dict[int, int] = {}  # covered vertex -> its in-neighbor in s
+    for x in chosen_s:
+        for v in g.out_neighborhood(x):
+            if owner.setdefault(v, x) != x:
+                raise AssertionError(f"vertex {v} has two in-neighbors in the set")
     labeled = line_digraph(g)
     arc_index = {arc: i for i, arc in enumerate(labeled.labels)}
     chosen: set[int] = set()
     for v in range(g.n):
-        if v in chosen_s:
-            continue
-        if v in covered:
-            tail = next(x for x in chosen_s if v in g.out_neighborhood(x))
-        else:
-            tail = min(g.in_neighborhood(v))
-        chosen.add(arc_index[(tail, v)])
-    if len(chosen) != g.n - len(chosen_s):
-        raise AssertionError("power domination witness has the wrong size")
-    trace = pd_closure(labeled.graph, chosen)
-    if not trace.covers_all:
-        raise AssertionError("constructed set failed power domination verification")
-    return LineWitness(line=labeled, vertices=frozenset(chosen), trace=trace)
+        if v not in chosen_s:
+            tail = owner[v] if v in owner else min(g.in_neighborhood(v))
+            chosen.add(arc_index[(tail, v)])
+    return _verified(
+        labeled, chosen, g.n - len(chosen_s), pd_closure, "power domination"
+    )

@@ -1,14 +1,12 @@
 """The line-digraph operator and its iterates, with walk labels.
 
 The line digraph of ``G`` has one vertex per arc of ``G``, and an arc from
-``(u, v)`` to ``(x, y)`` exactly when ``v == x``.  Iterating the operator
-``k`` times produces a digraph whose vertices correspond to walks of length
-``k`` in the base, and consecutive walks overlap in all but one step.  The
-walks are carried along as labels so a vertex of ``L^k(G)`` can always be
-read back as a concrete walk in ``G``.
-
-Vertex ids are assigned by sorting the arcs of the previous iterate
-lexicographically, so the construction is deterministic.
+``(u, v)`` to ``(x, y)`` exactly when ``v == x``.  Vertex ``v`` of
+``L^k(G)`` is the ``v``-th length-``k`` walk of ``G`` in lexicographic
+order, kept as its label, and walk ``w`` has an arc to every walk
+``w[1:] + (x,)``.  This is the numbering that sorting the arcs of each
+iterate gives, by induction on ``k``: sorting the arcs ``(u, v)`` of
+``L^j`` sorts them by ``label(u) + (last letter of label(v),)``.
 """
 
 from __future__ import annotations
@@ -56,49 +54,33 @@ class LineLabeledDigraph:
         return ["-".join(str(v) for v in walk) for walk in self.labels]
 
 
-def _as_labeled(g: Digraph) -> LineLabeledDigraph:
-    return LineLabeledDigraph(
-        graph=g,
-        labels=tuple((v,) for v in range(g.n)),
-        base_n=g.n,
-    )
-
-
-def _line_step(current: LineLabeledDigraph) -> LineLabeledDigraph:
-    g = current.graph
-    if not g.arcs:
+def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:
+    """``L^k(g)`` from its walks, listed in lexicographic order by extending
+    them over sorted out-neighbor lists."""
+    out = [sorted(g.out_neighborhood(v)) for v in range(g.n)]
+    walks = [(v,) for v in range(g.n)]
+    for _ in range(k):
+        walks = [w + (x,) for w in walks for x in out[w[-1]]]
+    if not walks:
         raise DomainError("line digraph of an arc-free digraph is empty")
-    arc_vertices = g.arcs_sorted
-    by_tail: dict[int, list[int]] = {}
-    for i, (u, v) in enumerate(arc_vertices):
-        by_tail.setdefault(u, []).append(i)
-    new_arcs: list[tuple[int, int]] = []
-    for i, (u, v) in enumerate(arc_vertices):
-        for j in by_tail.get(v, ()):
-            new_arcs.append((i, j))
-    labels = tuple(
-        current.labels[u] + (current.labels[v][-1],) for u, v in arc_vertices
-    )
-    name = None
-    if g.name is not None:
-        name = f"L({g.name})"
-    return LineLabeledDigraph(
-        graph=Digraph(len(arc_vertices), new_arcs, name=name),
-        labels=labels,
-        base_n=current.base_n,
-    )
+    graph = g
+    if k:
+        index = {w: i for i, w in enumerate(walks)}
+        arcs = [
+            (i, index[w[1:] + (x,)]) for i, w in enumerate(walks) for x in out[w[-1]]
+        ]
+        name = None if g.name is None else "L(" * k + g.name + ")" * k
+        graph = Digraph(len(walks), arcs, name=name)
+    return LineLabeledDigraph(graph=graph, labels=tuple(walks), base_n=g.n)
 
 
 def line_digraph(g: Digraph) -> LineLabeledDigraph:
     """The line digraph of ``g``, vertices labeled by the arcs they came from."""
-    return _line_step(_as_labeled(g))
+    return _iterate(g, 1)
 
 
 def iterated_line(g: Digraph, k: int) -> LineLabeledDigraph:
     """Apply the line-digraph operator ``k`` times (``k = 0`` labels ``g`` itself)."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"iteration count must be a non-negative int, got {k!r}")
-    current = _as_labeled(g)
-    for _ in range(k):
-        current = _line_step(current)
-    return current
+    return _iterate(g, k)

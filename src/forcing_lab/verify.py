@@ -32,6 +32,7 @@ from .corpus import (
 )
 from .critical import twin_forcing_lower_bound
 from .digraph import Digraph
+from .errors import DomainError
 from .families import (
     complete_with_loops,
     complete_without_loops,
@@ -457,8 +458,6 @@ def run_suite(name: str) -> list[CheckResult]:
             results.extend(SUITES[key]())
         return results
     if name not in SUITES:
-        from .errors import DomainError
-
         known = ", ".join(sorted(SUITES) + ["families", "all"])
         raise DomainError(f"unknown suite {name!r} (known: {known})")
     return SUITES[name]()

@@ -22,7 +22,7 @@ from forcing_lab.corpus import (
     random_regular_digraph,
 )
 from forcing_lab.digraph import Digraph
-from forcing_lab.errors import DomainError
+from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.families import (
     complete_with_loops,
     complete_without_loops,
@@ -366,6 +366,27 @@ def test_find_disjoint_outneighborhood_set_at_order_8192():
         assert not g.out_neighborhood(x) & reached
         assert g.out_neighborhood(x) & s <= {x}
         reached |= g.out_neighborhood(x)
+
+
+def test_find_disjoint_outneighborhood_set_walks_targets_upward_in_bounded_time():
+    # Every out-degree is 2, so the counting prune bounds a set by n / 2.
+    # Without the node budget the first target with no set ran past 30 s;
+    # without the prune, target 12 on the order-16 iterate exhausts the
+    # budget instead of answering None.
+    g = iterated_line(complete_with_loops(2), 5).graph
+    for target in range(1, g.n // 2 + 1):
+        try:
+            s = find_disjoint_outneighborhood_set(g, target)
+        except ResourceLimitError:
+            break
+        if s is None:
+            break
+        assert len(s) == target and _is_disjoint_outneighborhood_set(g, s)
+    assert target == 23
+    assert find_disjoint_outneighborhood_set(g, 31) is None
+    assert find_disjoint_outneighborhood_set(g, g.n // 2 + 1) is None
+    smaller = iterated_line(complete_with_loops(2), 4).graph
+    assert find_disjoint_outneighborhood_set(smaller, 12) is None
 
 
 def test_find_disjoint_outneighborhood_set_preconditions():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcing_lab.corpus import random_digraph
 from forcing_lab.digraph import Digraph
 from forcing_lab.errors import DomainError
 from forcing_lab.families import cycle, de_bruijn, complete_with_loops
@@ -115,3 +118,68 @@ def test_labeled_digraph_validation():
 def test_line_name_tracks_operator():
     lab = line_digraph(de_bruijn(2, 2))
     assert lab.graph.name == "L(B(2,2))"
+
+
+def _line_by_steps(g: Digraph, k: int) -> tuple[Digraph, list[tuple[int, ...]]]:
+    """``L^k(g)`` one operator step at a time: the vertices of each step are
+    the sorted arcs ``(u, v)`` of the last, and ``(u, v)`` points at every
+    ``(v, w)``."""
+    graph, labels = g, [(v,) for v in range(g.n)]
+    for _ in range(k):
+        arcs = sorted(graph.arcs)
+        if not arcs:
+            raise DomainError("no arcs to step over")
+        line_arcs = [
+            (i, j)
+            for i, (_, v) in enumerate(arcs)
+            for j, (x, _) in enumerate(arcs)
+            if x == v
+        ]
+        labels = [labels[u] + (labels[v][-1],) for u, v in arcs]
+        name = None if graph.name is None else f"L({graph.name})"
+        graph = Digraph(len(arcs), line_arcs, name=name)
+    return graph, labels
+
+
+def test_iterated_line_matches_one_step_at_a_time():
+    rng = Random(7)
+    raised = 0
+    for i in range(120):
+        # Orders past 8 give out-neighborhoods whose set order is not sorted.
+        g = random_digraph(
+            rng,
+            rng.randint(1, 12),
+            arc_probability=rng.uniform(0.05, 0.3),
+            loop_probability=0.2 if i % 2 else 0.0,
+        )
+        if i % 3:
+            g = Digraph(g.n, g.arcs, name=f"G{i}")
+        for k in range(4):
+            try:
+                expected = _line_by_steps(g, k)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    iterated_line(g, k)
+                raised += 1
+                continue
+            lab = iterated_line(g, k)
+            assert lab.labels == tuple(expected[1])
+            assert lab.graph == expected[0]
+            assert lab.graph.name == expected[0].name
+            if k == 0:
+                assert lab.graph is g
+            if k == 1:
+                assert line_digraph(g) == lab
+    assert 0 < raised < 240
+
+
+def test_iterated_line_of_k2_with_loops_is_de_bruijn_with_the_same_ids():
+    lab = iterated_line(complete_with_loops(2), 14)
+    assert lab.graph == de_bruijn(2, 15)
+    for v, walk in enumerate(lab.labels):
+        assert walk == tuple(int(bit) for bit in format(v, "015b"))
+    for d, k in [(3, 3), (4, 2)]:
+        lab = iterated_line(complete_with_loops(d), k)
+        assert lab.graph == de_bruijn(d, k + 1)
+        for v, walk in enumerate(lab.labels):
+            assert sum(x * d ** (k - i) for i, x in enumerate(walk)) == v
