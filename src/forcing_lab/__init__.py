@@ -51,6 +51,7 @@ from .linalg import (
     MinimumRankReport,
     RankReport,
     adjacency_matrix,
+    adjacency_rank,
     mr_and_max_nullity_regular_line,
     rank_exact,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "MinimumRankReport",
     "RankReport",
     "adjacency_matrix",
+    "adjacency_rank",
     "mr_and_max_nullity_regular_line",
     "rank_exact",
     "MinimumSetResult",

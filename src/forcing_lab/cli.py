@@ -17,9 +17,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 from .constructions import (
+    LineWitness,
+    OneFactor,
     construct_pds_L,
     construct_pds_L2,
     construct_zfs_line,
@@ -31,7 +34,7 @@ from .errors import DomainError, ResourceLimitError
 from .families import FAMILIES, FamilySpec
 from .io import digraph_to_json_dict, read_digraph, to_dot
 from .iso import are_isomorphic
-from .linalg import adjacency_matrix, mr_and_max_nullity_regular_line, rank_exact
+from .linalg import adjacency_rank, mr_and_max_nullity_regular_line
 from .lines import iterated_line
 from .propagation import PropagationTrace, pd_closure, zf_closure
 from .solvers import (
@@ -184,18 +187,21 @@ def _cmd_closure(
     return 1
 
 
+def _emit_witness(witness: LineWitness, what: str, where: str) -> int:
+    _emit(witness.to_json_dict())
+    _info(
+        f"{what} of size {len(witness.vertices)} on the "
+        f"{witness.line.graph.n}-vertex {where}"
+    )
+    return 0
+
+
 def _cmd_zf(args: argparse.Namespace) -> int:
     g, labels = read_digraph(args.input)
     if args.action == "min":
         return _cmd_min(g, min_zero_forcing, "Z")
     if args.action == "construct":
-        witness = construct_zfs_line(g)
-        _emit(witness.to_json_dict())
-        _info(
-            f"zero forcing set of size {len(witness.vertices)} on the "
-            f"{witness.line.graph.n}-vertex line digraph"
-        )
-        return 0
+        return _emit_witness(construct_zfs_line(g), "zero forcing set", "line digraph")
     note = "closure of {s} colors {colored}/{n} vertices in {rounds} rounds"
     return _cmd_closure(args, g, labels, zf_closure, note, "zero forcing set")
 
@@ -204,37 +210,24 @@ def _cmd_pd(args: argparse.Namespace) -> int:
     g, labels = read_digraph(args.input)
     if args.action == "min":
         return _cmd_min(g, min_power_dominating, "power domination number")
+    what = "power dominating set"
     if args.action == "construct-l2":
-        witness = construct_pds_L2(g)
-        _emit(witness.to_json_dict())
-        _info(
-            f"power dominating set of size {len(witness.vertices)} on the "
-            f"{witness.line.graph.n}-vertex square iterate"
-        )
-        return 0
+        return _emit_witness(construct_pds_L2(g), what, "square iterate")
     if args.action == "construct-l":
         if args.set is None:
             raise DomainError(
                 "construct-l needs --set with a disjoint out-neighborhood set"
             )
         s = _parse_vertex_set(args.set, g, labels)
-        witness = construct_pds_L(g, s)
-        _emit(witness.to_json_dict())
-        _info(
-            f"power dominating set of size {len(witness.vertices)} on the "
-            f"{witness.line.graph.n}-vertex line digraph"
-        )
-        return 0
+        return _emit_witness(construct_pds_L(g, s), what, "line digraph")
     note = "domination plus forcing from {s} colors {colored}/{n} vertices"
-    return _cmd_closure(args, g, labels, pd_closure, note, "power dominating set")
+    return _cmd_closure(args, g, labels, pd_closure, note, what)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     g, _ = read_digraph(args.input)
     if args.line_depth is not None:
-        report = mr_and_max_nullity_regular_line(
-            g, args.line_depth, allow_degree_one=args.allow_degree_one
-        )
+        report = mr_and_max_nullity_regular_line(g, args.line_depth)
         _emit(report.to_json_dict())
         _info(
             f"L^{report.depth} of the degree-{report.degree} input: "
@@ -242,7 +235,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             f"max nullity {report.max_nullity}"
         )
         return 0
-    result = rank_exact(adjacency_matrix(g))
+    result = adjacency_rank(g)
     _emit({"n": g.n, **result._asdict()})
     _info(
         f"adjacency rank {result.rank}, nullity {result.nullity} "
@@ -251,32 +244,25 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _factor_dict(factor: OneFactor) -> dict[str, list]:
+    return {"f": list(factor.f), "cycles": [list(c) for c in factor.cycles()]}
+
+
 def _cmd_factor(args: argparse.Namespace) -> int:
     g, _ = read_digraph(args.input)
     if args.cycles:
-        factorization = cycle_factorization(g)
-        _emit(
-            {
-                "degree": len(factorization.factors),
-                "factors": [
-                    {"f": list(factor.f), "cycles": [list(c) for c in factor.cycles()]}
-                    for factor in factorization.factors
-                ],
-            }
-        )
-        _info(f"cycle factorization into {len(factorization.factors)} 1-factors")
+        factors = cycle_factorization(g).factors
+        _emit({"degree": len(factors), "factors": [_factor_dict(f) for f in factors]})
+        _info(f"cycle factorization into {len(factors)} 1-factors")
         return 0
     factor = one_factor(g, require_good=args.require_good)
     if factor is None:
         _emit({"factor": None})
-        _info(
-            "no good 1-factor exists"
-            if args.require_good
-            else "no 1-factor exists"
-        )
+        _info("no good 1-factor exists" if args.require_good else "no 1-factor exists")
         return 1
-    _emit({"factor": {"f": list(factor.f), "cycles": [list(c) for c in factor.cycles()]}})
-    _info(f"1-factor with {len(factor.cycles())} cycles")
+    document = _factor_dict(factor)
+    _emit({"factor": document})
+    _info(f"1-factor with {len(document['cycles'])} cycles")
     return 0
 
 
@@ -302,14 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _emit(
         {
             "suite": args.suite,
-            "checks": [
-                {
-                    "label": result.label,
-                    "passed": result.passed,
-                    "details": result.details,
-                }
-                for result in results
-            ],
+            "checks": [asdict(result) for result in results],
             "failed": failed,
         }
     )
@@ -376,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="report mr and max nullity of L^K of the regular input",
     )
-    rank.add_argument("--allow-degree-one", action="store_true")
     rank.set_defaults(handler=_cmd_rank)
 
     factor = sub.add_parser("factor", help="1-factor or cycle factorization")

@@ -1,40 +1,44 @@
-"""Exact integer matrix rank and the minimum-rank consequences of line
-digraph structure.
+"""Exact matrix rank and the minimum-rank consequences of line digraph
+structure.
 
-``rank_exact`` first tries a certified sandwich.  The number of distinct
-nonzero rows is an upper bound on the rank, since a repeated row adds
-nothing to the row space.  The rank over GF(2) of the rows taken mod 2 is
-a lower bound, since a minor that is odd is a nonzero integer.  When the
-two bounds meet, they are the rank over the rationals.  They always meet
-on the adjacency matrix of a line digraph ``L(G)`` whose base has every
-in- and out-degree at least 1: ``A(L(G)) = H T^T`` with ``H`` and ``T``
-the 0/1 head and tail incidence matrices of ``G``, so the distinct rows
-of ``A(L(G))`` are the out-arc indicators of the vertices of ``G``.  Their
-supports are disjoint, so there are ``|V(G)|`` of them, independent over
-GF(2) as well as over the rationals.
+Rank comes first from a certified sandwich.  The number of distinct
+nonzero rows bounds it from above, since a repeated row adds nothing to
+the row space.  Rows with pairwise disjoint supports are independent over
+every field (each has a column no other row touches), and the GF(2) rank
+of the rows taken mod 2 is a lower bound too (a minor that is odd is a
+nonzero integer).  When a lower bound meets the upper one, that is the
+rank over the rationals.  ``adjacency_rank`` reads the rows of a
+digraph's adjacency matrix from its out-neighborhoods and tries
+disjointness first: the distinct rows are disjoint exactly when their
+sizes sum to the size of their union.  Every line digraph passes, because
+the row of vertex ``(u, v)`` of ``L(G)`` is the set of arcs out of ``v``,
+so two rows are equal or disjoint.  ``rank_exact`` takes any integer
+matrix and tries GF(2) only.
 
-When the bounds differ, rank is computed by Bareiss fraction-free
-elimination over Python's arbitrary-precision integers: every division
-performed is exact, so there is no floating point anywhere.  Bareiss is
-the general path and the oracle the sandwich is tested against.  The
-report says which of the two decided the rank.
+When the bounds differ, Bareiss fraction-free elimination decides, over
+Python's arbitrary-precision integers with exact divisions only.  It is
+the general path, the oracle the sandwich is tested against, and the only
+one that needs a dense matrix.  Above order ``_BAREISS_MAX_ORDER`` it is
+refused with :class:`ResourceLimitError` before one is built (it took
+22 s at order 1024).  Every report names the method that decided it.
 
-For a ``d``-regular line digraph, the adjacency matrix has rank equal to
-the order divided by ``d``.  Together with the general sandwich
-``nullity(A) <= maximum nullity <= zero forcing number`` this pins the
-minimum rank and maximum nullity of ``d``-regular iterated line digraphs
-(``d >= 2``) exactly; for ``d = 1`` (directed cycles) the adjacency bound
-is not tight and the known cycle values are reported instead.
+For a ``d``-regular line digraph the adjacency rank is the order divided
+by ``d``.  With ``nullity(A) <= maximum nullity <= zero forcing number``
+this pins the minimum rank and maximum nullity of ``d``-regular iterated
+line digraphs for ``d >= 2``; ``mr_and_max_nullity_regular_line`` gives
+the values for ``d = 1`` (disjoint cycles).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .digraph import Digraph
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .lines import iterated_line
+
+_BAREISS_MAX_ORDER = 1024
 
 
 @dataclass(frozen=True)
@@ -75,22 +79,19 @@ class RankReport(NamedTuple):
 
 def adjacency_matrix(g: Digraph) -> ExactMatrix:
     """0/1 adjacency matrix with entry ``[u][v] = 1`` when ``u -> v``."""
-    rows = []
-    for u in range(g.n):
-        out = g.out_neighborhood(u)
-        rows.append(tuple(1 if v in out else 0 for v in range(g.n)))
+    cols = range(g.n)
+    rows = (tuple(1 if v in out else 0 for v in cols) for out in g._out)
     return ExactMatrix(tuple(rows))
 
 
-def _gf2_rank(rows: Iterable[tuple[int, ...]]) -> int:
-    """Rank over GF(2) of the rows taken mod 2, by an XOR basis keyed by
-    leading bit (``e & 1`` is the parity of negative entries too)."""
+def _gf2_rank(rows: Iterable[Iterable[int]]) -> int:
+    """Rank over GF(2) of rows each given as the set of its odd columns,
+    by an XOR basis keyed by leading bit."""
     basis: dict[int, int] = {}
     for row in rows:
         mask = 0
-        for j, e in enumerate(row):
-            if e & 1:
-                mask |= 1 << j
+        for j in row:
+            mask |= 1 << j
         while mask:
             lead = mask.bit_length() - 1
             pivot = basis.get(lead)
@@ -99,6 +100,18 @@ def _gf2_rank(rows: Iterable[tuple[int, ...]]) -> int:
                 break
             mask ^= pivot
     return len(basis)
+
+
+def _by_bareiss(order: int, matrix: Callable[[], ExactMatrix]) -> RankReport:
+    """Bareiss on ``matrix()``, refused above the limit before it is built."""
+    if order > _BAREISS_MAX_ORDER:
+        raise ResourceLimitError(
+            f"rank needs Bareiss elimination at order {order}, above the "
+            f"limit of {_BAREISS_MAX_ORDER}"
+        )
+    m = matrix()
+    rank = _bareiss_rank(m.entries)
+    return RankReport(rank=rank, nullity=m.cols - rank, method="bareiss")
 
 
 def _bareiss_rank(entries: tuple[tuple[int, ...], ...]) -> int:
@@ -136,22 +149,33 @@ def rank_exact(m: ExactMatrix) -> RankReport:
     distinct = set(m.entries)
     distinct.discard((0,) * m.cols)
     upper = len(distinct)
-    lower = _gf2_rank(distinct)
-    if lower == upper:
+    # ``e & 1`` is the parity of negative entries too
+    odd = ([j for j, e in enumerate(row) if e & 1] for row in distinct)
+    if _gf2_rank(odd) == upper:
         return RankReport(rank=upper, nullity=m.cols - upper, method="sandwich")
-    rank = _bareiss_rank(m.entries)
-    return RankReport(rank=rank, nullity=m.cols - rank, method="bareiss")
+    return _by_bareiss(max(m.rows, m.cols), lambda: m)
+
+
+def adjacency_rank(g: Digraph) -> RankReport:
+    """``rank_exact(adjacency_matrix(g))``, with the sandwich read from the
+    out-neighborhoods of ``g``; only Bareiss builds the matrix."""
+    rows = set(g._out)
+    rows.discard(frozenset())
+    upper = len(rows)
+    disjoint = sum(map(len, rows)) == len(set().union(*rows))
+    if disjoint or _gf2_rank(rows) == upper:
+        return RankReport(rank=upper, nullity=g.n - upper, method="sandwich")
+    return _by_bareiss(g.n, lambda: adjacency_matrix(g))
 
 
 @dataclass(frozen=True)
 class MinimumRankReport:
     """Minimum rank and maximum nullity of ``L^k`` of a regular digraph.
 
-    ``zero_forcing_number`` is the matching closed-form count; for degree
-    at least 2 it coincides with ``max_nullity`` because the adjacency
-    nullity meets the zero forcing upper bound.  ``rank_consistent``
+    ``zero_forcing_number`` is the matching closed-form count; it equals
+    ``max_nullity`` except at degree 1 with a loop.  ``rank_consistent``
     records that the exact adjacency rank agreed with the predicted value,
-    and ``rank_method`` names how ``rank_exact`` decided that rank.
+    and ``rank_method`` names how ``adjacency_rank`` decided that rank.
     """
 
     degree: int
@@ -169,38 +193,38 @@ class MinimumRankReport:
         return asdict(self)
 
 
-def mr_and_max_nullity_regular_line(
-    g: Digraph, k: int, *, allow_degree_one: bool = False
-) -> MinimumRankReport:
-    """Exact minimum rank data for ``L^k(g)`` with ``g`` regular of degree
-    at least 2 and ``k >= 1``.
+def mr_and_max_nullity_regular_line(g: Digraph, k: int) -> MinimumRankReport:
+    """Exact minimum rank data for ``L^k(g)`` with ``g`` regular, ``k >= 1``.
 
     For common degree ``d >= 2`` the minimum rank is ``order / d``: the
     adjacency matrix attains that rank and zero forcing caps the nullity.
-    Degree 1 is rejected because the adjacency bound is not tight there;
-    with ``allow_degree_one`` the known cycle values are reported instead
-    (per cycle: minimum rank is the length minus one, maximum nullity 1).
+
+    For ``d = 1``, ``L^k(g)`` is disjoint cycles and its adjacency is a
+    permutation matrix.  Without loops the diagonal is free: a cycle of
+    length ``l`` has pattern matrices of rank ``l - 1`` and none lower (its
+    arcs give a nonzero minor of that size), and one colored vertex forces
+    it, so maximum nullity and zero forcing number both count the cycles.
+    With a loop anywhere, the diagonal is nonzero exactly at the loops, so
+    every pattern matrix is a scaled permutation (minimum rank the order,
+    maximum nullity 0), and every vertex may force its one out-neighbor,
+    so any single vertex is a zero forcing set.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError(f"depth must be an int >= 1, got {k!r}")
     d = g.is_regular()
     if d is None:
         raise DomainError("digraph is not regular")
-    if d == 0:
-        raise DomainError("regular of degree 0 has no line digraph")
-    if d == 1 and not allow_degree_one:
-        raise DomainError(
-            "degree-1 digraphs are disjoint cycles; their values are known "
-            "exactly but not via the adjacency bound (pass allow_degree_one)"
-        )
     line = iterated_line(g, k).graph
-    report = rank_exact(adjacency_matrix(line))
-    if d == 1:
-        max_nullity = len(line.strong_components().components)
-        min_rank, expected_rank = line.n - max_nullity, line.n
-    else:
+    report = adjacency_rank(line)
+    if d > 1:
         min_rank = expected_rank = line.n // d
-        max_nullity = line.n - min_rank
+        max_nullity = zero_forcing = line.n - min_rank
+    elif line.has_loops:
+        min_rank = expected_rank = line.n
+        max_nullity, zero_forcing = 0, 1
+    else:
+        max_nullity = zero_forcing = len(line.strong_components().components)
+        min_rank, expected_rank = line.n - max_nullity, line.n
     return MinimumRankReport(
         degree=d,
         depth=k,
@@ -210,6 +234,6 @@ def mr_and_max_nullity_regular_line(
         rank_method=report.method,
         min_rank=min_rank,
         max_nullity=max_nullity,
-        zero_forcing_number=max_nullity,
+        zero_forcing_number=zero_forcing,
         rank_consistent=report.rank == expected_rank,
     )

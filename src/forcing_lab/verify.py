@@ -45,7 +45,7 @@ from .families import (
     wrapped_butterfly,
 )
 from .iso import are_isomorphic
-from .linalg import adjacency_matrix, mr_and_max_nullity_regular_line, rank_exact
+from .linalg import adjacency_rank, mr_and_max_nullity_regular_line
 from .lines import iterated_line, line_digraph
 from .propagation import is_power_dominating_set, is_zero_forcing_set
 from .solvers import SearchLimits, min_power_dominating, min_zero_forcing
@@ -168,7 +168,7 @@ def check_kautz_suite() -> list[CheckResult]:
             "line operator reproduces the family",
         ),
     ]
-    rank = rank_exact(adjacency_matrix(k33))
+    rank = adjacency_rank(k33)
     results.append(
         _check(
             "mr(K(3,3)) == 12 by exact rank",
@@ -231,7 +231,7 @@ def check_wrapped_butterfly() -> list[CheckResult]:
     base = conjunction(complete_with_loops(2), cycle(2))
     iso = are_isomorphic(wb, line_digraph(base).graph)
     z = min_zero_forcing(wb, limits=_SUITE_LIMITS).number
-    rank = rank_exact(adjacency_matrix(wb))
+    rank = adjacency_rank(wb)
     gp = min_power_dominating(wb, limits=_SUITE_LIMITS).number
     claimed = 2 * (2 - 1)
     agreement = "agrees with" if gp == claimed else "DISAGREES with"
@@ -265,7 +265,7 @@ def check_gimbert_rank(count: int = 20, seed: int = 1291) -> list[CheckResult]:
         n = d + 1 + i % 3
         g = random_regular_digraph(rng, n, d)
         lg = line_digraph(g).graph
-        report = rank_exact(adjacency_matrix(lg))
+        report = adjacency_rank(lg)
         by_sandwich += report.method == "sandwich"
         if report.rank * d == lg.n:
             ok += 1
@@ -290,7 +290,7 @@ def check_nullity_collapse() -> list[CheckResult]:
             for g in regular_digraphs_up_to_iso(n, d):
                 for k in depths:
                     lk = iterated_line(g, k).graph
-                    nullity = rank_exact(adjacency_matrix(lk)).nullity
+                    nullity = adjacency_rank(lk).nullity
                     z = min_zero_forcing(lk, limits=_SUITE_LIMITS).number
                     checked += 1
                     if nullity == z:
@@ -448,16 +448,12 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite, the ``families`` composite, or ``all``."""
     if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite())
-        return results
-    if name == "families":
-        results = []
-        for key in ("de-bruijn", "kautz", "gen-families", "wrapped-butterfly"):
-            results.extend(SUITES[key]())
-        return results
-    if name not in SUITES:
+        keys = list(SUITES)
+    elif name == "families":
+        keys = ["de-bruijn", "kautz", "gen-families", "wrapped-butterfly"]
+    elif name in SUITES:
+        keys = [name]
+    else:
         known = ", ".join(sorted(SUITES) + ["families", "all"])
         raise DomainError(f"unknown suite {name!r} (known: {known})")
-    return SUITES[name]()
+    return [result for key in keys for result in SUITES[key]()]

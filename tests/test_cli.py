@@ -95,10 +95,12 @@ def test_pd_min_and_construct(capsys, tmp_path):
     assert code == 0 and doc["number"] == 2 and doc["witness"] == [1, 6]
 
     k3 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "3")
-    code, doc, _ = _run_json(capsys, "pd", "construct-l2", k3)
+    code, doc, err = _run_json(capsys, "pd", "construct-l2", k3)
     assert code == 0 and doc["size"] == 6
-    code, doc, _ = _run_json(capsys, "pd", "construct-l", k3, "--set", "0")
+    assert err == "power dominating set of size 6 on the 27-vertex square iterate\n"
+    code, doc, err = _run_json(capsys, "pd", "construct-l", k3, "--set", "0")
     assert code == 0 and doc["size"] == 2
+    assert err == "power dominating set of size 2 on the 9-vertex line digraph\n"
 
 
 def test_pd_construct_l_requires_set(capsys, tmp_path):
@@ -109,8 +111,9 @@ def test_pd_construct_l_requires_set(capsys, tmp_path):
 
 def test_zf_construct(capsys, tmp_path):
     k3 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "3")
-    code, doc, _ = _run_json(capsys, "zf", "construct", k3)
+    code, doc, err = _run_json(capsys, "zf", "construct", k3)
     assert code == 0 and doc["size"] == 6
+    assert err == "zero forcing set of size 6 on the 9-vertex line digraph\n"
     cyc = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "5")
     code, _, err = _run(capsys, "zf", "construct", cyc)
     assert code == 2
@@ -128,6 +131,33 @@ def test_rank_and_line_depth(capsys, tmp_path):
     assert doc["min_rank"] == 9 and doc["max_nullity"] == 18
 
 
+def test_rank_line_depth_at_order_131072(capsys, tmp_path):
+    k2 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "2")
+    code, doc, _ = _run_json(capsys, "rank", k2, "--line-depth", "16")
+    assert code == 0
+    assert (doc["order"], doc["adjacency_rank"]) == (131072, 65536)
+    assert doc["rank_method"] == "sandwich" and doc["rank_consistent"]
+
+
+def test_rank_of_degree_one_and_above_the_bareiss_limit(capsys, tmp_path):
+    cyc = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "5")
+    code, doc, _ = _run_json(capsys, "rank", cyc, "--line-depth", "1")
+    assert code == 0
+    assert (doc["min_rank"], doc["max_nullity"], doc["zero_forcing_number"]) == (4, 1, 1)
+    code, _, _ = _run(capsys, "rank", cyc, "--line-depth", "1", "--allow-degree-one")
+    assert code == 2
+    # 342 disjoint copies of out-neighborhoods {0,1}, {1,2}, {0,2}: the
+    # rank bounds differ, and Bareiss is refused at order 1026
+    arcs = [
+        (3 * c + u, 3 * c + v)
+        for c in range(342)
+        for u, v in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
+    ]
+    path = _write_arcs(tmp_path, "copies.json", 1026, arcs)
+    code, out, err = _run(capsys, "rank", path)
+    assert code == 3 and out == "" and "Bareiss" in err
+
+
 def test_rank_line_depth_rejects_irregular(capsys, tmp_path):
     path = str(tmp_path / "p.json")
     with open(path, "w") as handle:
@@ -138,8 +168,11 @@ def test_rank_line_depth_rejects_irregular(capsys, tmp_path):
 
 def test_factor_commands(capsys, tmp_path):
     k3 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "3")
-    code, doc, _ = _run_json(capsys, "factor", k3, "--cycles")
+    code, doc, err = _run_json(capsys, "factor", k3, "--cycles")
     assert code == 0 and doc["degree"] == 3
+    assert err == "cycle factorization into 3 1-factors\n"
+    code, doc, err = _run_json(capsys, "factor", k3)
+    assert code == 0 and err == f"1-factor with {len(doc['factor']['cycles'])} cycles\n"
 
     path = str(tmp_path / "p.json")
     with open(path, "w") as handle:

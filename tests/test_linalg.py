@@ -1,23 +1,27 @@
 from __future__ import annotations
 
+from itertools import permutations
 from random import Random
 
 import pytest
 import sympy
 
+from forcing_lab import linalg
 from forcing_lab.corpus import (
     random_digraph,
     random_regular_digraph,
     regular_digraphs_up_to_iso,
 )
 from forcing_lab.digraph import Digraph
-from forcing_lab.errors import DomainError
+from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.families import (
     complete_with_loops,
     complete_without_loops,
     conjunction,
     cycle,
     de_bruijn,
+    gen_de_bruijn,
+    gen_kautz,
     kautz,
     wrapped_butterfly,
 )
@@ -26,10 +30,12 @@ from forcing_lab.linalg import (
     ExactMatrix,
     _bareiss_rank,
     adjacency_matrix,
+    adjacency_rank,
     mr_and_max_nullity_regular_line,
     rank_exact,
 )
-from forcing_lab.lines import line_digraph
+from forcing_lab.lines import iterated_line, line_digraph
+from forcing_lab.solvers import min_zero_forcing
 
 
 def _sympy_rank(matrix: ExactMatrix) -> int:
@@ -103,6 +109,7 @@ def test_frozen_family_ranks():
         report = rank_exact(m)
         assert report.rank == _bareiss_rank(m.entries) == rank
         assert report.method == "sandwich"
+        assert adjacency_rank(g) == report
 
 
 def test_sandwich_decides_line_digraphs_of_random_regular_bases():
@@ -114,6 +121,7 @@ def test_sandwich_decides_line_digraphs_of_random_regular_bases():
         report = rank_exact(m)
         assert report.method == "sandwich"
         assert report.rank == g.n == _bareiss_rank(m.entries) == _sympy_rank(m)
+        assert adjacency_rank(line_digraph(g).graph) == report
 
 
 def test_bareiss_decides_when_the_bounds_differ():
@@ -132,6 +140,7 @@ def test_bareiss_decides_when_the_bounds_differ():
 def test_rank_at_order_1024_by_sandwich():
     report = rank_exact(adjacency_matrix(de_bruijn(2, 10)))
     assert report == (512, 512, "sandwich")
+    assert adjacency_rank(de_bruijn(2, 10)) == report
 
 
 def test_report_de_bruijn_like_iterate():
@@ -160,11 +169,11 @@ def test_report_rejects_bad_inputs():
     with pytest.raises(DomainError):
         mr_and_max_nullity_regular_line(complete_with_loops(2), 0)
     with pytest.raises(DomainError):
-        mr_and_max_nullity_regular_line(cycle(5), 1)
+        mr_and_max_nullity_regular_line(Digraph(3), 1)  # regular of degree 0
 
 
 def test_report_degree_one_opt_in():
-    report = mr_and_max_nullity_regular_line(cycle(5), 1, allow_degree_one=True)
+    report = mr_and_max_nullity_regular_line(cycle(5), 1)
     # one cycle: nonsingular adjacency, minimum rank n-1, nullity bound 1
     assert report.adjacency_nullity == 0
     assert (report.min_rank, report.max_nullity) == (4, 1)
@@ -299,3 +308,114 @@ def test_rectangular_rank():
     assert report.rank == 1
     # nullity is the column count minus the rank
     assert report.nullity == 2
+
+
+def test_degree_one_reports_match_brute_force():
+    """Every labelled 1-regular digraph of order 1-5 (a permutation, so
+    disjoint cycles, loops included) at depths 1 and 2: 306 instances."""
+    instances = 0
+    for n in range(1, 6):
+        for image in permutations(range(n)):
+            g = Digraph(n, list(enumerate(image)))
+            for k in (1, 2):
+                report = mr_and_max_nullity_regular_line(g, k)
+                z = min_zero_forcing(iterated_line(g, k).graph).number
+                assert report.zero_forcing_number == z
+                assert report.adjacency_nullity <= report.max_nullity <= z
+                assert report.rank_consistent and report.adjacency_nullity == 0
+                instances += 1
+    assert instances == 306
+    # a loop plus a 2-cycle: every vertex may force, so one vertex suffices
+    report = mr_and_max_nullity_regular_line(Digraph(3, [(0, 0), (1, 2), (2, 1)]), 1)
+    assert (report.min_rank, report.max_nullity, report.zero_forcing_number) == (3, 0, 1)
+
+
+def _has_disjoint_distinct_rows(g: Digraph) -> bool:
+    rows = {g.out_neighborhood(v) for v in range(g.n)} - {frozenset()}
+    return all(not (a & b) for a in rows for b in rows if a != b)
+
+
+def test_adjacency_rank_matches_rank_exact_and_sympy_on_random_digraphs():
+    rng = Random(6101)
+    overlapping = 0
+    methods = set()
+    for i in range(300):
+        g = random_digraph(
+            rng,
+            rng.randrange(1, 9),
+            arc_probability=rng.choice((0.2, 0.4, 0.6)),
+            loop_probability=0.4 if i % 2 else 0.0,
+        )
+        m = adjacency_matrix(g)
+        report = adjacency_rank(g)
+        assert report == rank_exact(m)
+        assert report.rank == _sympy_rank(m)
+        overlapping += not _has_disjoint_distinct_rows(g)
+        methods.add(report.method)
+    assert overlapping > 150 and methods == {"sandwich", "bareiss"}
+
+
+def test_adjacency_rank_is_a_sandwich_on_every_line_digraph():
+    rng = Random(2207)
+    bases = [
+        complete_with_loops(2),
+        complete_without_loops(4),
+        de_bruijn(2, 3),
+        kautz(3, 2),
+        gen_de_bruijn(2, 6),
+        gen_kautz(2, 6),
+        conjunction(complete_with_loops(2), cycle(2)),
+    ]
+    for d, orders in [(2, (2, 3, 4)), (3, (3, 4))]:
+        for n in orders:
+            bases.extend(regular_digraphs_up_to_iso(n, d))
+    bases.extend(
+        random_digraph(rng, rng.randrange(2, 8), arc_probability=0.4) for _ in range(60)
+    )
+    checked = 0
+    for base in bases:
+        lk = base
+        for _ in range(2):
+            if not 0 < lk.arc_count <= 72:
+                break
+            lk = line_digraph(lk).graph
+            report = adjacency_rank(lk)
+            assert report.method == "sandwich"
+            assert report == rank_exact(adjacency_matrix(lk))
+            checked += 1
+    assert checked > 100
+
+
+def test_adjacency_rank_needs_the_disjointness_test():
+    # rows {0}, {1}, {0,1}: three distinct rows of rank 2, GF(2) rank 2 too
+    g = Digraph(3, [(0, 0), (1, 1), (2, 0), (2, 1)])
+    assert adjacency_rank(g) == (2, 1, "bareiss")
+    assert _sympy_rank(adjacency_matrix(g)) == 2
+
+
+def _triangle_copies(copies: int) -> Digraph:
+    """Disjoint copies of the digraph with out-neighborhoods {0,1}, {1,2},
+    {0,2}: determinant 2, so rank 3 over the rationals but 2 over GF(2)."""
+    arcs = [
+        (3 * c + u, 3 * c + v)
+        for c in range(copies)
+        for u, v in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
+    ]
+    return Digraph(3 * copies, arcs)
+
+
+def test_bareiss_refused_above_the_order_limit(monkeypatch):
+    one = _triangle_copies(1)
+    assert adjacency_rank(one) == (3, 0, "bareiss") == rank_exact(adjacency_matrix(one))
+    assert _sympy_rank(adjacency_matrix(one)) == 3
+    big = _triangle_copies(342)  # order 1026
+    m = adjacency_matrix(big)
+    with pytest.raises(ResourceLimitError):
+        rank_exact(m)
+
+    def no_dense_matrix(g):
+        raise AssertionError("dense matrix built before the limit check")
+
+    monkeypatch.setattr(linalg, "adjacency_matrix", no_dense_matrix)
+    with pytest.raises(ResourceLimitError):
+        adjacency_rank(big)
