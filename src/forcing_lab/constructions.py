@@ -15,7 +15,6 @@ witness reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -334,22 +333,6 @@ def construct_pds_L2(g: Digraph, factor: OneFactor | None = None) -> LineWitness
     )
 
 
-def _condition_failure(g: Digraph, s: frozenset[int]) -> str | None:
-    """Why ``s`` fails the disjoint-out-neighborhood conditions, or None."""
-    members = sorted(s)
-    for x, y in itertools.combinations(members, 2):
-        if g.out_neighborhood(x) & g.out_neighborhood(y):
-            return f"vertices {x} and {y} have intersecting out-neighborhoods"
-    for x in members:
-        extra = (g.out_neighborhood(x) & s) - {x}
-        if extra:
-            return (
-                f"out-neighborhood of {x} meets the set at "
-                f"{sorted(extra)} rather than only itself"
-            )
-    return None
-
-
 # Vertices find_disjoint_outneighborhood_set may choose before it gives up:
 # a few seconds of search.
 _DISJOINT_SEARCH_NODES = 1_000_000
@@ -422,14 +405,21 @@ def construct_pds_L(g: Digraph, s: Iterable[int]) -> LineWitness:
     chosen_s = check_vertex_set(g, s)
     if not chosen_s:
         raise DomainError("the disjoint-out-neighborhood set must be non-empty")
-    reason = _condition_failure(g, chosen_s)
-    if reason is not None:
-        raise DomainError(f"set fails the out-neighborhood conditions: {reason}")
     owner: dict[int, int] = {}  # covered vertex -> its in-neighbor in s
-    for x in chosen_s:
+    for x in sorted(chosen_s):
+        extra = (g.out_neighborhood(x) & chosen_s) - {x}
+        if extra:
+            raise DomainError(
+                f"set fails the out-neighborhood conditions: out-neighborhood "
+                f"of {x} meets the set at {sorted(extra)} rather than only itself"
+            )
         for v in g.out_neighborhood(x):
-            if owner.setdefault(v, x) != x:
-                raise AssertionError(f"vertex {v} has two in-neighbors in the set")
+            y = owner.setdefault(v, x)
+            if y != x:
+                raise DomainError(
+                    f"set fails the out-neighborhood conditions: vertices {y} "
+                    f"and {x} have intersecting out-neighborhoods"
+                )
     labeled = line_digraph(g)
     arc_index = {arc: i for i, arc in enumerate(labeled.labels)}
     chosen: set[int] = set()

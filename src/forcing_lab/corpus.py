@@ -111,39 +111,44 @@ def random_regular_digraph(rng: Random, n: int, d: int) -> Digraph:
 
 def all_regular_digraphs(n: int, d: int) -> Iterator[Digraph]:
     """Every ``d``-regular digraph on ``n`` labeled vertices, loops
-    permitted, in lexicographic order of adjacency rows."""
+    permitted, in lexicographic order of adjacency rows; the depth-first
+    search over rows keeps an explicit stack, so no order meets the recursion
+    limit."""
     if d > n:
         return
     rows = list(itertools.combinations(range(n), d))
-
-    def extend(
-        chosen: list[tuple[int, ...]], in_degree: list[int]
-    ) -> Iterator[Digraph]:
+    masks = [sum(1 << v for v in row) for row in rows]
+    in_degree = [0] * n
+    full = 0  # the vertices that already have in-degree d
+    chosen: list[int] = []  # the index into rows of each row picked so far
+    i = 0  # the next index into rows to try for row len(chosen)
+    while True:
         u = len(chosen)
-        remaining = n - u
         if u == n:
-            yield Digraph(
-                n, [(i, v) for i, row in enumerate(chosen) for v in row]
-            )
+            yield Digraph(n, [(w, v) for w, r in enumerate(chosen) for v in rows[r]])
+            i = len(rows)
+        else:
+            # Row u must hold every vertex that the n - u - 1 rows after it
+            # could not bring up to in-degree d on their own.
+            low = d - (n - u - 1)
+            need = sum(1 << v for v in range(n) if in_degree[v] < low) if low > 0 else 0
+            while i < len(rows) and (masks[i] & full or need & ~masks[i]):
+                i += 1
+        if i < len(rows):
+            chosen.append(i)
+            for v in rows[i]:
+                in_degree[v] += 1
+                if in_degree[v] == d:
+                    full |= 1 << v
+            i = 0
+        elif chosen:
+            i = chosen.pop()
+            for v in rows[i]:
+                full &= ~(1 << v)
+                in_degree[v] -= 1
+            i += 1
+        else:
             return
-        for row in rows:
-            updated = list(in_degree)
-            feasible = True
-            for v in row:
-                updated[v] += 1
-                if updated[v] > d:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            # Every vertex must still be able to reach in-degree d.
-            if any(d - cnt > remaining - 1 for cnt in updated):
-                continue
-            chosen.append(row)
-            yield from extend(chosen, updated)
-            chosen.pop()
-
-    yield from extend([], [0] * n)
 
 
 def regular_digraphs_up_to_iso(

@@ -5,6 +5,10 @@ pairs, so parallel arcs cannot exist; a pair ``(v, v)`` is a loop.  Vertex
 sets passed to the query helpers are ordinary Python sets (any iterable of
 ints is accepted and normalised to a ``frozenset``).
 
+The constructor is the one place arcs are checked, in one pass: the first
+non-pair, endpoint outside ``0 .. n-1`` (bools included) or repeated arc
+raises :class:`DomainError`, and ``arcs`` is built from the out-sets.
+
 A ``Digraph`` is immutable after construction.  Equality and hashing look
 only at the order and the arc set; the optional ``name`` is a display label
 and does not affect identity.
@@ -74,9 +78,9 @@ class Digraph:
     ) -> None:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise DomainError(f"order must be a positive int, got {n!r}")
-        arc_list = list(arcs)
-        arc_set: set[tuple[int, int]] = set()
-        for arc in arc_list:
+        out: list[set[int]] = [set() for _ in range(n)]
+        inn: list[set[int]] = [set() for _ in range(n)]
+        for arc in arcs:
             try:
                 u, v = arc
             except (TypeError, ValueError):
@@ -84,16 +88,12 @@ class Digraph:
             for w in (u, v):
                 if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < n:
                     raise DomainError(f"arc {arc!r} has endpoint outside 0..{n - 1}")
-            if (u, v) in arc_set:
+            if v in out[u]:
                 raise DomainError(f"duplicate arc {(u, v)!r}")
-            arc_set.add((u, v))
-        out: list[set[int]] = [set() for _ in range(n)]
-        inn: list[set[int]] = [set() for _ in range(n)]
-        for u, v in arc_set:
             out[u].add(v)
             inn[v].add(u)
         self.n = n
-        self.arcs = frozenset(arc_set)
+        self.arcs = frozenset((u, v) for u, heads in enumerate(out) for v in heads)
         self.name = name
         self._out = tuple(frozenset(s) for s in out)
         self._in = tuple(frozenset(s) for s in inn)
@@ -128,18 +128,14 @@ class Digraph:
     def has_loops(self) -> bool:
         return any((v, v) in self.arcs for v in range(self.n))
 
-    def out_neighborhood(self, v: int, *, closed: bool = False) -> frozenset[int]:
-        """``N+(v)``, or ``N+[v]`` when ``closed`` is set."""
+    def out_neighborhood(self, v: int) -> frozenset[int]:
+        """``N+(v)``."""
         check_vertex(self, v)
-        if closed:
-            return self._out[v] | {v}
         return self._out[v]
 
-    def in_neighborhood(self, v: int, *, closed: bool = False) -> frozenset[int]:
-        """``N-(v)``, or ``N-[v]`` when ``closed`` is set."""
+    def in_neighborhood(self, v: int) -> frozenset[int]:
+        """``N-(v)``."""
         check_vertex(self, v)
-        if closed:
-            return self._in[v] | {v}
         return self._in[v]
 
     def out_neighborhood_of_set(self, vertices: Iterable[int]) -> frozenset[int]:
@@ -283,32 +279,23 @@ class Digraph:
         digraph (disjoint cycles survive) or eventually vanish.
         """
         sc = self.strong_components()
-        internal = [0] * len(sc.components)
-        for u, v in self.arcs:
-            if sc.component_of[u] == sc.component_of[v]:
-                internal[sc.component_of[u]] += 1
-        cyclic: list[int] = []
+        component_of = sc.component_of
+        # Components come in reverse topological order, so every component an
+        # arc leaves a block for is already marked when the block is swept.
+        reaches_cycle: list[bool] = []  # is, or has a path to, a cycle component
         for i, block in enumerate(sc.components):
-            if internal[i] > len(block):
+            internal = 0
+            downstream = False
+            for u in block:
+                for w in self._out[u]:
+                    if component_of[w] == i:
+                        internal += 1
+                    elif reaches_cycle[component_of[w]]:
+                        downstream = True
+            cyclic = internal == len(block)
+            if internal > len(block) or (cyclic and downstream):
                 return True
-            if internal[i] == len(block) and internal[i] >= 1:
-                cyclic.append(i)
-        if len(cyclic) < 2:
-            return False
-        # Reachability between distinct cycle components in the condensation.
-        cond = sc.condensation
-        cyclic_set = set(cyclic)
-        for start in cyclic:
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in cond.out_neighborhood(u):
-                    if w not in seen:
-                        if w in cyclic_set:
-                            return True
-                        seen.add(w)
-                        stack.append(w)
+            reaches_cycle.append(cyclic or downstream)
         return False
 
 

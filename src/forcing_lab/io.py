@@ -4,7 +4,8 @@ The interchange document is a JSON object with required keys ``n`` (order)
 and ``arcs`` (list of ``[tail, head]`` pairs), plus optional ``name`` and
 ``labels`` (one string per vertex, as produced by the line-digraph
 operator).  Arcs are written in lexicographic order so serialisation is
-deterministic.
+deterministic.  Each entry of ``arcs`` is checked by :class:`Digraph`
+itself, whose message is reported under ``key 'arcs' is invalid``.
 """
 
 from __future__ import annotations
@@ -48,18 +49,9 @@ def digraph_from_json_dict(doc: object) -> tuple[Digraph, list[str] | None]:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError("key 'n' must be a positive integer")
-    raw_arcs = doc["arcs"]
-    if not isinstance(raw_arcs, list):
+    arcs = doc["arcs"]
+    if not isinstance(arcs, list):
         raise DomainError("key 'arcs' must be a list of [tail, head] pairs")
-    arcs: list[tuple[int, int]] = []
-    for entry in raw_arcs:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in entry)
-        ):
-            raise DomainError(f"key 'arcs' has malformed entry {entry!r}")
-        arcs.append((entry[0], entry[1]))
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise DomainError("key 'name' must be a string")

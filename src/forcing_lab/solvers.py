@@ -20,14 +20,15 @@ Both problems share one scan.  No theorem-derived lower bound is applied:
 the scan starts at size 1, so its verdicts stay independent of the
 results being validated.
 
-Limits are explicit.  Exceeding any of them raises
-:class:`ResourceLimitError`; the solver never silently approximates.
+Limits are explicit: an order above ``max_n`` or a scan past
+``max_subsets`` candidate sets raises :class:`ResourceLimitError`; the
+solver never silently approximates.  There is no wall-clock limit, so a
+verdict never depends on the speed of the host.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from .digraph import Digraph, adjacency_masks
@@ -36,11 +37,11 @@ from .errors import ResourceLimitError
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Bounds on the exhaustive search; None disables the wall clock."""
+    """Bounds on the exhaustive search: the largest order it accepts and
+    the number of candidate sets it may test."""
 
     max_n: int = 24
     max_subsets: int = 5_000_000
-    max_seconds: float | None = None
 
 
 DEFAULT_LIMITS = SearchLimits()
@@ -79,46 +80,27 @@ def _zf_complete(
     return True
 
 
-class _Budget:
-    def __init__(self, limits: SearchLimits) -> None:
-        self.limits = limits
-        self.tested = 0
-        self.started = time.monotonic()
-
-    def spend(self) -> None:
-        self.tested += 1
-        if self.tested > self.limits.max_subsets:
-            raise ResourceLimitError(
-                f"subset budget of {self.limits.max_subsets} exhausted"
-            )
-        if self.limits.max_seconds is not None and self.tested % 2048 == 0:
-            if time.monotonic() - self.started > self.limits.max_seconds:
-                raise ResourceLimitError(
-                    f"wall budget of {self.limits.max_seconds}s exhausted"
-                )
-
-
-def _check_order(g: Digraph, limits: SearchLimits) -> None:
-    if g.n > limits.max_n:
-        raise ResourceLimitError(
-            f"order {g.n} exceeds the configured solver limit {limits.max_n}"
-        )
-
-
 def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSetResult:
     """The lexicographically first set, smallest size first, whose closure
     colors every vertex; with ``dominate`` each seed first colors its
     out-neighbors as well."""
     limits = limits or DEFAULT_LIMITS
-    _check_order(g, limits)
+    if g.n > limits.max_n:
+        raise ResourceLimitError(
+            f"order {g.n} exceeds the configured solver limit {limits.max_n}"
+        )
     masks, _ = adjacency_masks(g)
     seeds = [(1 << v) | (masks[v] if dominate else 0) for v in range(g.n)]
     loop_rule = g.has_loops
     full = (1 << g.n) - 1
-    budget = _Budget(limits)
+    tested = 0
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            budget.spend()
+            tested += 1
+            if tested > limits.max_subsets:
+                raise ResourceLimitError(
+                    f"subset budget of {limits.max_subsets} exhausted"
+                )
             start = 0
             for v in combo:
                 start |= seeds[v]
@@ -126,7 +108,7 @@ def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSet
                 return MinimumSetResult(
                     number=size,
                     witness=frozenset(combo),
-                    subsets_tested=budget.tested,
+                    subsets_tested=tested,
                 )
     raise AssertionError("the full vertex set always succeeds")
 

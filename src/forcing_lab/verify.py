@@ -50,7 +50,7 @@ from .lines import iterated_line, line_digraph
 from .propagation import is_power_dominating_set, is_zero_forcing_set
 from .solvers import SearchLimits, min_power_dominating, min_zero_forcing
 
-_SUITE_LIMITS = SearchLimits(max_n=40, max_subsets=5_000_000)
+_SUITE_LIMITS = SearchLimits(max_n=40)
 
 
 @dataclass(frozen=True)

@@ -406,8 +406,16 @@ def test_construct_pds_l_frozen_cases():
 
 
 def test_construct_pds_l_rejects_bad_set():
-    with pytest.raises(DomainError):
+    # N+(0) = {0, 1} in B(2, 2) meets {0, 1} at 1 as well as at 0
+    with pytest.raises(
+        DomainError, match=r"out-neighborhood of 0 meets the set at \[1\] rather"
+    ):
         construct_pds_L(de_bruijn(2, 2), {0, 1})
+    # N+(1) = N+(5) = {2, 3} in B(2, 3)
+    with pytest.raises(
+        DomainError, match="vertices 1 and 5 have intersecting out-neighborhoods"
+    ):
+        construct_pds_L(de_bruijn(2, 3), {1, 5})
 
 
 def test_construct_pds_l_random_regular():

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -63,6 +63,23 @@ def test_exhaustive_regular_all_labelled():
     assert all(g.is_regular() == 2 for g in labelled)
     # row patterns: each of 3 rows picks 2 of 3 columns with column sums 2
     assert len(labelled) == 6
+
+
+@pytest.mark.parametrize(("n", "d"), [(3, 2), (4, 2), (4, 3), (5, 2)])
+def test_exhaustive_regular_matches_row_product(n, d):
+    # every choice of d heads per row, in lexicographic order of the rows,
+    # kept when every column holds d of them
+    expected = [
+        tuple((u, v) for u, row in enumerate(rows) for v in row)
+        for rows in product(combinations(range(n), d), repeat=n)
+        if all(sum(v in row for row in rows) == d for v in range(n))
+    ]
+    assert [g.arcs_sorted for g in all_regular_digraphs(n, d)] == expected
+
+
+def test_exhaustive_regular_at_order_1200():
+    first = next(all_regular_digraphs(1200, 1))
+    assert first.arcs == frozenset((v, v) for v in range(1200))
 
 
 def test_regular_classes_frozen_counts():

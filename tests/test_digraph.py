@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from random import Random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,35 @@ def test_rejects_bool_vertex():
         Digraph(2, [(True, 0)])
 
 
+@pytest.mark.parametrize(
+    ("n", "arcs", "message"),
+    [
+        (2, [(0, 1), [0, 1, 2], (0, 1)], r"arc must be a pair, got \[0, 1, 2\]"),
+        (2, [(0, 1), 0], r"arc must be a pair, got 0"),
+        (2, [None], r"arc must be a pair, got None"),
+        (2, [(1, 0), "01"], r"arc '01' has endpoint outside 0\.\.1"),
+        (2, [(0, 1), (1, True)], r"arc \(1, True\) has endpoint outside 0\.\.1"),
+        (3, [(0.0, 1)], r"arc \(0\.0, 1\) has endpoint outside 0\.\.2"),
+        # the first offending arc is reported, so an out-of-range arc before
+        # a duplicate wins over it, and a duplicate before a bad arc wins too
+        (2, [(0, 1), (0, 2), (0, 1)], r"arc \(0, 2\) has endpoint outside 0\.\.1"),
+        (2, [(0, 1), [0, 1], (0, 5)], r"duplicate arc \(0, 1\)"),
+        (3, [(2, 2), (2, 2), None], r"duplicate arc \(2, 2\)"),
+    ],
+)
+def test_constructor_reports_the_first_bad_arc(n, arcs, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        Digraph(n, arcs)
+
+
+def test_constructor_state_from_one_pass():
+    g = Digraph(3, iter([(2, 0), (0, 1), (1, 1), (0, 2)]))
+    assert g.arcs == frozenset({(0, 1), (0, 2), (1, 1), (2, 0)})
+    assert [g.out_neighborhood(v) for v in range(3)] == [{1, 2}, {1}, {0}]
+    assert [g.in_neighborhood(v) for v in range(3)] == [{2}, {0, 1}, {0}]
+    assert hash(g) == hash((3, g.arcs))
+
+
 def test_rejects_empty_vertex_set():
     with pytest.raises(DomainError):
         Digraph(0, [])
@@ -64,7 +95,6 @@ def test_neighborhoods():
     g = Digraph(4, [(0, 1), (0, 2), (1, 2), (3, 3)])
     assert g.out_neighborhood(0) == frozenset({1, 2})
     assert g.in_neighborhood(2) == frozenset({0, 1})
-    assert g.out_neighborhood(0, closed=True) == frozenset({0, 1, 2})
     assert g.out_neighborhood(3) == frozenset({3})
     assert g.out_neighborhood_of_set({0, 1}) == frozenset({0, 1, 2})
 
@@ -175,3 +205,40 @@ def test_divergence_two_unjoined_cycles():
 def test_divergence_loop_feeding_loop():
     g = Digraph(2, [(0, 0), (0, 1), (1, 1)])
     assert g.is_L_divergent()
+
+
+def _walk_counts(n: int, arcs: list[tuple[int, int]], longest: int) -> list[int]:
+    """The number of walks of each length 0..longest, the orders of the
+    iterated line digraphs, counted from the arc list alone."""
+    starting = [1] * n  # walks of the current length starting at each vertex
+    counts = [n]
+    for _ in range(longest):
+        longer = [0] * n
+        for u, v in arcs:
+            longer[u] += starting[v]
+        starting = longer
+        counts.append(sum(starting))
+    return counts
+
+
+def test_divergence_against_walk_counts():
+    # The iterates of a digraph of order n <= 8 either grow without bound or
+    # are constant from length n on; joined cycles already grow linearly.
+    rng = Random(2024)
+    divergent = 0
+    for t in range(2000):
+        n = rng.randint(1, 8)
+        p = rng.choice([0.1, 0.2, 0.3, 0.45])
+        loops = t % 2 == 0
+        arcs = [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if (u != v or loops) and rng.random() < p
+        ]
+        g = Digraph(n, arcs)
+        counts = _walk_counts(n, arcs, 120)
+        expected = counts[120] > max(counts[:60])
+        assert g.is_L_divergent() == expected, sorted(arcs)
+        divergent += expected
+    assert 300 < divergent < 1700

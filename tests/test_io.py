@@ -61,15 +61,45 @@ def test_missing_n_rejected():
 
 
 def test_bad_arc_shape_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="key 'arcs' is invalid"):
         digraph_from_json_dict({"n": 2, "arcs": [[0, 1, 2]]})
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="key 'arcs' is invalid"):
         digraph_from_json_dict({"n": 2, "arcs": [0]})
 
 
 def test_out_of_range_arc_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="key 'arcs' is invalid"):
         digraph_from_json_dict({"n": 2, "arcs": [[0, 5]]})
+
+
+@pytest.mark.parametrize(
+    ("entry", "message"),
+    [
+        ([0, 1, 2], r"arc must be a pair, got \[0, 1, 2\]"),
+        ([0], r"arc must be a pair, got \[0\]"),
+        (0, r"arc must be a pair, got 0"),
+        (None, r"arc must be a pair, got None"),
+        ({"tail": 0}, r"arc must be a pair, got \{'tail': 0\}"),
+        ("01", r"arc '01' has endpoint outside 0\.\.1"),
+        ([True, 0], r"arc \[True, 0\] has endpoint outside 0\.\.1"),
+        ([0, 1.0], r"arc \[0, 1\.0\] has endpoint outside 0\.\.1"),
+        ([0, "1"], r"arc \[0, '1'\] has endpoint outside 0\.\.1"),
+        ([[0], 1], r"arc \[\[0\], 1\] has endpoint outside 0\.\.1"),
+        ([0, 5], r"arc \[0, 5\] has endpoint outside 0\.\.1"),
+        ([-1, 0], r"arc \[-1, 0\] has endpoint outside 0\.\.1"),
+        ([0, 1], r"duplicate arc \(0, 1\)"),
+    ],
+)
+def test_malformed_arc_entry_rejected(entry, message):
+    # every entry follows a valid [0, 1], so a repeat of it is a duplicate
+    doc = {"n": 2, "arcs": [[0, 1], entry]}
+    with pytest.raises(DomainError, match=f"^key 'arcs' is invalid: {message}$"):
+        digraph_from_json_dict(doc)
+
+
+def test_arcs_must_be_a_list():
+    with pytest.raises(DomainError, match="key 'arcs' must be a list"):
+        digraph_from_json_dict({"n": 2, "arcs": {"0": 1}})
 
 
 def test_wrong_label_count_rejected():

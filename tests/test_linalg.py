@@ -42,6 +42,10 @@ def _sympy_rank(matrix: ExactMatrix) -> int:
     return sympy.Matrix(list(matrix.entries)).rank()
 
 
+class _Int(int):
+    pass
+
+
 def test_matrix_validation():
     with pytest.raises(DomainError):
         ExactMatrix(((1, 2), (3,)))  # ragged
@@ -49,6 +53,11 @@ def test_matrix_validation():
         ExactMatrix(((1.5,),))  # non-integer
     with pytest.raises(DomainError):
         ExactMatrix(())  # empty
+    with pytest.raises(DomainError, match="^matrix entry True is not an int$"):
+        ExactMatrix(((True,),))  # bools are not matrix entries
+    with pytest.raises(DomainError, match="^matrix entry None is not an int$"):
+        ExactMatrix(((1, 2), (3, None), (1.5, 0)))  # first bad entry, row-major
+    assert ExactMatrix(((1, _Int(2)),)).cols == 2  # int subclasses are ints
     m = ExactMatrix.from_rows([[1, 2], [3, 4]])
     assert m.rows == 2 and m.cols == 2
 

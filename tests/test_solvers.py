@@ -143,19 +143,8 @@ def test_order_limit():
 
 
 def test_subset_budget():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="subset budget of 3 exhausted"):
         min_zero_forcing(de_bruijn(2, 3), limits=SearchLimits(max_subsets=3))
-
-
-def test_wall_clock_budget():
-    # the clock is polled every 2048 subsets, so the instance must be
-    # large enough for the scan to reach that count
-    from forcing_lab.families import wrapped_butterfly
-
-    with pytest.raises(ResourceLimitError):
-        min_zero_forcing(
-            wrapped_butterfly(3, 2), limits=SearchLimits(max_seconds=0.0)
-        )
 
 
 def test_budgets_do_not_truncate_answers_silently():
