@@ -16,7 +16,7 @@ and does not affect identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -50,18 +50,31 @@ class DegreeSummary:
 
 @dataclass(frozen=True)
 class StrongComponents:
-    """Strongly connected components plus the condensation digraph.
+    """Strongly connected components of ``graph``.
 
     ``components`` lists each component as a sorted tuple, in reverse
     topological order of the condensation (a component only has arcs into
     components listed before it).  ``component_of[v]`` is the index into
-    ``components`` for vertex ``v``.  ``condensation`` is a loop-free
-    :class:`Digraph` on the component indices.
+    ``components`` for vertex ``v``.
     """
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
-    condensation: "Digraph"
+    graph: "Digraph" = field(repr=False)
+
+    @property
+    def condensation(self) -> "Digraph":
+        """The loop-free digraph on the component indices, built afresh on
+        each read: most callers need only the components."""
+        component_of = self.component_of
+        return Digraph(
+            len(self.components),
+            {
+                (component_of[u], component_of[v])
+                for u, v in self.graph.arcs
+                if component_of[u] != component_of[v]
+            },
+        )
 
 
 class Digraph:
@@ -252,16 +265,10 @@ class Digraph:
                         if w == v:
                             break
                     components.append(tuple(sorted(block)))
-        cond_arcs = {
-            (component_of[u], component_of[v])
-            for u, v in self.arcs
-            if component_of[u] != component_of[v]
-        }
-        condensation = Digraph(len(components), cond_arcs)
         return StrongComponents(
             components=tuple(components),
             component_of=tuple(component_of),
-            condensation=condensation,
+            graph=self,
         )
 
     def is_strongly_connected(self) -> bool:

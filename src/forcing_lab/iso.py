@@ -24,12 +24,19 @@ the same.
 
 Limits: a hostile id order can make any input exponential (``K(3,4)``
 relabelled on both sides can run for many minutes).  The id order stays
-because it fixes which mapping is returned.
+because it fixes which mapping is returned, so the search instead gives
+up with :class:`ResourceLimitError` after ``_SEARCH_NODES`` images tried.
 """
 
 from __future__ import annotations
 
 from .digraph import Digraph, adjacency_masks
+from .errors import ResourceLimitError
+
+# Images the search may try before it gives up: a search that never
+# backtracks tries about one per vertex, and K(3,4) relabelled on both
+# sides reaches this in about ten seconds.
+_SEARCH_NODES = 10_000_000
 
 
 def _refine_colors(g: Digraph, h: Digraph) -> tuple[list[int], list[int]] | None:
@@ -71,7 +78,8 @@ def _complement(g: Digraph) -> Digraph:
 
 def are_isomorphic(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
     """An isomorphism from ``g`` onto ``h`` as a tuple ``phi`` with
-    ``phi[u]`` the image of ``u``, or ``None`` when none exists."""
+    ``phi[u]`` the image of ``u``, or ``None`` when none exists; raises
+    :class:`ResourceLimitError` past ``_SEARCH_NODES`` images tried."""
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
     if 2 * len(g.arcs) > g.n * g.n:
@@ -103,6 +111,7 @@ def are_isomorphic(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
     undo: list[tuple[int, int]] = []
     phi = [0] * n
     stack = [(cand[0], 0, 0)]
+    nodes = 0
     while stack:
         options, mark, used = stack.pop()
         u = len(stack)
@@ -110,6 +119,11 @@ def are_isomorphic(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
             bit = options & -options
             options ^= bit
             x = bit.bit_length() - 1
+            nodes += 1
+            if nodes > _SEARCH_NODES:
+                raise ResourceLimitError(
+                    f"isomorphism search gave up after {_SEARCH_NODES} images tried"
+                )
             if (out_h[x] & used).bit_count() != back_out[u]:
                 continue
             if (in_h[x] & used).bit_count() != back_in[u]:

@@ -1,34 +1,52 @@
 """Exhaustive minimum-set solvers for zero forcing and power domination.
 
 These are the independent oracles the closed-form results are checked
-against, so they stay deliberately simple: enumerate candidate sets in
-lexicographic order, smallest size first, and return the first success,
-which is automatically the lexicographically least minimum witness.  The
-only concession to speed is a word-level (bitmask) reimplementation of the
-closures; its agreement with the trace-producing engine is covered by
-tests.
+against, so they stay simple: candidate sets are taken in lexicographic
+order, smallest size first, and the first whose closure colors every
+vertex is the lexicographically least minimum witness.
 
-That closure deliberately does not share code with the worklist engine in
+For each size the combinations are walked depth-first, with the closure
+of each prefix kept on a stack.  A child's closure starts from its
+parent's plus the seeds of the new vertex (the vertex itself, and for
+power domination its out-neighbors too), and re-examines only the
+vertices whose white out-degree dropped, the in-neighbors of newly
+colored vertices, plus, without the loop rule, the newly colored
+vertices themselves.  Under the loop rule a white vertex may force too,
+so the closure of the empty set can be nonempty: the root of the walk is
+not closed, and the closure of a first seed examines every vertex.
+
+A vertex whose seeds already lie in the closure of the prefix is
+skipped, with every set that extends it.  The closure ``cl`` (of the
+union of the seeds of a set) is extensive, monotone and idempotent under
+either rule: a force available from ``X`` is still available, or already
+done, from any superset of ``X``.  So if the seeds of ``v`` lie in
+``cl(P)`` and ``T`` contains ``P`` and ``v``, then ``cl(T) =
+cl(T - {v})``, a set one smaller, and every smaller set has already
+failed (it was tested, or skipped by the same argument).  The skip never
+changes which set succeeds first.  It never fires at the root, where the
+prefix is empty.
+
+The closure deliberately does not share code with the worklist engine in
 :mod:`forcing_lab.propagation`.  Every witness the constructions return is
 certified by that engine, so a fault in it must not be able to reach the
-oracle that re-derives the same numbers.  It is also the faster choice
-here: on the small digraphs the solvers scan, a round of bit operations on
-one word per vertex costs less than the engine's worklist bookkeeping,
-which pays off only on large, sparse closures.
+oracle that re-derives the same numbers.  It also keeps one word per
+vertex, which on the small digraphs the solvers scan costs less than the
+engine's set bookkeeping.
 
 Both problems share one scan.  No theorem-derived lower bound is applied:
 the scan starts at size 1, so its verdicts stay independent of the
 results being validated.
 
-Limits are explicit: an order above ``max_n`` or a scan past
-``max_subsets`` candidate sets raises :class:`ResourceLimitError`; the
-solver never silently approximates.  There is no wall-clock limit, so a
-verdict never depends on the speed of the host.
+Limits are explicit: an order above ``max_n`` raises
+:class:`ResourceLimitError`, and so does a scan that computes the closure
+of more than ``max_subsets`` full-size candidate sets.  ``subsets_tested``
+counts those same sets; skipped sets and the closures of prefixes are not
+counted.  The solver never silently approximates.  There is no
+wall-clock limit, so a verdict never depends on the speed of the host.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .digraph import Digraph, adjacency_masks
@@ -38,7 +56,7 @@ from .errors import ResourceLimitError
 @dataclass(frozen=True)
 class SearchLimits:
     """Bounds on the exhaustive search: the largest order it accepts and
-    the number of candidate sets it may test."""
+    the number of full-size candidate sets whose closure it may compute."""
 
     max_n: int = 24
     max_subsets: int = 5_000_000
@@ -56,28 +74,38 @@ class MinimumSetResult:
     subsets_tested: int
 
 
-def _zf_complete(
-    n: int, masks: list[int], loop_rule: bool, colored: int, full: int
-) -> bool:
-    while colored != full:
-        newly = 0
-        if loop_rule:
-            for u in range(n):
-                white = masks[u] & ~colored
-                if white and white & (white - 1) == 0:
-                    newly |= white
-        else:
-            pool = colored
-            while pool:
-                bit = pool & -pool
-                pool ^= bit
-                white = masks[bit.bit_length() - 1] & ~colored
-                if white and white & (white - 1) == 0:
-                    newly |= white
-        if not newly:
-            return False
-        colored |= newly
-    return True
+def _closure(
+    masks: list[int],
+    inn: list[int],
+    loop_rule: bool,
+    colored: int,
+    fresh: int,
+    pool: int,
+) -> int:
+    """The closure of ``colored``, given that before the vertices in
+    ``fresh`` were colored no vertex outside ``pool`` could force.
+
+    A vertex can start to force only when its white out-degree drops, so
+    when it is an in-neighbor of a fresh vertex, or, without the loop
+    rule, when it is fresh itself; only those are examined again.
+    """
+    while fresh:
+        if not loop_rule:
+            pool |= fresh
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            pool |= inn[bit.bit_length() - 1]
+        if not loop_rule:
+            pool &= colored
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            white = masks[bit.bit_length() - 1] & ~colored
+            if white and not white & (white - 1):
+                colored |= white
+                fresh |= white
+    return colored
 
 
 def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSetResult:
@@ -85,31 +113,56 @@ def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSet
     colors every vertex; with ``dominate`` each seed first colors its
     out-neighbors as well."""
     limits = limits or DEFAULT_LIMITS
-    if g.n > limits.max_n:
+    n = g.n
+    if n > limits.max_n:
         raise ResourceLimitError(
-            f"order {g.n} exceeds the configured solver limit {limits.max_n}"
+            f"order {n} exceeds the configured solver limit {limits.max_n}"
         )
-    masks, _ = adjacency_masks(g)
-    seeds = [(1 << v) | (masks[v] if dominate else 0) for v in range(g.n)]
+    masks, inn = adjacency_masks(g)
+    seeds = [(1 << v) | (masks[v] if dominate else 0) for v in range(n)]
     loop_rule = g.has_loops
-    full = (1 << g.n) - 1
+    full = (1 << n) - 1
+    # Under the loop rule the empty set can force, so the root is not
+    # closed and a first seed's closure examines every vertex.
+    root_pool = full if loop_rule else 0
     tested = 0
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
+    for size in range(1, n + 1):
+        # combo[:depth] is the prefix, closed[j] the closure of the seeds
+        # of its first j vertices, v the next vertex to try after it.
+        combo = [0] * size
+        closed = [0] * size
+        depth = v = 0
+        while True:
+            if v > n - size + depth:
+                if not depth:
+                    break
+                depth -= 1
+                v = combo[depth] + 1
+                continue
+            base = closed[depth]
+            fresh = seeds[v] & ~base
+            if not fresh:
+                v += 1
+                continue
+            combo[depth] = v
+            colored = _closure(
+                masks, inn, loop_rule, base | fresh, fresh, 0 if depth else root_pool
+            )
+            if depth + 1 < size:
+                depth += 1
+                closed[depth] = colored
+                v += 1
+                continue
             tested += 1
             if tested > limits.max_subsets:
                 raise ResourceLimitError(
                     f"subset budget of {limits.max_subsets} exhausted"
                 )
-            start = 0
-            for v in combo:
-                start |= seeds[v]
-            if _zf_complete(g.n, masks, loop_rule, start, full):
+            if colored == full:
                 return MinimumSetResult(
-                    number=size,
-                    witness=frozenset(combo),
-                    subsets_tested=tested,
+                    number=size, witness=frozenset(combo), subsets_tested=tested
                 )
+            v += 1
     raise AssertionError("the full vertex set always succeeds")
 
 

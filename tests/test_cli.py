@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 
-from forcing_lab import cli
+from forcing_lab import cli, iso
 from forcing_lab.cli import main
 
 
@@ -214,13 +214,16 @@ def test_no_good_factor_above_ten_vertices(capsys, tmp_path):
     assert code == 2 and "no suitable 1-factor" in err
 
 
-def test_iso_exit_codes(capsys, tmp_path):
+def test_iso_exit_codes(capsys, tmp_path, monkeypatch):
     a = _gen(capsys, tmp_path, "a.json", "gen", "cycle", "--n", "4")
     b = _gen(capsys, tmp_path, "b.json", "gen", "cycle", "--n", "5")
     code, doc, _ = _run_json(capsys, "iso", a, a)
     assert code == 0 and doc["mapping"] == [0, 1, 2, 3]
     code, doc, _ = _run_json(capsys, "iso", a, b)
     assert code == 1 and doc == {"isomorphic": False}
+    monkeypatch.setattr(iso, "_SEARCH_NODES", 3)
+    code, out, err = _run(capsys, "iso", a, a)
+    assert code == 3 and out == "" and "gave up after 3 images tried" in err
 
 
 def test_iso_on_a_long_cycle(capsys, tmp_path):

@@ -3,11 +3,14 @@ from __future__ import annotations
 import itertools
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcing_lab import iso
 from forcing_lab.corpus import random_regular_digraph
 from forcing_lab.digraph import Digraph
+from forcing_lab.errors import ResourceLimitError
 from forcing_lab.families import complete_with_loops, cycle, de_bruijn, kautz
 from forcing_lab.iso import are_isomorphic
 from forcing_lab.lines import iterated_line, line_digraph
@@ -169,3 +172,17 @@ def test_arc_flip_breaks_isomorphism_or_not_reported_wrongly(g: Digraph):
     arc = min(g.arcs)
     h = Digraph(g.n, g.arcs - {arc})
     assert are_isomorphic(g, h) is None
+
+
+def test_search_past_its_node_budget_raises(monkeypatch):
+    # a found mapping tries at least one image per vertex; cycle(5)
+    # against itself tries exactly five
+    monkeypatch.setattr(iso, "_SEARCH_NODES", 5)
+    assert are_isomorphic(cycle(5), cycle(5)) == (0, 1, 2, 3, 4)
+    g = de_bruijn(2, 4)
+    h = _apply(g, [(5 * v + 3) % g.n for v in range(g.n)])
+    monkeypatch.setattr(iso, "_SEARCH_NODES", g.n - 1)
+    with pytest.raises(ResourceLimitError, match="gave up after 15 images tried"):
+        are_isomorphic(g, h)
+    monkeypatch.setattr(iso, "_SEARCH_NODES", 10_000)
+    assert _is_valid_mapping(g, h, are_isomorphic(g, h))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from forcing_lab.digraph import Digraph
 from forcing_lab.errors import ResourceLimitError
 from forcing_lab.corpus import random_digraph
 from forcing_lab.families import cycle, de_bruijn
+from forcing_lab.lines import line_digraph
 from forcing_lab.solvers import (
     SearchLimits,
     min_power_dominating,
@@ -75,21 +77,39 @@ def test_star_is_power_dominated_by_center():
     assert min_zero_forcing(star).number == 3
 
 
+def _assert_matches_naive_oracle(g: Digraph) -> None:
+    got = min_zero_forcing(g)
+    assert (got.number, got.witness) == _naive_minimum(g, _naive_zf_final)
+    got = min_power_dominating(g)
+    assert (got.number, got.witness) == _naive_minimum(g, _naive_pd_final)
+
+
 def test_solver_matches_naive_oracle():
     rng = Random(60223)
-    for i in range(30):
+    for i in range(1000):
         g = random_digraph(
             rng,
-            rng.randrange(1, 6),
-            arc_probability=0.4,
-            loop_probability=0.25 if i % 2 else 0.0,
+            1 + i % 10,
+            arc_probability=rng.uniform(0.2, 0.5),
+            loop_probability=0.5 if i % 2 else 0.0,
         )
-        expected = _naive_minimum(g, _naive_zf_final)
-        got = min_zero_forcing(g)
-        assert (got.number, got.witness) == expected
-        expected = _naive_minimum(g, _naive_pd_final)
-        got = min_power_dominating(g)
-        assert (got.number, got.witness) == expected
+        _assert_matches_naive_oracle(g)
+
+
+def test_solver_matches_naive_oracle_on_line_digraphs():
+    # many in-twins, so many seeds and out-neighborhoods already closed
+    rng = Random(2)
+    checked = 0
+    while checked < 50:
+        base = random_digraph(
+            rng,
+            rng.randrange(2, 7),
+            arc_probability=rng.uniform(0.2, 0.5),
+            loop_probability=0.3 if checked % 2 else 0.0,
+        )
+        if 1 <= len(base.arcs) <= 15:
+            _assert_matches_naive_oracle(line_digraph(base).graph)
+            checked += 1
 
 
 def _disjoint_union(g: Digraph, h: Digraph) -> Digraph:
@@ -145,6 +165,24 @@ def test_order_limit():
 def test_subset_budget():
     with pytest.raises(ResourceLimitError, match="subset budget of 3 exhausted"):
         min_zero_forcing(de_bruijn(2, 3), limits=SearchLimits(max_subsets=3))
+
+
+def _unskipped_count(g: Digraph, number: int, witness: frozenset[int]) -> int:
+    """Sets a lexicographic scan that skips none tests before it stops."""
+    smaller = sum(math.comb(g.n, size) for size in range(1, number))
+    combos = itertools.combinations(range(g.n), number)
+    return smaller + 1 + next(i for i, c in enumerate(combos) if set(c) == witness)
+
+
+def test_subsets_tested_counts_the_closed_full_size_sets():
+    for g, tested, unskipped in (
+        (de_bruijn(2, 3), 65, 113),
+        (de_bruijn(3, 2), 316, 405),
+    ):
+        result = min_zero_forcing(g)
+        assert result.subsets_tested == tested
+        assert _unskipped_count(g, result.number, result.witness) == unskipped
+        assert tested < unskipped
 
 
 def test_budgets_do_not_truncate_answers_silently():
