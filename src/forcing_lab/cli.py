@@ -149,6 +149,7 @@ def _cmd_min(g: Digraph, solve: Callable[..., MinimumSetResult], what: str) -> i
             "number": result.number,
             "witness": sorted(result.witness),
             "subsets_tested": result.subsets_tested,
+            "prefixes_pruned": result.prefixes_pruned,
         }
     )
     _info(

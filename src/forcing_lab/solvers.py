@@ -15,16 +15,28 @@ vertices themselves.  Under the loop rule a white vertex may force too,
 so the closure of the empty set can be nonempty: the root of the walk is
 not closed, and the closure of a first seed examines every vertex.
 
-A vertex whose seeds already lie in the closure of the prefix is
-skipped, with every set that extends it.  The closure ``cl`` (of the
-union of the seeds of a set) is extensive, monotone and idempotent under
-either rule: a force available from ``X`` is still available, or already
-done, from any superset of ``X``.  So if the seeds of ``v`` lie in
-``cl(P)`` and ``T`` contains ``P`` and ``v``, then ``cl(T) =
-cl(T - {v})``, a set one smaller, and every smaller set has already
-failed (it was tested, or skipped by the same argument).  The skip never
-changes which set succeeds first.  It never fires at the root, where the
-prefix is empty.
+Prefixes are pruned by dominance.  The closure ``cl`` (of the union of
+the seeds of a set) is extensive, monotone and idempotent under either
+rule: a force available from ``X`` is still available, or already done,
+from any superset of ``X``.  Let ``R`` be a prefix the walk reached
+before the prefix ``P``, with ``|R| <= |P|`` and ``cl(R) = cl(P)``.  If
+``P | X`` closes, for vertices ``X`` after those of ``P``, then so does
+``R | X``, since ``cl(R | X) = cl(cl(R) | X) = cl(P | X)``.  Either
+``R | X`` is smaller, which cannot be, since every smaller size has
+already failed; or ``R`` and ``X`` are disjoint and ``|R| = |P|``, so
+``R | X`` is a closing set of the same size that comes lexicographically
+before ``P | X``.  So a passed-over set that closes always has an earlier
+closing set of its size, and the first one is never passed over.  Each
+size therefore keeps a memo from the closure of each internal prefix to
+the least length it was reached at, and a prefix whose closure the memo
+holds at the same or a smaller length is pruned with its whole subtree;
+``prefixes_pruned`` counts these.
+
+A vertex whose seeds already lie in the closure of the prefix is the
+cheap special case, with ``R = P`` itself: the extended prefix has the
+closure of a smaller one, so it is skipped without computing a closure,
+and such sets never count in ``subsets_tested``.  It never fires at the
+root, where the prefix is empty.
 
 The closure deliberately does not share code with the worklist engine in
 :mod:`forcing_lab.propagation`.  Every witness the constructions return is
@@ -40,9 +52,14 @@ results being validated.
 Limits are explicit: an order above ``max_n`` raises
 :class:`ResourceLimitError`, and so does a scan that computes the closure
 of more than ``max_subsets`` full-size candidate sets.  ``subsets_tested``
-counts those same sets; skipped sets and the closures of prefixes are not
-counted.  The solver never silently approximates.  There is no
-wall-clock limit, so a verdict never depends on the speed of the host.
+counts those same sets; skipped and pruned sets and the closures of
+prefixes are not counted.  The memo shares that budget: it stops
+recording once its entries and the sets tested so far together reach
+``max_subsets``, so it never holds more than ``max_subsets`` closures
+(about 100 bytes each).  Pruning is optional, so a full memo can cost
+time but never changes an answer.  The solver never silently
+approximates.  There is no wall-clock limit, so a verdict never depends
+on the speed of the host.
 """
 
 from __future__ import annotations
@@ -72,6 +89,7 @@ class MinimumSetResult:
     number: int
     witness: frozenset[int]
     subsets_tested: int
+    prefixes_pruned: int
 
 
 def _closure(
@@ -125,12 +143,15 @@ def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSet
     # Under the loop rule the empty set can force, so the root is not
     # closed and a first seed's closure examines every vertex.
     root_pool = full if loop_rule else 0
-    tested = 0
+    tested = pruned = 0
     for size in range(1, n + 1):
         # combo[:depth] is the prefix, closed[j] the closure of the seeds
-        # of its first j vertices, v the next vertex to try after it.
+        # of its first j vertices, v the next vertex to try after it;
+        # seen maps the closure of an internal prefix combo[:depth + 1]
+        # to the least depth it was reached at.
         combo = [0] * size
         closed = [0] * size
+        seen: dict[int, int] = {}
         depth = v = 0
         while True:
             if v > n - size + depth:
@@ -149,6 +170,12 @@ def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSet
                 masks, inn, loop_rule, base | fresh, fresh, 0 if depth else root_pool
             )
             if depth + 1 < size:
+                if seen.get(colored, size) <= depth:
+                    pruned += 1
+                    v += 1
+                    continue
+                if len(seen) + tested < limits.max_subsets:
+                    seen[colored] = depth
                 depth += 1
                 closed[depth] = colored
                 v += 1
@@ -160,7 +187,10 @@ def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSet
                 )
             if colored == full:
                 return MinimumSetResult(
-                    number=size, witness=frozenset(combo), subsets_tested=tested
+                    number=size,
+                    witness=frozenset(combo),
+                    subsets_tested=tested,
+                    prefixes_pruned=pruned,
                 )
             v += 1
     raise AssertionError("the full vertex set always succeeds")

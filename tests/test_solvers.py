@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,6 +12,7 @@ from forcing_lab.digraph import Digraph
 from forcing_lab.errors import ResourceLimitError
 from forcing_lab.corpus import random_digraph
 from forcing_lab.families import cycle, de_bruijn
+from forcing_lab import solvers
 from forcing_lab.lines import line_digraph
 from forcing_lab.solvers import (
     SearchLimits,
@@ -175,14 +178,50 @@ def _unskipped_count(g: Digraph, number: int, witness: frozenset[int]) -> int:
 
 
 def test_subsets_tested_counts_the_closed_full_size_sets():
-    for g, tested, unskipped in (
-        (de_bruijn(2, 3), 65, 113),
-        (de_bruijn(3, 2), 316, 405),
+    for g, tested, pruned, unskipped in (
+        (de_bruijn(2, 3), 29, 9, 113),
+        (de_bruijn(3, 2), 184, 26, 405),
     ):
         result = min_zero_forcing(g)
-        assert result.subsets_tested == tested
+        assert (result.subsets_tested, result.prefixes_pruned) == (tested, pruned)
         assert _unskipped_count(g, result.number, result.witness) == unskipped
         assert tested < unskipped
+    # power domination closes at size 2 here, before any set is passed over
+    for g, tested in ((de_bruijn(2, 3), 20), (de_bruijn(3, 2), 18)):
+        result = min_power_dominating(g)
+        assert (result.subsets_tested, result.prefixes_pruned) == (tested, 0)
+        assert _unskipped_count(g, result.number, result.witness) == tested
+
+
+def test_a_capped_memo_returns_the_uncapped_answer():
+    # the memo stops recording once it and the sets tested reach the
+    # budget; these budgets cap it before the scan ends, yet let it finish
+    for solve, g, budget in (
+        (min_zero_forcing, de_bruijn(2, 3), 31),
+        (min_zero_forcing, de_bruijn(3, 2), 202),
+        (min_power_dominating, de_bruijn(2, 4), 725),
+    ):
+        free = solve(g)
+        capped = solve(g, limits=SearchLimits(max_subsets=budget))
+        assert (capped.number, capped.witness) == (free.number, free.witness)
+        assert capped.prefixes_pruned < free.prefixes_pruned
+        assert free.subsets_tested <= capped.subsets_tested <= budget
+
+
+def test_solvers_do_not_import_the_propagation_engine():
+    # the oracle must share no code with the engine it checks
+    tree = ast.parse(Path(solvers.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "forcing_lab" if node.level else ""
+            module = ".".join(filter(None, (package, node.module)))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "forcing_lab.digraph" in imported
+    assert not any(name.startswith("forcing_lab.propagation") for name in imported)
 
 
 def test_budgets_do_not_truncate_answers_silently():
