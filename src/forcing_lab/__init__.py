@@ -5,7 +5,7 @@ The public surface re-exports the main types and operations; see the
 individual modules for the full API.
 """
 
-from .digraph import DegreeSummary, Digraph, StrongComponents
+from .digraph import DegreeSummary, Digraph
 from .errors import DomainError, ResourceLimitError
 from .families import (
     FamilySpec,
@@ -42,7 +42,6 @@ from .constructions import (
     construct_pds_L2,
     construct_zfs_line,
     cycle_factorization,
-    find_disjoint_outneighborhood_set,
     in_degree_one_cycles,
     one_factor,
 )
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeSummary",
     "Digraph",
-    "StrongComponents",
     "DomainError",
     "ResourceLimitError",
     "FamilySpec",
@@ -100,7 +98,6 @@ __all__ = [
     "construct_pds_L2",
     "construct_zfs_line",
     "cycle_factorization",
-    "find_disjoint_outneighborhood_set",
     "in_degree_one_cycles",
     "one_factor",
     "ExactMatrix",

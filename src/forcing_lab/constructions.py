@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .digraph import Digraph, adjacency_masks, check_vertex_set
-from .errors import DomainError, ResourceLimitError
+from .digraph import Digraph, check_vertex_set
+from .errors import DomainError
 from .lines import LineLabeledDigraph, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
 
@@ -302,26 +302,18 @@ def construct_zfs_line(g: Digraph) -> LineWitness:
     return _verified(labeled, chosen, g.arc_count - g.n, zf_closure, "zero forcing")
 
 
-def construct_pds_L2(g: Digraph, factor: OneFactor | None = None) -> LineWitness:
+def construct_pds_L2(g: Digraph) -> LineWitness:
     """A power dominating set of ``L^2(g)`` of size ``|A(g)| - |V(g)|``.
 
     Requires minimum out-degree 2 and minimum in-degree 1, plus a 1-factor
-    ``f`` whose every cycle has a vertex of in-degree > 1 (found
-    automatically when not supplied).  The set consists of the walks
-    ``f(u) -> u -> v`` over all arcs ``(u, v)`` with ``u != f(v)``.
+    ``f`` whose every cycle has a vertex of in-degree > 1, found by
+    :func:`one_factor`.  The set consists of the walks ``f(u) -> u -> v``
+    over all arcs ``(u, v)`` with ``u != f(v)``.
     """
     _require_degrees(g, 2, 1)
+    factor = one_factor(g, require_good=True)
     if factor is None:
-        factor = one_factor(g, require_good=True)
-        if factor is None:
-            raise DomainError("digraph has no suitable 1-factor")
-    else:
-        if factor.host != g:
-            raise DomainError("factor belongs to a different digraph")
-        if not factor.is_good():
-            raise DomainError(
-                "factor has a cycle made up entirely of in-degree-one vertices"
-            )
+        raise DomainError("digraph has no suitable 1-factor")
     labeled = iterated_line(g, 2)
     walk_index = {walk: i for i, walk in enumerate(labeled.labels)}
     f = factor.f
@@ -333,73 +325,16 @@ def construct_pds_L2(g: Digraph, factor: OneFactor | None = None) -> LineWitness
     )
 
 
-# Vertices find_disjoint_outneighborhood_set may choose before it gives up:
-# a few seconds of search.
-_DISJOINT_SEARCH_NODES = 1_000_000
-
-
-def find_disjoint_outneighborhood_set(
-    g: Digraph, target: int
-) -> frozenset[int] | None:
-    """A ``target``-sized set with pairwise disjoint out-neighborhoods, each
-    meeting the set in nothing or only its own vertex; None if impossible.
-
-    Requires minimum out- and in-degree 2.  The search backtracks over
-    vertices in ascending order, so a found set is lexicographically least.
-    It backtracks as soon as too few vertices are left for the
-    out-neighborhoods still to choose, and raises
-    :class:`ResourceLimitError` after ``_DISJOINT_SEARCH_NODES`` choices.
-    """
-    _require_degrees(g, 2, 2)
-    if isinstance(target, bool) or not isinstance(target, int) or target < 1:
-        raise DomainError(f"target size must be a positive int, got {target!r}")
-    out, _ = adjacency_masks(g)
-    min_out = g.degrees().min_out
-    chosen: list[int] = []
-    members = blocked = 0  # the chosen vertices, and their out-neighbors
-    starts = [0]  # per level, the least vertex still to try there
-    nodes = 0
-    while starts:
-        if len(chosen) == target:
-            return frozenset(chosen)
-        taken = members | blocked
-        # Each vertex still to choose needs min_out or more vertices
-        # outside taken, disjoint from those of the others.
-        if (target - len(chosen)) * min_out > g.n - taken.bit_count():
-            starts[-1] = g.n
-        for v in range(starts[-1], g.n):
-            if not out[v] & taken and not (blocked >> v) & 1:
-                break
-        else:
-            starts.pop()
-            if chosen:
-                v = chosen.pop()
-                members ^= 1 << v
-                blocked ^= out[v]  # disjoint from the other chosen ones
-            continue
-        nodes += 1
-        if nodes > _DISJOINT_SEARCH_NODES:
-            raise ResourceLimitError(
-                f"disjoint out-neighborhood search for {target} vertices "
-                f"gave up after {_DISJOINT_SEARCH_NODES} choices"
-            )
-        starts[-1] = v + 1
-        chosen.append(v)
-        members |= 1 << v
-        blocked |= out[v]
-        starts.append(v + 1)
-    return None
-
-
 def construct_pds_L(g: Digraph, s: Iterable[int]) -> LineWitness:
     """A power dominating set of ``L(g)`` of size ``|V(g)| - |s|``.
 
-    ``s`` must satisfy the disjoint-out-neighborhood conditions checked by
-    :func:`find_disjoint_outneighborhood_set` (violations raise
-    :class:`DomainError`).  Every vertex covered by ``s`` then has exactly
-    one in-neighbor inside ``s``; each vertex ``v`` outside ``s`` is paired
-    with that unique in-neighbor when covered, else with its least
-    in-neighbor, and the paired arcs form the returned set.
+    Requires minimum out- and in-degree 2 and a non-empty ``s`` on two
+    conditions: the out-neighborhoods of the vertices of ``s`` are pairwise
+    disjoint, and each meets ``s`` in nothing or only its own vertex
+    (violations raise :class:`DomainError`).  Every vertex covered by ``s``
+    then has exactly one in-neighbor inside ``s``; each vertex ``v`` outside
+    ``s`` is paired with that unique in-neighbor when covered, else with its
+    least in-neighbor, and the paired arcs form the returned set.
     """
     _require_degrees(g, 2, 2)
     chosen_s = check_vertex_set(g, s)

@@ -151,14 +151,12 @@ def all_regular_digraphs(n: int, d: int) -> Iterator[Digraph]:
             return
 
 
-def regular_digraphs_up_to_iso(
-    n: int, d: int, *, weakly_connected_only: bool = True
-) -> list[Digraph]:
-    """Representatives of the isomorphism classes of ``d``-regular
-    digraphs on ``n`` vertices."""
+def regular_digraphs_up_to_iso(n: int, d: int) -> list[Digraph]:
+    """Representatives of the isomorphism classes of weakly connected
+    ``d``-regular digraphs on ``n`` vertices."""
     representatives: list[Digraph] = []
     for g in all_regular_digraphs(n, d):
-        if weakly_connected_only and not g.is_weakly_connected():
+        if not g.is_weakly_connected():
             continue
         if any(are_isomorphic(g, h) is not None for h in representatives):
             continue

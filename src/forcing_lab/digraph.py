@@ -16,8 +16,8 @@ and does not affect identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DomainError
 
@@ -46,35 +46,6 @@ class DegreeSummary:
     min_out: int
     max_in: int
     min_in: int
-
-
-@dataclass(frozen=True)
-class StrongComponents:
-    """Strongly connected components of ``graph``.
-
-    ``components`` lists each component as a sorted tuple, in reverse
-    topological order of the condensation (a component only has arcs into
-    components listed before it).  ``component_of[v]`` is the index into
-    ``components`` for vertex ``v``.
-    """
-
-    components: tuple[tuple[int, ...], ...]
-    component_of: tuple[int, ...]
-    graph: "Digraph" = field(repr=False)
-
-    @property
-    def condensation(self) -> "Digraph":
-        """The loop-free digraph on the component indices, built afresh on
-        each read: most callers need only the components."""
-        component_of = self.component_of
-        return Digraph(
-            len(self.components),
-            {
-                (component_of[u], component_of[v])
-                for u, v in self.graph.arcs
-                if component_of[u] != component_of[v]
-            },
-        )
 
 
 class Digraph:
@@ -159,10 +130,6 @@ class Digraph:
             result |= self._out[v]
         return frozenset(result)
 
-    def out_degree(self, v: int) -> int:
-        check_vertex(self, v)
-        return len(self._out[v])
-
     def in_degree(self, v: int) -> int:
         check_vertex(self, v)
         return len(self._in[v])
@@ -215,95 +182,6 @@ class Digraph:
 
     def is_weakly_connected(self) -> bool:
         return len(self.weak_components()) == 1
-
-    def strong_components(self) -> StrongComponents:
-        """Tarjan's algorithm, iterative so deep graphs cannot overflow."""
-        index_of = [-1] * self.n
-        lowlink = [0] * self.n
-        on_stack = [False] * self.n
-        stack: list[int] = []
-        component_of = [-1] * self.n
-        components: list[tuple[int, ...]] = []
-        counter = 0
-        for root in range(self.n):
-            if index_of[root] != -1:
-                continue
-            # Explicit frame stack: (vertex, iterator over sorted successors).
-            work: list[tuple[int, Iterator[int]]] = []
-            index_of[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            work.append((root, iter(sorted(self._out[root]))))
-            while work:
-                v, succ = work[-1]
-                advanced = False
-                for w in succ:
-                    if index_of[w] == -1:
-                        index_of[w] = lowlink[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        on_stack[w] = True
-                        work.append((w, iter(sorted(self._out[w]))))
-                        advanced = True
-                        break
-                    if on_stack[w]:
-                        lowlink[v] = min(lowlink[v], index_of[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index_of[v]:
-                    block = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component_of[w] = len(components)
-                        block.append(w)
-                        if w == v:
-                            break
-                    components.append(tuple(sorted(block)))
-        return StrongComponents(
-            components=tuple(components),
-            component_of=tuple(component_of),
-            graph=self,
-        )
-
-    def is_strongly_connected(self) -> bool:
-        return len(self.strong_components().components) == 1
-
-    # -- line-digraph limit behaviour -------------------------------------
-
-    def is_L_divergent(self) -> bool:
-        """Whether iterated line digraphs of this digraph grow without bound.
-
-        The order of the iterates diverges exactly when some strong component
-        carries more internal arcs than vertices (it is strongly connected
-        but not a single cycle), or when two cycle components are joined by a
-        directed path.  Otherwise the iterates either converge to a fixed
-        digraph (disjoint cycles survive) or eventually vanish.
-        """
-        sc = self.strong_components()
-        component_of = sc.component_of
-        # Components come in reverse topological order, so every component an
-        # arc leaves a block for is already marked when the block is swept.
-        reaches_cycle: list[bool] = []  # is, or has a path to, a cycle component
-        for i, block in enumerate(sc.components):
-            internal = 0
-            downstream = False
-            for u in block:
-                for w in self._out[u]:
-                    if component_of[w] == i:
-                        internal += 1
-                    elif reaches_cycle[component_of[w]]:
-                        downstream = True
-            cyclic = internal == len(block)
-            if internal > len(block) or (cyclic and downstream):
-                return True
-            reaches_cycle.append(cyclic or downstream)
-        return False
 
 
 def adjacency_masks(g: Digraph) -> tuple[list[int], list[int]]:

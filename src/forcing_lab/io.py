@@ -82,13 +82,6 @@ def read_digraph(path: str | Path) -> tuple[Digraph, list[str] | None]:
     return digraph_from_json_dict(doc)
 
 
-def write_digraph(
-    path: str | Path, g: Digraph, labels: list[str] | None = None
-) -> None:
-    doc = digraph_to_json_dict(g, labels)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
 def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -203,7 +203,8 @@ def mr_and_max_nullity_regular_line(g: Digraph, k: int) -> MinimumRankReport:
     permutation matrix.  Without loops the diagonal is free: a cycle of
     length ``l`` has pattern matrices of rank ``l - 1`` and none lower (its
     arcs give a nonzero minor of that size), and one colored vertex forces
-    it, so maximum nullity and zero forcing number both count the cycles.
+    it, so maximum nullity and zero forcing number both count the cycles,
+    which are the weak components.
     With a loop anywhere, the diagonal is nonzero exactly at the loops, so
     every pattern matrix is a scaled permutation (minimum rank the order,
     maximum nullity 0), and every vertex may force its one out-neighbor,
@@ -223,7 +224,7 @@ def mr_and_max_nullity_regular_line(g: Digraph, k: int) -> MinimumRankReport:
         min_rank = expected_rank = line.n
         max_nullity, zero_forcing = 0, 1
     else:
-        max_nullity = zero_forcing = len(line.strong_components().components)
+        max_nullity = zero_forcing = len(line.weak_components())
         min_rank, expected_rank = line.n - max_nullity, line.n
     return MinimumRankReport(
         degree=d,

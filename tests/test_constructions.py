@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
@@ -12,7 +13,6 @@ from forcing_lab.constructions import (
     construct_pds_L2,
     construct_zfs_line,
     cycle_factorization,
-    find_disjoint_outneighborhood_set,
     in_degree_one_cycles,
     one_factor,
 )
@@ -22,11 +22,10 @@ from forcing_lab.corpus import (
     random_regular_digraph,
 )
 from forcing_lab.digraph import Digraph
-from forcing_lab.errors import DomainError, ResourceLimitError
+from forcing_lab.errors import DomainError
 from forcing_lab.families import (
     complete_with_loops,
     complete_without_loops,
-    conjunction,
     cycle,
     de_bruijn,
 )
@@ -296,32 +295,9 @@ def test_construct_pds_l2_witness_dominates_square_iterate():
     assert is_power_dominating_set(square, witness.vertices)
 
 
-def test_construct_pds_l2_accepts_explicit_factor():
-    g = de_bruijn(2, 2)
-    factor = one_factor(g, require_good=True)
-    assert factor is not None
-    witness = construct_pds_L2(g, factor)
-    assert is_power_dominating_set(witness.line.graph, witness.vertices)
-
-
-def test_construct_pds_l2_rejects_foreign_factor():
-    factor = one_factor(complete_with_loops(3))
-    with pytest.raises(DomainError):
-        construct_pds_L2(de_bruijn(2, 2), factor)
-
-
 def test_construct_pds_l2_needs_a_good_factor():
     with pytest.raises(DomainError):
         construct_pds_L2(_NO_GOOD_FACTOR)
-
-
-def test_find_disjoint_outneighborhood_set():
-    assert find_disjoint_outneighborhood_set(de_bruijn(2, 2), 2) == frozenset({0, 3})
-    assert find_disjoint_outneighborhood_set(complete_with_loops(3), 1) == frozenset(
-        {0}
-    )
-    base = conjunction(complete_with_loops(2), cycle(2))
-    assert find_disjoint_outneighborhood_set(base, 2) is None
 
 
 def _is_disjoint_outneighborhood_set(g: Digraph, s: frozenset[int]) -> bool:
@@ -332,68 +308,6 @@ def _is_disjoint_outneighborhood_set(g: Digraph, s: frozenset[int]) -> bool:
             if g.out_neighborhood(x) & g.out_neighborhood(y):
                 return False
     return True
-
-
-def test_find_disjoint_outneighborhood_set_is_the_least_combination():
-    # Validity is pairwise, so the least valid combination in
-    # itertools order is the lexicographically least set.
-    rng = Random(23)
-    found = missing = 0
-    for _ in range(60):
-        n = rng.randint(4, 9)
-        g = random_regular_digraph(rng, n, rng.randint(2, min(n, 3)))
-        for target in range(1, 4):
-            expected = next(
-                (
-                    frozenset(c)
-                    for c in itertools.combinations(range(n), target)
-                    if _is_disjoint_outneighborhood_set(g, frozenset(c))
-                ),
-                None,
-            )
-            assert find_disjoint_outneighborhood_set(g, target) == expected
-            found += expected is not None
-            missing += expected is None
-    assert found > 50 and missing > 50
-
-
-def test_find_disjoint_outneighborhood_set_at_order_8192():
-    g = iterated_line(complete_with_loops(2), 12).graph
-    s = find_disjoint_outneighborhood_set(g, 1100)
-    assert s is not None and len(s) == 1100
-    reached: set[int] = set()
-    for x in s:
-        assert not g.out_neighborhood(x) & reached
-        assert g.out_neighborhood(x) & s <= {x}
-        reached |= g.out_neighborhood(x)
-
-
-def test_find_disjoint_outneighborhood_set_walks_targets_upward_in_bounded_time():
-    # Every out-degree is 2, so the counting prune bounds a set by n / 2.
-    # Without the node budget the first target with no set ran past 30 s;
-    # without the prune, target 12 on the order-16 iterate exhausts the
-    # budget instead of answering None.
-    g = iterated_line(complete_with_loops(2), 5).graph
-    for target in range(1, g.n // 2 + 1):
-        try:
-            s = find_disjoint_outneighborhood_set(g, target)
-        except ResourceLimitError:
-            break
-        if s is None:
-            break
-        assert len(s) == target and _is_disjoint_outneighborhood_set(g, s)
-    assert target == 23
-    assert find_disjoint_outneighborhood_set(g, 31) is None
-    assert find_disjoint_outneighborhood_set(g, g.n // 2 + 1) is None
-    smaller = iterated_line(complete_with_loops(2), 4).graph
-    assert find_disjoint_outneighborhood_set(smaller, 12) is None
-
-
-def test_find_disjoint_outneighborhood_set_preconditions():
-    with pytest.raises(DomainError):
-        find_disjoint_outneighborhood_set(cycle(4), 1)
-    with pytest.raises(DomainError):
-        find_disjoint_outneighborhood_set(de_bruijn(2, 2), 0)
 
 
 def test_construct_pds_l_frozen_cases():
@@ -419,18 +333,27 @@ def test_construct_pds_l_rejects_bad_set():
 
 
 def test_construct_pds_l_random_regular():
+    # Every combination of size 1-3 goes through construct_pds_L: the valid
+    # ones give a power dominating set of size n - |S|, the others raise.
     rng = Random(92)
-    found = 0
-    for _ in range(10):
-        g = random_regular_digraph(rng, 5, 2)
-        s = find_disjoint_outneighborhood_set(g, 2)
-        if s is None:
-            continue
-        witness = construct_pds_L(g, s)
-        assert len(witness.vertices) == g.n - len(s)
-        assert is_power_dominating_set(witness.line.graph, witness.vertices)
-        found += 1
-    assert found > 0
+    valid: Counter[int] = Counter()
+    invalid = 0
+    for _ in range(20):
+        n = rng.randint(4, 7)
+        g = random_regular_digraph(rng, n, rng.randint(2, min(n, 3)))
+        for size in range(1, 4):
+            for combination in itertools.combinations(range(n), size):
+                s = frozenset(combination)
+                if not _is_disjoint_outneighborhood_set(g, s):
+                    with pytest.raises(DomainError):
+                        construct_pds_L(g, s)
+                    invalid += 1
+                    continue
+                witness = construct_pds_L(g, s)
+                assert len(witness.vertices) == g.n - len(s)
+                assert is_power_dominating_set(witness.line.graph, witness.vertices)
+                valid[size] += 1
+    assert sorted(valid) == [1, 2, 3] and invalid > 100
 
 
 def test_line_witness_json_shape():

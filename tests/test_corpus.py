@@ -88,19 +88,11 @@ def test_regular_classes_frozen_counts():
     assert len(list(regular_digraphs_up_to_iso(4, 2))) == 7
     assert len(list(regular_digraphs_up_to_iso(3, 3))) == 1
     assert len(list(regular_digraphs_up_to_iso(4, 3))) == 5
+    # 1-regular on 4 vertices: only C4 is weakly connected
+    assert len(regular_digraphs_up_to_iso(4, 1)) == 1
 
 
 def test_regular_classes_pairwise_non_isomorphic():
     classes = list(regular_digraphs_up_to_iso(4, 2))
     for a, b in combinations(classes, 2):
         assert are_isomorphic(a, b) is None
-
-
-def test_regular_classes_disconnected_variant():
-    connected = len(list(regular_digraphs_up_to_iso(4, 1)))
-    everything = len(
-        list(regular_digraphs_up_to_iso(4, 1, weakly_connected_only=False))
-    )
-    # 1-regular on 4 vertices: C4 alone versus C4, C1+C3, C2+C2, C1+C1+C2, 4xC1
-    assert connected == 1
-    assert everything == 5

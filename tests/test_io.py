@@ -4,14 +4,15 @@ import json
 
 import pytest
 
+from forcing_lab.cli import main
 from forcing_lab.digraph import Digraph
 from forcing_lab.errors import DomainError
+from forcing_lab.families import de_bruijn
 from forcing_lab.io import (
     digraph_from_json_dict,
     digraph_to_json_dict,
     read_digraph,
     to_dot,
-    write_digraph,
 )
 
 
@@ -41,11 +42,12 @@ def test_labels_round_trip():
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "g.json"
-    write_digraph(path, _sample())
+    assert main(["gen", "de-bruijn", "--d", "2", "--D", "2", "-o", str(path)]) == 0
     text = path.read_text()
     assert text.endswith("\n")
     g, labels = read_digraph(path)
-    assert g == _sample() and labels is None
+    assert g == de_bruijn(2, 2) and g.name == de_bruijn(2, 2).name
+    assert labels is None
 
 
 def test_unknown_key_named_in_error():
