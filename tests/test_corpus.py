@@ -92,6 +92,21 @@ def test_regular_classes_frozen_counts():
     assert len(regular_digraphs_up_to_iso(4, 1)) == 1
 
 
+def test_regular_classes_disconnected_variant():
+    # 1-regular on 4 vertices: C4, C1+C3, C2+C2, C1+C1+C2, 4xC1 up to
+    # isomorphism; only C4 is weakly connected, so it alone is kept
+    everything: list = []
+    for g in all_regular_digraphs(4, 1):
+        if all(are_isomorphic(g, h) is None for h in everything):
+            everything.append(g)
+    assert len(everything) == 5
+    assert sum(g.is_weakly_connected() for g in everything) == 1
+    connected = regular_digraphs_up_to_iso(4, 1)
+    assert len(connected) == 1
+    assert connected[0].is_weakly_connected()
+    assert not connected[0].has_loops
+
+
 def test_regular_classes_pairwise_non_isomorphic():
     classes = list(regular_digraphs_up_to_iso(4, 2))
     for a, b in combinations(classes, 2):
