@@ -150,6 +150,7 @@ def _cmd_min(g: Digraph, solve: Callable[..., MinimumSetResult], what: str) -> i
             "witness": sorted(result.witness),
             "subsets_tested": result.subsets_tested,
             "prefixes_pruned": result.prefixes_pruned,
+            "tested_per_size": list(result.tested_per_size),
         }
     )
     _info(

@@ -5,38 +5,45 @@ against, so they stay simple: candidate sets are taken in lexicographic
 order, smallest size first, and the first whose closure colors every
 vertex is the lexicographically least minimum witness.
 
-For each size the combinations are walked depth-first, with the closure
-of each prefix kept on a stack.  A child's closure starts from its
-parent's plus the seeds of the new vertex (the vertex itself, and for
-power domination its out-neighbors too), and re-examines only the
-vertices whose white out-degree dropped, the in-neighbors of newly
-colored vertices, plus, without the loop rule, the newly colored
-vertices themselves.  Under the loop rule a white vertex may force too,
-so the closure of the empty set can be nonempty: the root of the walk is
-not closed, and the closure of a first seed examines every vertex.
+The scan goes one size at a time.  A level maps the closure of each
+surviving set of the previous size to that set's vertex mask, in the
+order reached, which is lexicographic; the first level holds the empty
+set.  Each set is extended only by the vertices after its last one.  A
+child's closure starts from its parent's plus the seeds of the new
+vertex (the vertex itself, and for power domination its out-neighbors
+too), and re-examines only the vertices whose white out-degree dropped,
+the in-neighbors of newly colored vertices, plus, without the loop rule,
+the newly colored vertices themselves.  Under the loop rule a white
+vertex may force too, so the closure of the empty set can be nonempty:
+the empty set is not closed, and the closure of a first seed examines
+every vertex.  The first child whose closure colors every vertex is the
+answer.
 
-Prefixes are pruned by dominance.  The closure ``cl`` (of the union of
+Children are pruned by dominance.  The closure ``cl`` (of the union of
 the seeds of a set) is extensive, monotone and idempotent under either
 rule: a force available from ``X`` is still available, or already done,
-from any superset of ``X``.  Let ``R`` be a prefix the walk reached
-before the prefix ``P``, with ``|R| <= |P|`` and ``cl(R) = cl(P)``.  If
-``P | X`` closes, for vertices ``X`` after those of ``P``, then so does
-``R | X``, since ``cl(R | X) = cl(cl(R) | X) = cl(P | X)``.  Either
-``R | X`` is smaller, which cannot be, since every smaller size has
-already failed; or ``R`` and ``X`` are disjoint and ``|R| = |P|``, so
-``R | X`` is a closing set of the same size that comes lexicographically
-before ``P | X``.  So a passed-over set that closes always has an earlier
-closing set of its size, and the first one is never passed over.  Each
-size therefore keeps a memo from the closure of each internal prefix to
-the least length it was reached at, and a prefix whose closure the memo
-holds at the same or a smaller length is pruned with its whole subtree;
-``prefixes_pruned`` counts these.
+from any superset of ``X``.  A child ``P`` whose closure is already a key
+of the previous level or of the new one is dropped, and
+``prefixes_pruned`` counts it.  Then a set ``R`` reached earlier has
+``cl(R) = cl(P)``, and either ``|R| < |P|`` (previous level), or
+``|R| = |P|`` and ``R`` comes lexicographically before ``P`` (same
+level).  Take the lexicographically first minimum closing set ``W``, and
+suppose its shortest prefix that is not kept is such a ``P``, with
+``W = P | X``.  Then ``R | X`` closes too, since
+``cl(R | X) = cl(cl(R) | X) = cl(P | X)``.  Either it is smaller than
+``W``, or ``R`` and ``X`` are disjoint and ``|R| = |P|``, so it has the
+size of ``W`` and comes before it: ``R`` agrees with ``P`` up to a
+smaller vertex, and all of ``X`` comes after ``P``.  Both contradict the
+choice of ``W``, so the scan reaches ``W`` and, taking each size in
+lexicographic order, returns it.  The key of the empty set, 0, is not
+its closure under the loop rule, but no child's closure is empty, so
+none is dropped by it.  Only the previous level is kept as a memo; one
+over all levels would hold every set for few more cuts.
 
-A vertex whose seeds already lie in the closure of the prefix is the
-cheap special case, with ``R = P`` itself: the extended prefix has the
-closure of a smaller one, so it is skipped without computing a closure,
-and such sets never count in ``subsets_tested``.  It never fires at the
-root, where the prefix is empty.
+A vertex whose seeds already lie in the closure of its parent is the
+cheap special case, with ``R`` the parent itself: the child is skipped
+without computing a closure.  It never fires at size 1, where the parent
+is empty.
 
 The closure deliberately does not share code with the worklist engine in
 :mod:`forcing_lab.propagation`.  Every witness the constructions return is
@@ -50,16 +57,14 @@ the scan starts at size 1, so its verdicts stay independent of the
 results being validated.
 
 Limits are explicit: an order above ``max_n`` raises
-:class:`ResourceLimitError`, and so does a scan that computes the closure
-of more than ``max_subsets`` full-size candidate sets.  ``subsets_tested``
-counts those same sets; skipped and pruned sets and the closures of
-prefixes are not counted.  The memo shares that budget: it stops
-recording once its entries and the sets tested so far together reach
-``max_subsets``, so it never holds more than ``max_subsets`` closures
-(about 100 bytes each).  Pruning is optional, so a full memo can cost
-time but never changes an answer.  The solver never silently
-approximates.  There is no wall-clock limit, so a verdict never depends
-on the speed of the host.
+:class:`ResourceLimitError`, and so does a scan that computes more than
+``max_subsets`` closures.  ``subsets_tested`` counts every closure
+computed, at every size, and ``tested_per_size`` splits it by size;
+skipped children are not counted.  Every set a level holds had its
+closure computed, so the sets held never outnumber ``subsets_tested <=
+max_subsets``, at about 110 bytes each (a dict slot and two ints).  The
+solver never silently approximates.  There is no wall-clock limit, so a
+verdict never depends on the speed of the host.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .errors import ResourceLimitError
 @dataclass(frozen=True)
 class SearchLimits:
     """Bounds on the exhaustive search: the largest order it accepts and
-    the number of full-size candidate sets whose closure it may compute."""
+    the number of closures it may compute."""
 
     max_n: int = 24
     max_subsets: int = 5_000_000
@@ -90,6 +95,7 @@ class MinimumSetResult:
     witness: frozenset[int]
     subsets_tested: int
     prefixes_pruned: int
+    tested_per_size: tuple[int, ...]
 
 
 def _closure(
@@ -140,59 +146,44 @@ def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSet
     seeds = [(1 << v) | (masks[v] if dominate else 0) for v in range(n)]
     loop_rule = g.has_loops
     full = (1 << n) - 1
-    # Under the loop rule the empty set can force, so the root is not
-    # closed and a first seed's closure examines every vertex.
-    root_pool = full if loop_rule else 0
+    # level maps the closure of each surviving set of the previous size to
+    # its vertex mask, in lexicographic order; the empty set starts it.
+    level = {0: 0}
     tested = pruned = 0
-    for size in range(1, n + 1):
-        # combo[:depth] is the prefix, closed[j] the closure of the seeds
-        # of its first j vertices, v the next vertex to try after it;
-        # seen maps the closure of an internal prefix combo[:depth + 1]
-        # to the least depth it was reached at.
-        combo = [0] * size
-        closed = [0] * size
-        seen: dict[int, int] = {}
-        depth = v = 0
-        while True:
-            if v > n - size + depth:
-                if not depth:
-                    break
-                depth -= 1
-                v = combo[depth] + 1
-                continue
-            base = closed[depth]
-            fresh = seeds[v] & ~base
-            if not fresh:
-                v += 1
-                continue
-            combo[depth] = v
-            colored = _closure(
-                masks, inn, loop_rule, base | fresh, fresh, 0 if depth else root_pool
-            )
-            if depth + 1 < size:
-                if seen.get(colored, size) <= depth:
-                    pruned += 1
-                    v += 1
+    per_size: list[int] = []
+    # Under the loop rule the empty set can force, so a first seed's
+    # closure examines every vertex.
+    pool = full if loop_rule else 0
+    while level:
+        before = tested
+        nxt: dict[int, int] = {}
+        for base, chosen in level.items():
+            for v in range(chosen.bit_length(), n):
+                fresh = seeds[v] & ~base
+                if not fresh:
                     continue
-                if len(seen) + tested < limits.max_subsets:
-                    seen[colored] = depth
-                depth += 1
-                closed[depth] = colored
-                v += 1
-                continue
-            tested += 1
-            if tested > limits.max_subsets:
-                raise ResourceLimitError(
-                    f"subset budget of {limits.max_subsets} exhausted"
-                )
-            if colored == full:
-                return MinimumSetResult(
-                    number=size,
-                    witness=frozenset(combo),
-                    subsets_tested=tested,
-                    prefixes_pruned=pruned,
-                )
-            v += 1
+                tested += 1
+                if tested > limits.max_subsets:
+                    raise ResourceLimitError(
+                        f"subset budget of {limits.max_subsets} exhausted"
+                    )
+                colored = _closure(masks, inn, loop_rule, base | fresh, fresh, pool)
+                if colored == full:
+                    chosen |= 1 << v
+                    return MinimumSetResult(
+                        number=len(per_size) + 1,
+                        witness=frozenset(u for u in range(n) if chosen >> u & 1),
+                        subsets_tested=tested,
+                        prefixes_pruned=pruned,
+                        tested_per_size=(*per_size, tested - before),
+                    )
+                if colored in level or colored in nxt:
+                    pruned += 1
+                else:
+                    nxt[colored] = chosen | 1 << v
+        per_size.append(tested - before)
+        level = nxt
+        pool = 0
     raise AssertionError("the full vertex set always succeeds")
 
 

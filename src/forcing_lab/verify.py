@@ -9,12 +9,13 @@ random corpora use fixed seeds, making every run identical.
 Two checks deliberately cover only a sub-grid: the 3-regular depth-2
 instances are replaced by the same property at the smaller sizes, and
 the details strings say so explicitly.  The cut instances cost far more
-than the about one second all suites take together (2-core x86_64,
+than the under one second all suites take together (2-core x86_64,
 Python 3.11.7): Z of L^2 of the 3-regular order-3 class (27 vertices,
-Z = 18) takes about 16 s and 2.9*10^6 subsets; gamma_P of L^2 of each of
+Z = 18) takes 5-8 s and 2.9*10^6 closures; gamma_P of L^2 of each of
 the five 3-regular order-4 classes (36 vertices, gamma_P = 8) takes
-14-15 s and 2.6-3.0*10^6 subsets; and Z of those order-4 iterates
-(Z = nullity = 24) exhausts the default 5*10^6 budget after 7-16 s.
+4-7 s and 1.6-2.0*10^6 closures; and Z of those order-4 iterates
+(Z = nullity = 24) exhausts the default budget of 5*10^6 closures after
+10-15 s.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def check_gimbert_rank(count: int = 20, seed: int = 1291) -> list[CheckResult]:
 def check_nullity_collapse() -> list[CheckResult]:
     """Adjacency nullity of L^k(G) equals brute-force Z(L^k(G)) over the
     regular classes; the 3-regular depth-2 sizes are skipped, since Z of
-    the 27-vertex iterate takes about 16 s and the 36-vertex scans exhaust
+    the 27-vertex iterate takes 5-8 s and the 36-vertex scans exhaust
     the 5*10^6-subset budget (the same identity is covered at every
     smaller size)."""
     checked = 0
@@ -306,7 +307,7 @@ def check_nullity_collapse() -> list[CheckResult]:
             "adjacency nullity of iterates equals brute-force zero forcing",
             ok == checked and checked > 0,
             f"{ok}/{checked} (d,order,depth) instances; 3-regular depth-2 "
-            "skipped: Z of the 27-vertex iterate takes about 16 s and the "
+            "skipped: Z of the 27-vertex iterate takes 5-8 s and the "
             "36-vertex scans exhaust the 5*10^6-subset budget",
         )
     ]
@@ -411,7 +412,7 @@ def check_sandwich() -> list[CheckResult]:
 def check_pd_identity() -> list[CheckResult]:
     """Brute-force power domination of L^2(G) equals brute-force zero
     forcing of L(G) for regular G; the 3-regular order-4 case is skipped,
-    since gamma_P of each 36-vertex L^2 takes 14-15 s."""
+    since gamma_P of each 36-vertex L^2 takes 4-7 s."""
     checked = 0
     ok = 0
     for d, orders in [(2, (2, 3, 4)), (3, (3,))]:
@@ -432,7 +433,7 @@ def check_pd_identity() -> list[CheckResult]:
             "of the line digraph",
             ok == checked and checked > 0,
             f"{ok}/{checked} regular classes; 3-regular order-4 skipped: "
-            "gamma_P of each 36-vertex iterate takes 14-15 s",
+            "gamma_P of each 36-vertex iterate takes 4-7 s",
         )
     ]
 

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import forcing_lab
 from forcing_lab import cli, iso
 from forcing_lab.cli import main
 
@@ -54,7 +59,8 @@ def test_zf_min(capsys, tmp_path):
     code, doc, _ = _run_json(capsys, "zf", "min", path)
     assert code == 0
     assert doc["number"] == 4 and doc["witness"] == [0, 2, 4, 6]
-    assert doc["subsets_tested"] == 29 and doc["prefixes_pruned"] == 9
+    assert doc["subsets_tested"] == 29 and doc["prefixes_pruned"] == 14
+    assert doc["tested_per_size"] == [8, 12, 8, 1]
 
 
 def test_zf_check_exit_codes(capsys, tmp_path):
@@ -94,7 +100,8 @@ def test_pd_min_and_construct(capsys, tmp_path):
     path = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "3")
     code, doc, _ = _run_json(capsys, "pd", "min", path)
     assert code == 0 and doc["number"] == 2 and doc["witness"] == [1, 6]
-    assert doc["subsets_tested"] == 20 and doc["prefixes_pruned"] == 0
+    assert doc["subsets_tested"] == 20 and doc["prefixes_pruned"] == 8
+    assert doc["tested_per_size"] == [8, 12]
 
     k3 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "3")
     code, doc, err = _run_json(capsys, "pd", "construct-l2", k3)
@@ -293,3 +300,18 @@ def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):
 
 def test_usage_error_without_subcommand(capsys):
     assert _run(capsys)[0] == 2
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    src = str(Path(forcing_lab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, path)))}
+    done = subprocess.run(
+        [sys.executable, "-m", "forcing_lab", "verify", "de-bruijn"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, out, _ = _run(capsys, "verify", "de-bruijn")
+    assert code == 0 and done.stdout == out
+    doc = json.loads(done.stdout)
+    assert doc["suite"] == "de-bruijn" and doc["failed"] == 0 and doc["checks"]

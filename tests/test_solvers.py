@@ -178,34 +178,45 @@ def _unskipped_count(g: Digraph, number: int, witness: frozenset[int]) -> int:
 
 
 def test_subsets_tested_counts_the_closed_full_size_sets():
-    for g, tested, pruned, unskipped in (
-        (de_bruijn(2, 3), 29, 9, 113),
-        (de_bruijn(3, 2), 184, 26, 405),
+    # every set whose closure was computed counts, at every size; the
+    # memo drops the children whose closure an earlier set reached
+    for solve, g, tested, pruned, unskipped in (
+        (min_zero_forcing, de_bruijn(2, 3), 29, 14, 113),
+        (min_zero_forcing, de_bruijn(3, 2), 184, 60, 405),
+        (min_power_dominating, de_bruijn(2, 3), 20, 8, 20),
+        (min_power_dominating, de_bruijn(3, 2), 18, 4, 18),
     ):
-        result = min_zero_forcing(g)
+        result = solve(g)
         assert (result.subsets_tested, result.prefixes_pruned) == (tested, pruned)
+        assert sum(result.tested_per_size) == tested
+        assert len(result.tested_per_size) == result.number
         assert _unskipped_count(g, result.number, result.witness) == unskipped
-        assert tested < unskipped
-    # power domination closes at size 2 here, before any set is passed over
-    for g, tested in ((de_bruijn(2, 3), 20), (de_bruijn(3, 2), 18)):
-        result = min_power_dominating(g)
-        assert (result.subsets_tested, result.prefixes_pruned) == (tested, 0)
-        assert _unskipped_count(g, result.number, result.witness) == tested
+        assert tested <= unskipped
 
 
-def test_a_capped_memo_returns_the_uncapped_answer():
-    # the memo stops recording once it and the sets tested reach the
-    # budget; these budgets cap it before the scan ends, yet let it finish
-    for solve, g, budget in (
-        (min_zero_forcing, de_bruijn(2, 3), 31),
-        (min_zero_forcing, de_bruijn(3, 2), 202),
-        (min_power_dominating, de_bruijn(2, 4), 725),
+def test_tested_per_size_on_de_bruijn_2_3():
+    # Z keeps 4, 6 and 4 of the sets it closes at sizes 1-3, and the
+    # first set of size 4 it closes colors every vertex
+    assert min_zero_forcing(de_bruijn(2, 3)).tested_per_size == (8, 12, 8, 1)
+    assert min_power_dominating(de_bruijn(2, 3)).tested_per_size == (8, 12)
+
+
+def test_a_budget_of_exactly_the_sets_tested_suffices():
+    for solve, g in (
+        (min_zero_forcing, de_bruijn(2, 3)),
+        (min_zero_forcing, de_bruijn(3, 2)),
+        (min_power_dominating, de_bruijn(2, 4)),
     ):
         free = solve(g)
-        capped = solve(g, limits=SearchLimits(max_subsets=budget))
-        assert (capped.number, capped.witness) == (free.number, free.witness)
-        assert capped.prefixes_pruned < free.prefixes_pruned
-        assert free.subsets_tested <= capped.subsets_tested <= budget
+        exact = solve(g, limits=SearchLimits(max_subsets=free.subsets_tested))
+        assert (exact.number, exact.witness, exact.subsets_tested) == (
+            free.number,
+            free.witness,
+            free.subsets_tested,
+        )
+        budget = free.subsets_tested - 1
+        with pytest.raises(ResourceLimitError, match=f"subset budget of {budget} "):
+            solve(g, limits=SearchLimits(max_subsets=budget))
 
 
 def test_solvers_do_not_import_the_propagation_engine():
