@@ -54,12 +54,7 @@ from .linalg import (
     mr_and_max_nullity_regular_line,
     rank_exact,
 )
-from .solvers import (
-    MinimumSetResult,
-    SearchLimits,
-    min_power_dominating,
-    min_zero_forcing,
-)
+from .solvers import MinimumSetResult, min_power_dominating, min_zero_forcing
 
 __version__ = "0.1.0"
 
@@ -108,7 +103,6 @@ __all__ = [
     "mr_and_max_nullity_regular_line",
     "rank_exact",
     "MinimumSetResult",
-    "SearchLimits",
     "min_power_dominating",
     "min_zero_forcing",
     "__version__",

@@ -7,15 +7,13 @@ Exit codes: 0 success, 1 a checked property does not hold (a set fails
 to force, digraphs are not isomorphic, a verification suite has a
 failing check), 2 usage or domain error, 3 search abandoned on a
 resource limit, 4 internal error (any other exception, reported on one
-stderr line).  The ``FORCING_LAB_MAX_N`` environment variable, a positive
-integer, overrides the solver order limit.
+stderr line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from typing import Callable, Sequence
@@ -37,12 +35,7 @@ from .iso import are_isomorphic
 from .linalg import adjacency_rank, mr_and_max_nullity_regular_line
 from .lines import iterated_line
 from .propagation import PropagationTrace, pd_closure, zf_closure
-from .solvers import (
-    MinimumSetResult,
-    SearchLimits,
-    min_power_dominating,
-    min_zero_forcing,
-)
+from .solvers import MinimumSetResult, min_power_dominating, min_zero_forcing
 from .verify import run_suite
 
 
@@ -104,19 +97,6 @@ def _parse_vertex_set(
     return frozenset(vertices)
 
 
-def _solver_limits() -> SearchLimits:
-    env = os.environ.get("FORCING_LAB_MAX_N")
-    if env is None:
-        return SearchLimits()
-    try:
-        max_n = int(env)
-    except ValueError:
-        max_n = 0
-    if max_n < 1:
-        raise DomainError(f"FORCING_LAB_MAX_N must be a positive integer, got {env!r}")
-    return SearchLimits(max_n=max_n)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     provided = {
         name: getattr(args, name)
@@ -142,8 +122,10 @@ def _cmd_line(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_min(g: Digraph, solve: Callable[..., MinimumSetResult], what: str) -> int:
-    result = solve(g, limits=_solver_limits())
+def _cmd_min(
+    g: Digraph, solve: Callable[[Digraph], MinimumSetResult], what: str
+) -> int:
+    result = solve(g)
     _emit(
         {
             "number": result.number,

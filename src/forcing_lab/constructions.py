@@ -16,7 +16,7 @@ witness reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .digraph import Digraph, check_vertex_set
 from .errors import DomainError
@@ -48,22 +48,7 @@ class OneFactor:
     def cycles(self) -> list[list[int]]:
         """Factor cycles in arc order, each starting at its least vertex,
         listed by least vertex ascending."""
-        successor = [0] * self.host.n
-        for v, u in enumerate(self.f):
-            successor[u] = v
-        seen = [False] * self.host.n
-        cycles = []
-        for start in range(self.host.n):
-            if seen[start]:
-                continue
-            cycle = []
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                cycle.append(v)
-                v = successor[v]
-            cycles.append(cycle)
-        return cycles
+        return _predecessor_cycles(self.f)
 
     def is_good(self) -> bool:
         """Every factor cycle contains a vertex of host in-degree > 1."""
@@ -98,6 +83,30 @@ class CycleFactorization:
             raise DomainError("factors do not cover every arc")
 
 
+def _predecessor_cycles(predecessor: Sequence[int]) -> list[list[int]]:
+    """The cycles of a map sending each vertex to the tail of its one
+    in-arc, or to -1 when it has none, in arc order, each starting at its
+    least vertex, listed by least vertex ascending.  Each vertex is walked
+    once."""
+    walk_of = [-1] * len(predecessor)  # the start whose walk reached it
+    cycles = []
+    for start in range(len(predecessor)):
+        path = []
+        v = start
+        while v >= 0 and walk_of[v] < 0:
+            walk_of[v] = start
+            path.append(v)
+            v = predecessor[v]
+        if v >= 0 and walk_of[v] == start:
+            # Walked back onto this walk: its tail from v, reversed, is a
+            # cycle in arc order.
+            cycle = path[path.index(v) :][::-1]
+            least = cycle.index(min(cycle))
+            cycles.append(cycle[least:] + cycle[:least])
+    cycles.sort(key=lambda c: c[0])
+    return cycles
+
+
 def in_degree_one_cycles(g: Digraph) -> list[list[int]]:
     """All cycles whose every vertex has in-degree exactly 1.
 
@@ -105,35 +114,12 @@ def in_degree_one_cycles(g: Digraph) -> list[list[int]]:
     cycles are the cycles of a partial function and are pairwise disjoint.
     Each cycle is returned in arc order starting at its least vertex.
     """
-    eligible = {v for v in range(g.n) if g.in_degree(v) == 1}
-    predecessor = {v: next(iter(g.in_neighborhood(v))) for v in eligible}
-    state = {v: 0 for v in eligible}  # 0 unvisited, 1 in progress, 2 done
-    cycles = []
-    for start in sorted(eligible):
-        if state[start]:
-            continue
-        path = []
-        v = start
-        while v in eligible and state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = predecessor[v]
-        if v in eligible and state[v] == 1:
-            # Walked back onto the current chain: the tail from v is a cycle.
-            cycle = path[path.index(v) :]
-            cycle.reverse()  # predecessor order reversed = arc order
-            least = cycle.index(min(cycle))
-            cycles.append(cycle[least:] + cycle[:least])
-        for w in path:
-            state[w] = 2
-    cycles.sort(key=lambda c: c[0])
-    seen: set[int] = set()
-    for cycle in cycles:
-        for v in cycle:
-            if v in seen:
-                raise AssertionError("vertex on two in-degree-one cycles")
-            seen.add(v)
-    return cycles
+    return _predecessor_cycles(
+        [
+            next(iter(g.in_neighborhood(v))) if g.in_degree(v) == 1 else -1
+            for v in range(g.n)
+        ]
+    )
 
 
 def _out_lists(g: Digraph) -> list[list[int]]:

@@ -56,13 +56,13 @@ Both problems share one scan.  No theorem-derived lower bound is applied:
 the scan starts at size 1, so its verdicts stay independent of the
 results being validated.
 
-Limits are explicit: an order above ``max_n`` raises
+Limits are explicit: an order above ``_MAX_ORDER`` raises
 :class:`ResourceLimitError`, and so does a scan that computes more than
-``max_subsets`` closures.  ``subsets_tested`` counts every closure
+``_MAX_CLOSURES`` closures.  ``subsets_tested`` counts every closure
 computed, at every size, and ``tested_per_size`` splits it by size;
 skipped children are not counted.  Every set a level holds had its
 closure computed, so the sets held never outnumber ``subsets_tested <=
-max_subsets``, at about 110 bytes each (a dict slot and two ints).  The
+_MAX_CLOSURES``, at about 110 bytes each (a dict slot and two ints).  The
 solver never silently approximates.  There is no wall-clock limit, so a
 verdict never depends on the speed of the host.
 """
@@ -75,16 +75,10 @@ from .digraph import Digraph, adjacency_masks
 from .errors import ResourceLimitError
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Bounds on the exhaustive search: the largest order it accepts and
-    the number of closures it may compute."""
-
-    max_n: int = 24
-    max_subsets: int = 5_000_000
-
-
-DEFAULT_LIMITS = SearchLimits()
+# The largest order scanned, and the closures one scan may compute; the
+# budget is what bounds time and memory at any order.
+_MAX_ORDER = 40
+_MAX_CLOSURES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -132,16 +126,16 @@ def _closure(
     return colored
 
 
-def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSetResult:
+def _scan(g: Digraph, dominate: bool) -> MinimumSetResult:
     """The lexicographically first set, smallest size first, whose closure
     colors every vertex; with ``dominate`` each seed first colors its
     out-neighbors as well."""
-    limits = limits or DEFAULT_LIMITS
     n = g.n
-    if n > limits.max_n:
+    if n > _MAX_ORDER:
         raise ResourceLimitError(
-            f"order {n} exceeds the configured solver limit {limits.max_n}"
+            f"order {n} exceeds the configured solver limit {_MAX_ORDER}"
         )
+    budget = _MAX_CLOSURES
     masks, inn = adjacency_masks(g)
     seeds = [(1 << v) | (masks[v] if dominate else 0) for v in range(n)]
     loop_rule = g.has_loops
@@ -163,10 +157,8 @@ def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSet
                 if not fresh:
                     continue
                 tested += 1
-                if tested > limits.max_subsets:
-                    raise ResourceLimitError(
-                        f"subset budget of {limits.max_subsets} exhausted"
-                    )
+                if tested > budget:
+                    raise ResourceLimitError(f"subset budget of {budget} exhausted")
                 colored = _closure(masks, inn, loop_rule, base | fresh, fresh, pool)
                 if colored == full:
                     chosen |= 1 << v
@@ -187,15 +179,11 @@ def _scan(g: Digraph, limits: SearchLimits | None, dominate: bool) -> MinimumSet
     raise AssertionError("the full vertex set always succeeds")
 
 
-def min_zero_forcing(
-    g: Digraph, *, limits: SearchLimits | None = None
-) -> MinimumSetResult:
+def min_zero_forcing(g: Digraph) -> MinimumSetResult:
     """Minimum zero forcing set by exhaustive scan, smallest size first."""
-    return _scan(g, limits, dominate=False)
+    return _scan(g, dominate=False)
 
 
-def min_power_dominating(
-    g: Digraph, *, limits: SearchLimits | None = None
-) -> MinimumSetResult:
+def min_power_dominating(g: Digraph) -> MinimumSetResult:
     """Minimum power dominating set by exhaustive scan, smallest size first."""
-    return _scan(g, limits, dominate=True)
+    return _scan(g, dominate=True)

@@ -14,8 +14,7 @@ Python 3.11.7): Z of L^2 of the 3-regular order-3 class (27 vertices,
 Z = 18) takes 5-8 s and 2.9*10^6 closures; gamma_P of L^2 of each of
 the five 3-regular order-4 classes (36 vertices, gamma_P = 8) takes
 4-7 s and 1.6-2.0*10^6 closures; and Z of those order-4 iterates
-(Z = nullity = 24) exhausts the default budget of 5*10^6 closures after
-10-15 s.
+(Z = nullity = 24) exhausts the budget of 5*10^6 closures after 10-15 s.
 """
 
 from __future__ import annotations
@@ -53,9 +52,7 @@ from .iso import are_isomorphic
 from .linalg import adjacency_rank, mr_and_max_nullity_regular_line
 from .lines import iterated_line, line_digraph
 from .propagation import is_power_dominating_set, is_zero_forcing_set
-from .solvers import SearchLimits, min_power_dominating, min_zero_forcing
-
-_SUITE_LIMITS = SearchLimits(max_n=40)
+from .solvers import min_power_dominating, min_zero_forcing
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,12 @@ def _check(label: str, passed: bool, details: str = "") -> CheckResult:
     return CheckResult(label=label, passed=bool(passed), details=details)
 
 
-def check_line_zf_formula(count: int = 100, seed: int = 20260823) -> list[CheckResult]:
+def check_line_zf_formula() -> list[CheckResult]:
     """Z(L(G)) = |A(G)| - |V(G)| on seeded random digraphs with minimum
     out-degree 2 and minimum in-degree 1, and the constructed witness has
     exactly that size."""
-    rng = Random(seed)
+    count = 100
+    rng = Random(20260823)
     agree = 0
     witness_ok = 0
     for i in range(count):
@@ -87,7 +85,7 @@ def check_line_zf_formula(count: int = 100, seed: int = 20260823) -> list[CheckR
             allow_loops=(i % 4 == 0),
         )
         expected = g.arc_count - g.n
-        brute = min_zero_forcing(line_digraph(g).graph, limits=_SUITE_LIMITS)
+        brute = min_zero_forcing(line_digraph(g).graph)
         if brute.number == expected:
             agree += 1
         witness = construct_zfs_line(g)
@@ -116,8 +114,8 @@ def check_de_bruijn_suite() -> list[CheckResult]:
         (3, 2, 6, 2),
     ]:
         g = de_bruijn(d, big_d)
-        z = min_zero_forcing(g, limits=_SUITE_LIMITS).number
-        gp = min_power_dominating(g, limits=_SUITE_LIMITS).number
+        z = min_zero_forcing(g).number
+        gp = min_power_dominating(g).number
         results.append(
             _check(
                 f"Z(B({d},{big_d})) == {z_expected}",
@@ -153,11 +151,8 @@ def check_kautz_suite() -> list[CheckResult]:
     out-degree)."""
     k33 = kautz(3, 3)
     zf_witness = construct_zfs_line(kautz(3, 2))
-    phi = are_isomorphic(zf_witness.line.graph, k33)
     twin_bound = twin_forcing_lower_bound(k33)
-    zf_on_k33 = phi is not None and is_zero_forcing_set(
-        k33, {phi[v] for v in zf_witness.vertices}
-    )
+    zf_on_k33 = is_zero_forcing_set(k33, zf_witness.vertices)
     results = [
         _check(
             "Z(K(3,3)) == 24 by the in-twin bound and a verified witness",
@@ -165,11 +160,11 @@ def check_kautz_suite() -> list[CheckResult]:
             f"in-twin lower bound {twin_bound}; the witness of "
             f"{len(zf_witness.vertices)} on L(K(3,2)) "
             f"{'is' if zf_on_k33 else 'is NOT'} zero forcing on K(3,3) "
-            f"through the isomorphism",
+            "with the same vertex ids",
         ),
         _check(
             "L(K(3,2)) isomorphic to K(3,3)",
-            phi is not None,
+            zf_witness.line.graph == k33,
             "line operator reproduces the family",
         ),
     ]
@@ -183,15 +178,14 @@ def check_kautz_suite() -> list[CheckResult]:
     )
     base = complete_without_loops(4)
     witness = construct_pds_L2(base)
-    iso = are_isomorphic(witness.line.graph, k33)
     max_out = k33.degrees().max_out
     lower = -(-twin_bound // max_out)
     results.append(
         _check(
             "power domination number of K(3,3) == 8",
-            len(witness.vertices) == 8 and iso is not None and lower == 8,
+            len(witness.vertices) == 8 and witness.line.graph == k33 and lower == 8,
             f"constructed set of {len(witness.vertices)} on L^2 of the "
-            f"loop-free complete digraph (isomorphic to K(3,3)); lower "
+            f"loop-free complete digraph (equal to K(3,3)); lower "
             f"bound ceil({twin_bound}/{max_out}) = {lower}: the in-twin "
             f"bound through ceil(Z / max out-degree), an inequality the "
             f"sandwich suite brute-forces but that is not proven here",
@@ -209,7 +203,7 @@ def check_generalized_families() -> list[CheckResult]:
     gk_iso = are_isomorphic(
         gen_kautz(2, 6), line_digraph(gen_kautz(2, 3)).graph
     )
-    z = min_zero_forcing(gen_de_bruijn(2, 12), limits=_SUITE_LIMITS).number
+    z = min_zero_forcing(gen_de_bruijn(2, 12)).number
     return [
         _check(
             "GB(2,6) isomorphic to L(GB(2,3))",
@@ -235,9 +229,9 @@ def check_wrapped_butterfly() -> list[CheckResult]:
     wb = wrapped_butterfly(2, 2)
     base = conjunction(complete_with_loops(2), cycle(2))
     iso = are_isomorphic(wb, line_digraph(base).graph)
-    z = min_zero_forcing(wb, limits=_SUITE_LIMITS).number
+    z = min_zero_forcing(wb).number
     rank = adjacency_rank(wb)
-    gp = min_power_dominating(wb, limits=_SUITE_LIMITS).number
+    gp = min_power_dominating(wb).number
     claimed = 2 * (2 - 1)
     agreement = "agrees with" if gp == claimed else "DISAGREES with"
     return [
@@ -260,9 +254,10 @@ def check_wrapped_butterfly() -> list[CheckResult]:
     ]
 
 
-def check_gimbert_rank(count: int = 20, seed: int = 1291) -> list[CheckResult]:
+def check_gimbert_rank() -> list[CheckResult]:
     """Adjacency rank of L(G) equals |V(L(G))|/d for random d-regular G."""
-    rng = Random(seed)
+    count = 20
+    rng = Random(1291)
     ok = 0
     by_sandwich = 0
     for i in range(count):
@@ -287,7 +282,7 @@ def check_gimbert_rank(count: int = 20, seed: int = 1291) -> list[CheckResult]:
 def check_nullity_collapse() -> list[CheckResult]:
     """Adjacency nullity of L^k(G) equals brute-force Z(L^k(G)) over the
     regular classes; the 3-regular depth-2 sizes are skipped, since Z of
-    the 27-vertex iterate takes 5-8 s and the 36-vertex scans exhaust
+    the 27-vertex iterate is slow to scan and the 36-vertex scans exhaust
     the 5*10^6-subset budget (the same identity is covered at every
     smaller size)."""
     checked = 0
@@ -298,7 +293,7 @@ def check_nullity_collapse() -> list[CheckResult]:
                 for k in depths:
                     lk = iterated_line(g, k).graph
                     nullity = adjacency_rank(lk).nullity
-                    z = min_zero_forcing(lk, limits=_SUITE_LIMITS).number
+                    z = min_zero_forcing(lk).number
                     checked += 1
                     if nullity == z:
                         ok += 1
@@ -307,15 +302,16 @@ def check_nullity_collapse() -> list[CheckResult]:
             "adjacency nullity of iterates equals brute-force zero forcing",
             ok == checked and checked > 0,
             f"{ok}/{checked} (d,order,depth) instances; 3-regular depth-2 "
-            "skipped: Z of the 27-vertex iterate takes 5-8 s and the "
+            "skipped: Z of the 27-vertex iterate is slow to scan and the "
             "36-vertex scans exhaust the 5*10^6-subset budget",
         )
     ]
 
 
-def check_pd_zf_bridge(count: int = 200, seed: int = 5417) -> list[CheckResult]:
+def check_pd_zf_bridge() -> list[CheckResult]:
     """S power dominates G exactly when N+[S] is a zero forcing set."""
-    rng = Random(seed)
+    count = 200
+    rng = Random(5417)
     ok = 0
     for i in range(count):
         n = rng.randrange(2, 9)
@@ -340,9 +336,10 @@ def check_pd_zf_bridge(count: int = 200, seed: int = 5417) -> list[CheckResult]:
     ]
 
 
-def check_cycle_factorization(count: int = 20, seed: int = 3301) -> list[CheckResult]:
+def check_cycle_factorization() -> list[CheckResult]:
     """d-regular digraphs split into exactly d arc-disjoint 1-factors."""
-    rng = Random(seed)
+    count = 20
+    rng = Random(3301)
     ok = 0
     for i in range(count):
         d = 2 + i % 2
@@ -394,8 +391,8 @@ def check_sandwich() -> list[CheckResult]:
     checked = 0
     ok = 0
     for name, g in _sandwich_instances():
-        z = min_zero_forcing(g, limits=_SUITE_LIMITS).number
-        gp = min_power_dominating(g, limits=_SUITE_LIMITS).number
+        z = min_zero_forcing(g).number
+        gp = min_power_dominating(g).number
         max_out = g.degrees().max_out
         checked += 1
         if z >= gp >= -(-z // max_out):
@@ -412,18 +409,14 @@ def check_sandwich() -> list[CheckResult]:
 def check_pd_identity() -> list[CheckResult]:
     """Brute-force power domination of L^2(G) equals brute-force zero
     forcing of L(G) for regular G; the 3-regular order-4 case is skipped,
-    since gamma_P of each 36-vertex L^2 takes 4-7 s."""
+    since gamma_P of each 36-vertex L^2 is slow to scan."""
     checked = 0
     ok = 0
     for d, orders in [(2, (2, 3, 4)), (3, (3,))]:
         for n in orders:
             for g in regular_digraphs_up_to_iso(n, d):
-                z_line = min_zero_forcing(
-                    line_digraph(g).graph, limits=_SUITE_LIMITS
-                ).number
-                gp_line2 = min_power_dominating(
-                    iterated_line(g, 2).graph, limits=_SUITE_LIMITS
-                ).number
+                z_line = min_zero_forcing(line_digraph(g).graph).number
+                gp_line2 = min_power_dominating(iterated_line(g, 2).graph).number
                 checked += 1
                 if z_line == gp_line2:
                     ok += 1
@@ -433,7 +426,7 @@ def check_pd_identity() -> list[CheckResult]:
             "of the line digraph",
             ok == checked and checked > 0,
             f"{ok}/{checked} regular classes; 3-regular order-4 skipped: "
-            "gamma_P of each 36-vertex iterate takes 4-7 s",
+            "gamma_P of each 36-vertex iterate is slow to scan",
         )
     ]
 

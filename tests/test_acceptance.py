@@ -2,10 +2,10 @@
 each, running every closed-form claim against its independent oracle.
 
 Two criteria run on a reduced grid because their full grids cost far
-more than all suites together: Z of the 27-vertex 3-regular iterate takes
-5-8 s, the 36-vertex Z scans exhaust the 5*10^6-subset budget, and
-gamma_P of each 36-vertex iterate takes 4-7 s.  The suite details say
-exactly what was skipped.  Everything actually run must pass exactly.
+more than all suites together: Z of the 27-vertex 3-regular iterate and
+gamma_P of each 36-vertex iterate are slow to scan, and the 36-vertex Z
+scans exhaust the 5*10^6-subset budget.  The suite details say exactly
+what was skipped.  Everything actually run must pass exactly.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ _CRITERIA = [
         "nullity-collapse",
         "adjacency nullity of L^k(G) equals brute-force Z(L^k(G)) for "
         "regular classes, d in {2,3}, order <= 4, k in {1,2}; 3-regular "
-        "depth-2 runs take 5-8 s or exhaust the subset budget and are "
+        "depth-2 runs are slow or exhaust the subset budget and are "
         "covered at the smaller sizes instead (exact on everything run)",
     ),
     (
@@ -87,7 +87,7 @@ _CRITERIA = [
         "pd-identity",
         "brute-force power domination of L^2(G) equals brute-force "
         "Z(L(G)) for regular classes, d in {2,3}, order <= 4; the "
-        "3-regular order-4 case takes 4-7 s per class and is skipped "
+        "3-regular order-4 case is slow to scan and is skipped "
         "(exact on everything run)",
     ),
 ]

@@ -275,15 +275,13 @@ def test_missing_input_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
-def test_env_limit_override(capsys, tmp_path, monkeypatch):
-    path = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "3")
-    monkeypatch.setenv("FORCING_LAB_MAX_N", "3")
-    code, _, err = _run(capsys, "zf", "min", path)
-    assert code == 3 and "limit" in err
-    for malformed in ("not-a-number", "0", "-1"):
-        monkeypatch.setenv("FORCING_LAB_MAX_N", malformed)
-        code, _, err = _run(capsys, "zf", "min", path)
-        assert code == 2 and "positive integer" in err
+def test_zf_min_order_limit_is_forty(capsys, tmp_path):
+    path = _gen(capsys, tmp_path, "c40.json", "gen", "cycle", "--n", "40")
+    code, out, _ = _run(capsys, "zf", "min", path)
+    assert code == 0 and json.loads(out)["number"] == 1
+    path = _gen(capsys, tmp_path, "c41.json", "gen", "cycle", "--n", "41")
+    code, out, err = _run(capsys, "zf", "min", path)
+    assert code == 3 and out == "" and "limit" in err
 
 
 def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):

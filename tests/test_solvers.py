@@ -14,11 +14,7 @@ from forcing_lab.corpus import random_digraph
 from forcing_lab.families import cycle, de_bruijn
 from forcing_lab import solvers
 from forcing_lab.lines import line_digraph
-from forcing_lab.solvers import (
-    SearchLimits,
-    min_power_dominating,
-    min_zero_forcing,
-)
+from forcing_lab.solvers import min_power_dominating, min_zero_forcing
 
 
 def _naive_zf_final(g: Digraph, start: set[int]) -> set[int]:
@@ -160,14 +156,16 @@ def test_wrapped_butterfly_power_domination_degree_three():
     assert min_power_dominating(wrapped_butterfly(3, 2)).number == 4
 
 
-def test_order_limit():
-    with pytest.raises(ResourceLimitError):
-        min_zero_forcing(de_bruijn(2, 3), limits=SearchLimits(max_n=4))
+def test_order_limit_is_forty():
+    assert min_zero_forcing(cycle(40)).number == 1
+    with pytest.raises(ResourceLimitError, match="order 41 exceeds"):
+        min_zero_forcing(cycle(41))
 
 
-def test_subset_budget():
+def test_subset_budget(monkeypatch):
+    monkeypatch.setattr(solvers, "_MAX_CLOSURES", 3)
     with pytest.raises(ResourceLimitError, match="subset budget of 3 exhausted"):
-        min_zero_forcing(de_bruijn(2, 3), limits=SearchLimits(max_subsets=3))
+        min_zero_forcing(de_bruijn(2, 3))
 
 
 def _unskipped_count(g: Digraph, number: int, witness: frozenset[int]) -> int:
@@ -177,7 +175,7 @@ def _unskipped_count(g: Digraph, number: int, witness: frozenset[int]) -> int:
     return smaller + 1 + next(i for i, c in enumerate(combos) if set(c) == witness)
 
 
-def test_subsets_tested_counts_the_closed_full_size_sets():
+def test_subsets_tested_counts_every_closure_at_every_size():
     # every set whose closure was computed counts, at every size; the
     # memo drops the children whose closure an earlier set reached
     for solve, g, tested, pruned, unskipped in (
@@ -201,22 +199,27 @@ def test_tested_per_size_on_de_bruijn_2_3():
     assert min_power_dominating(de_bruijn(2, 3)).tested_per_size == (8, 12)
 
 
-def test_a_budget_of_exactly_the_sets_tested_suffices():
-    for solve, g in (
-        (min_zero_forcing, de_bruijn(2, 3)),
-        (min_zero_forcing, de_bruijn(3, 2)),
-        (min_power_dominating, de_bruijn(2, 4)),
-    ):
-        free = solve(g)
-        exact = solve(g, limits=SearchLimits(max_subsets=free.subsets_tested))
+def test_a_budget_of_exactly_the_sets_tested_suffices(monkeypatch):
+    cases = [
+        (solve, g, solve(g))
+        for solve, g in (
+            (min_zero_forcing, de_bruijn(2, 3)),
+            (min_zero_forcing, de_bruijn(3, 2)),
+            (min_power_dominating, de_bruijn(2, 4)),
+        )
+    ]
+    for solve, g, free in cases:
+        monkeypatch.setattr(solvers, "_MAX_CLOSURES", free.subsets_tested)
+        exact = solve(g)
         assert (exact.number, exact.witness, exact.subsets_tested) == (
             free.number,
             free.witness,
             free.subsets_tested,
         )
         budget = free.subsets_tested - 1
+        monkeypatch.setattr(solvers, "_MAX_CLOSURES", budget)
         with pytest.raises(ResourceLimitError, match=f"subset budget of {budget} "):
-            solve(g, limits=SearchLimits(max_subsets=budget))
+            solve(g)
 
 
 def test_solvers_do_not_import_the_propagation_engine():
@@ -235,8 +238,9 @@ def test_solvers_do_not_import_the_propagation_engine():
     assert not any(name.startswith("forcing_lab.propagation") for name in imported)
 
 
-def test_budgets_do_not_truncate_answers_silently():
+def test_budgets_do_not_truncate_answers_silently(monkeypatch):
     # a budget generous enough to finish returns the exact optimum
+    monkeypatch.setattr(solvers, "_MAX_CLOSURES", 100)
     g = de_bruijn(2, 2)
-    result = min_zero_forcing(g, limits=SearchLimits(max_subsets=100))
+    result = min_zero_forcing(g)
     assert result.number == 2

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from forcing_lab.errors import DomainError
-from forcing_lab.verify import SUITES, CheckResult, check_pd_zf_bridge, run_suite
+from forcing_lab.verify import SUITES, CheckResult, run_suite
 
 
 def test_registry_names():
@@ -38,8 +38,3 @@ def test_checks_carry_labels_and_details():
     for result in run_suite("de-bruijn"):
         assert result.label and isinstance(result.details, str)
 
-
-def test_suite_parameters_scale_down():
-    results = check_pd_zf_bridge(count=20, seed=5417)
-    assert len(results) == 1 and results[0].passed
-    assert "20/20" in results[0].details
