@@ -52,10 +52,8 @@ class OneFactor:
 
     def is_good(self) -> bool:
         """Every factor cycle contains a vertex of host in-degree > 1."""
-        return all(
-            any(self.host.in_degree(v) > 1 for v in cycle)
-            for cycle in self.cycles()
-        )
+        inn = self.host._in
+        return all(any(len(inn[v]) > 1 for v in cycle) for cycle in self.cycles())
 
 
 @dataclass(frozen=True)
@@ -115,15 +113,12 @@ def in_degree_one_cycles(g: Digraph) -> list[list[int]]:
     Each cycle is returned in arc order starting at its least vertex.
     """
     return _predecessor_cycles(
-        [
-            next(iter(g.in_neighborhood(v))) if g.in_degree(v) == 1 else -1
-            for v in range(g.n)
-        ]
+        [next(iter(tails)) if len(tails) == 1 else -1 for tails in g._in]
     )
 
 
 def _out_lists(g: Digraph) -> list[list[int]]:
-    return [sorted(g.out_neighborhood(u)) for u in range(g.n)]
+    return [sorted(heads) for heads in g._out]
 
 
 def _perfect_matching(neighbors: list[list[int]]) -> list[int] | None:
@@ -139,6 +134,11 @@ def _perfect_matching(neighbors: list[list[int]]) -> list[int] | None:
     match_head = [-1] * n
     visited = [-1] * n  # visited[v] == root: head v seen while augmenting root
     for root in range(n):
+        row = neighbors[root]
+        if row and match_head[row[0]] == -1:
+            # The search's first step, taken without building its stacks.
+            match_head[row[0]] = root
+            continue
         tails = [root]
         positions = [0]
         while tails:
@@ -275,14 +275,14 @@ def construct_zfs_line(g: Digraph) -> LineWitness:
     labeled = line_digraph(g)
     arc_index = {arc: i for i, arc in enumerate(labeled.labels)}
     chosen: set[int] = set()
-    for v in range(g.n):
-        eligible = sorted(g.out_neighborhood(v) - on_bad_cycle)
+    for v, heads in enumerate(g._out):
+        eligible = heads - on_bad_cycle
         if not eligible:
             raise AssertionError(
                 f"vertex {v} has every out-neighbor on an in-degree-one cycle"
             )
-        spared = eligible[0]
-        for w in g.out_neighborhood(v):
+        spared = min(eligible)
+        for w in heads:
             if w != spared:
                 chosen.add(arc_index[(v, w)])
     return _verified(labeled, chosen, g.arc_count - g.n, zf_closure, "zero forcing")

@@ -7,14 +7,24 @@ order, kept as its label, and walk ``w`` has an arc to every walk
 ``w[1:] + (x,)``.  This is the numbering that sorting the arcs of each
 iterate gives, by induction on ``k``: sorting the arcs ``(u, v)`` of
 ``L^j`` sorts them by ``label(u) + (last letter of label(v),)``.
+
+So ``L^k`` is built one level at a time, with no walk looked up: the
+vertices of ``L^{j+1}`` are the sorted arcs of ``L^j``, and arc ``(u, v)``
+points at every arc ``(v, x)``.  Those form one consecutive block of ids,
+``start[v] .. start[v+1] - 1`` with ``start`` the running sum of the
+out-degrees of ``L^j``, because sorted pairs are grouped by their first
+entry.  Each level's order, ``start[-1]``, is known before its walks or
+ids exist, and one above ``digraph.MAX_ORDER`` is refused with
+:class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .digraph import Digraph
-from .errors import DomainError
+from .digraph import MAX_ORDER, Digraph
+from .errors import DomainError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -39,10 +49,13 @@ class LineLabeledDigraph:
             raise DomainError("walk labels must all have the same positive length")
         if len(set(self.labels)) != len(self.labels):
             raise DomainError("walk labels must be pairwise distinct")
-        for walk in self.labels:
-            for v in walk:
-                if not 0 <= v < self.base_n:
-                    raise DomainError(f"walk {walk!r} leaves base order {self.base_n}")
+        if min(map(min, self.labels)) < 0 or max(map(max, self.labels)) >= self.base_n:
+            for walk in self.labels:
+                for v in walk:
+                    if not 0 <= v < self.base_n:
+                        raise DomainError(
+                            f"walk {walk!r} leaves base order {self.base_n}"
+                        )
 
     @property
     def depth(self) -> int:
@@ -55,23 +68,31 @@ class LineLabeledDigraph:
 
 
 def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:
-    """``L^k(g)`` from its walks, listed in lexicographic order by extending
-    them over sorted out-neighbor lists."""
-    out = [sorted(g.out_neighborhood(v)) for v in range(g.n)]
-    walks = [(v,) for v in range(g.n)]
+    """``L^k(g)`` one level at a time from the running sums of the
+    out-degrees (module docstring); ``heads[u]`` is the sorted out-list of
+    ``u`` at the current level."""
+    heads = [sorted(out) for out in g._out]
+    labels = [(v,) for v in range(g.n)]
     for _ in range(k):
-        walks = [w + (x,) for w in walks for x in out[w[-1]]]
-    if not walks:
-        raise DomainError("line digraph of an arc-free digraph is empty")
+        start = [0, *accumulate(map(len, heads))]
+        order = start[-1]
+        if not order:
+            raise DomainError("line digraph of an arc-free digraph is empty")
+        if order > MAX_ORDER:
+            raise ResourceLimitError(
+                f"iterate order {order} is above the limit of {MAX_ORDER}"
+            )
+        # Slices of one list, so that every arc shares its head's int.
+        ids = list(range(order))
+        block = [ids[start[v] : start[v + 1]] for v in range(len(heads))]
+        labels = [w + (labels[v][-1],) for w, out in zip(labels, heads) for v in out]
+        heads = [block[v] for out in heads for v in out]
     graph = g
     if k:
-        index = {w: i for i, w in enumerate(walks)}
-        arcs = [
-            (i, index[w[1:] + (x,)]) for i, w in enumerate(walks) for x in out[w[-1]]
-        ]
+        arcs = ((u, v) for u, out in enumerate(heads) for v in out)
         name = None if g.name is None else "L(" * k + g.name + ")" * k
-        graph = Digraph(len(walks), arcs, name=name)
-    return LineLabeledDigraph(graph=graph, labels=tuple(walks), base_n=g.n)
+        graph = Digraph(len(labels), arcs, name=name)
+    return LineLabeledDigraph(graph=graph, labels=tuple(labels), base_n=g.n)
 
 
 def line_digraph(g: Digraph) -> LineLabeledDigraph:

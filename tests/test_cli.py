@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import forcing_lab
@@ -273,6 +274,20 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
 def test_missing_input_file(capsys):
     code, _, err = _run(capsys, "zf", "min", "/nonexistent.json")
     assert code == 2 and "cannot read" in err
+
+
+def test_orders_above_the_limit_exit_3(capsys, tmp_path):
+    k2 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "2")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "line", k2, "--iterate", "40")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: iterate order 262144 is above")
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 1000000000, "arcs": []}))
+    code, out, err = _run(capsys, "line", str(huge))
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:")
 
 
 def test_zf_min_order_limit_is_forty(capsys, tmp_path):

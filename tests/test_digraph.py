@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+from enum import IntEnum
+from random import Random
+
 import networkx as nx
 import pytest
 
-from forcing_lab.digraph import Digraph
-from forcing_lab.errors import DomainError
+from forcing_lab.digraph import MAX_ORDER, Digraph
+from forcing_lab.errors import DomainError, ResourceLimitError
+
+
+class Vertex(IntEnum):
+    A = 0
+    B = 1
 
 
 def _nx_of(g: Digraph) -> nx.DiGraph:
@@ -57,6 +65,89 @@ def test_rejects_bool_vertex():
 def test_constructor_reports_the_first_bad_arc(n, arcs, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         Digraph(n, arcs)
+
+
+def _first_offender(n: int, arcs: list) -> str | None:
+    """The message of the first arc the constructor must reject, or None:
+    a non-pair, then an endpoint that is not an int in ``0 .. n-1`` (bools
+    are not), then a pair seen earlier."""
+    seen = set()
+    for arc in arcs:
+        if not isinstance(arc, (tuple, list, str)) or len(arc) != 2:
+            return f"arc must be a pair, got {arc!r}"
+        u, v = arc
+        for w in (u, v):
+            if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < n:
+                return f"arc {arc!r} has endpoint outside 0..{n - 1}"
+        if (u, v) in seen:
+            return f"duplicate arc {(u, v)!r}"
+        seen.add((u, v))
+    return None
+
+
+def _messy_arcs(rng: Random, n: int) -> list:
+    arcs: list = []
+    for _ in range(rng.randint(0, 8)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        arcs.append(
+            rng.choice(
+                [
+                    (u, v),
+                    (u, v),
+                    [u, v],
+                    (Vertex.B if n > 1 else Vertex.A, v),
+                    (u, n + rng.randint(0, 2)),
+                    (-1 - rng.randint(0, 2), v),
+                    (True, v),
+                    (u, False),
+                    (float(u), v),
+                    (u, str(v)),
+                    f"{u}{v}",
+                    [u, v, 0],
+                    (u,),
+                    None,
+                    u,
+                    arcs[rng.randrange(len(arcs))] if arcs else (u, v),
+                    arcs[rng.randrange(len(arcs))] if arcs else (u, v),
+                ]
+            )
+        )
+    return arcs
+
+
+def test_constructor_keeps_the_first_offender_rule():
+    rng = Random(20261019)
+    accepted = rejected = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        arcs = _messy_arcs(rng, n)
+        message = _first_offender(n, arcs)
+        if message is None:
+            g = Digraph(n, arcs)
+            assert g.arcs == frozenset((u, v) for u, v in arcs)
+            for w in range(n):
+                assert g.out_neighborhood(w) == {v for u, v in arcs if u == w}
+                assert g.in_neighborhood(w) == {u for u, v in arcs if v == w}
+            accepted += 1
+        else:
+            with pytest.raises(DomainError) as caught:
+                Digraph(n, arcs)
+            assert str(caught.value) == message
+            rejected += 1
+    assert accepted > 300 and rejected > 1500
+
+
+def test_constructor_accepts_an_int_subclass_other_than_bool():
+    g = Digraph(2, [(Vertex.A, Vertex.B), (1, Vertex.A)])
+    assert g.arcs == frozenset({(0, 1), (1, 0)})
+    assert g.out_neighborhood(0) == {1} and g.in_neighborhood(0) == {1}
+    with pytest.raises(DomainError, match=r"^duplicate arc \(<Vertex\.B: 1>, 0\)$"):
+        Digraph(2, [(1, 0), (Vertex.B, 0)])
+
+
+def test_order_above_the_limit_is_refused():
+    with pytest.raises(ResourceLimitError, match=f"^order {MAX_ORDER + 1} is above"):
+        Digraph(MAX_ORDER + 1, [])
 
 
 def test_constructor_state_from_one_pass():

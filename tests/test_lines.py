@@ -111,8 +111,10 @@ def test_labeled_digraph_validation():
         LineLabeledDigraph(g, ((0,),), 2)  # wrong label count
     with pytest.raises(DomainError):
         LineLabeledDigraph(g, ((0,), (0,)), 2)  # duplicate labels
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^walk \(5,\) leaves base order 2$"):
         LineLabeledDigraph(g, ((0,), (5,)), 2)  # letter outside base range
+    with pytest.raises(DomainError, match=r"^walk \(0, -1\) leaves base order 2$"):
+        LineLabeledDigraph(g, ((0, 1), (0, -1)), 2)
 
 
 def test_line_name_tracks_operator():
@@ -183,3 +185,51 @@ def test_iterated_line_of_k2_with_loops_is_de_bruijn_with_the_same_ids():
         assert lab.graph == de_bruijn(d, k + 1)
         for v, walk in enumerate(lab.labels):
             assert sum(x * d ** (k - i) for i, x in enumerate(walk)) == v
+
+
+def _line_by_walk_dict(g: Digraph, k: int) -> tuple[Digraph, list[tuple[int, ...]]]:
+    """``L^k(g)`` from its walks: the length-``k`` walks in lexicographic
+    order, one dict from walk to id, and an arc from walk ``w`` to the id
+    of every ``w[1:] + (x,)``."""
+    out = [sorted(g.out_neighborhood(v)) for v in range(g.n)]
+    walks = [(v,) for v in range(g.n)]
+    for _ in range(k):
+        walks = [w + (x,) for w in walks for x in out[w[-1]]]
+    if not walks:
+        raise DomainError("line digraph of an arc-free digraph is empty")
+    if not k:
+        return g, walks
+    index = {w: i for i, w in enumerate(walks)}
+    arcs = [(i, index[w[1:] + (x,)]) for i, w in enumerate(walks) for x in out[w[-1]]]
+    name = None if g.name is None else "L(" * k + g.name + ")" * k
+    return Digraph(len(walks), arcs, name=name), walks
+
+
+def test_iterated_line_matches_the_walk_dict_reference():
+    rng = Random(20261019)
+    arc_free = with_sink = raised = 0
+    for i in range(1200):
+        g = random_digraph(
+            rng,
+            rng.randint(1, 8),
+            arc_probability=0.0 if i % 20 == 0 else rng.uniform(0.05, 0.5),
+            loop_probability=rng.uniform(0.1, 0.6) if i % 2 else 0.0,
+        )
+        if i % 3:
+            g = Digraph(g.n, g.arcs, name=f"G{i}")
+        arc_free += g.arc_count == 0
+        with_sink += any(not g.out_neighborhood(v) for v in range(g.n))
+        for k in range(4):
+            try:
+                graph, walks = _line_by_walk_dict(g, k)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{exc}$"):
+                    iterated_line(g, k)
+                raised += 1
+                continue
+            lab = iterated_line(g, k)
+            assert lab.labels == tuple(walks)
+            assert lab.graph.arcs_sorted == graph.arcs_sorted
+            assert lab.graph.name == graph.name
+            assert hash(lab.graph) == hash(graph)
+    assert arc_free >= 60 and with_sink > 100 and 0 < raised
