@@ -15,7 +15,9 @@ points at every arc ``(v, x)``.  Those form one consecutive block of ids,
 out-degrees of ``L^j``, because sorted pairs are grouped by their first
 entry.  Each level's order, ``start[-1]``, is known before its walks or
 ids exist, and one above ``digraph.MAX_ORDER`` is refused with
-:class:`ResourceLimitError`.
+:class:`ResourceLimitError`.  Arcs need no check here: a level's arc count
+is the next level's order, and the last level reaches ``Digraph`` as a
+stream over shared id slices, refused there past ``digraph.MAX_ARCS``.
 """
 
 from __future__ import annotations

@@ -290,6 +290,27 @@ def test_orders_above_the_limit_exit_3(capsys, tmp_path):
     assert err.startswith("resource limit:")
 
 
+def test_oversize_families_exit_3_at_once(capsys):
+    for argv in (
+        "de-bruijn --d 2 --D 30",
+        "de-bruijn --d 2 --D 18",
+        "de-bruijn --d 3 --D 100000000",
+        "kautz --d 3 --D 25",
+        "cycle --n 1000000000",
+        "gen-de-bruijn --d 2 --n 1000000000",
+        "wrapped-butterfly --d 2 --n 40",
+        "complete-loops --d 100000",
+    ):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "gen", *argv.split())
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("resource limit:"), argv
+    argv = ("gen", "gen-de-bruijn", "--d", "1000000000", "--n", "5")
+    code, doc, _ = _run_json(capsys, *argv)
+    assert code == 0 and doc["n"] == 5 and len(doc["arcs"]) == 25
+
+
 def test_zf_min_order_limit_is_forty(capsys, tmp_path):
     path = _gen(capsys, tmp_path, "c40.json", "gen", "cycle", "--n", "40")
     code, out, _ = _run(capsys, "zf", "min", path)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import chain, repeat
 from random import Random
 
 import networkx as nx
 import pytest
 
-from forcing_lab.digraph import MAX_ORDER, Digraph
+from forcing_lab import digraph
+from forcing_lab.digraph import MAX_ARCS, MAX_ORDER, Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
 
 
@@ -146,8 +148,34 @@ def test_constructor_accepts_an_int_subclass_other_than_bool():
 
 
 def test_order_above_the_limit_is_refused():
-    with pytest.raises(ResourceLimitError, match=f"^order {MAX_ORDER + 1} is above"):
-        Digraph(MAX_ORDER + 1, [])
+    def unread():
+        raise AssertionError("the order is checked before any arc is read")
+        yield
+
+    refusal = f"^order {MAX_ORDER + 1} is above"
+    for arcs in ([], unread()):
+        with pytest.raises(ResourceLimitError, match=refusal):
+            Digraph(MAX_ORDER + 1, arcs)
+
+
+def test_arc_count_above_the_limit_is_refused():
+    n = 1 << 10
+    arcs = [(u, v) for u in range(n) for v in range(MAX_ARCS // n)]
+    assert Digraph(n, arcs).arc_count == MAX_ARCS
+    refusal = f"^arc count above the limit of {MAX_ARCS}$"
+    with pytest.raises(ResourceLimitError, match=refusal):
+        Digraph(n, arcs + [(0, n - 1)])
+
+
+def test_arc_limit_reads_one_arc_past_the_bound(monkeypatch):
+    monkeypatch.setattr(digraph, "MAX_ARCS", 3)
+    assert Digraph(2, [(0, 0), (0, 1), (1, 0)]).arc_count == 3
+    # an endless stream is refused after the bound plus one arc, unchecked
+    endless = chain([(0, 0), (0, 1), (1, 0)], repeat((9, 9)))
+    with pytest.raises(ResourceLimitError, match="^arc count above the limit of 3$"):
+        Digraph(2, endless)
+    with pytest.raises(DomainError, match="^duplicate arc"):
+        Digraph(2, [(0, 0), (0, 0), (1, 0), (1, 1)])
 
 
 def test_constructor_state_from_one_pass():

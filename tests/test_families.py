@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import warnings
+
 import pytest
 
 from forcing_lab.digraph import Digraph
@@ -67,14 +70,78 @@ def test_gen_de_bruijn_matches_de_bruijn_at_power_order():
 
 
 def test_gen_de_bruijn_non_power_order():
-    g = gen_de_bruijn(2, 5)
-    assert g.n == 5
-    # the residue map can collide, so out-degrees are at most d
-    assert max(g.degrees().out_degrees) <= 2
+    # d consecutive residues are distinct mod n when n >= d; when n < d the
+    # heads collapse onto all n residues
+    for d in (2, 3, 4, 7):
+        for n in range(1, 12):
+            for g in (gen_de_bruijn(d, n), gen_kautz(d, n)):
+                assert g.n == n
+                assert set(g.degrees().out_degrees) == {min(d, n)}
 
 
 def test_gen_kautz_small_is_complete():
     assert gen_kautz(2, 3) == complete_without_loops(3)
+
+
+def _eager_kautz(d: int, big_d: int) -> Digraph:
+    words = [
+        w
+        for w in itertools.product(range(d + 1), repeat=big_d)
+        if all(a != b for a, b in zip(w, w[1:]))
+    ]
+    index = {w: i for i, w in enumerate(words)}
+    arcs = [
+        (index[w], index[w[1:] + (y,)])
+        for w in words
+        for y in range(d + 1)
+        if y != w[-1]
+    ]
+    return Digraph(len(words), arcs, name=f"K({d},{big_d})")
+
+
+def _eager_wrapped_butterfly(d: int, n: int) -> Digraph:
+    words = list(itertools.product(range(d), repeat=n))
+    pairs = list(itertools.product(words, range(n)))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    arcs = [
+        (index[(w, l)], index[(w[:l] + (a,) + w[l + 1 :], (l + 1) % n)])
+        for w, l in pairs
+        for a in range(d)
+    ]
+    return Digraph(len(index), arcs, name=f"WB({d},{n})")
+
+
+def _eager_gen_de_bruijn(d: int, n: int) -> Digraph:
+    arcs = {(x, (d * x + t) % n) for x in range(n) for t in range(d)}
+    return Digraph(n, arcs, name=f"GB({d},{n})")
+
+
+def _eager_gen_kautz(d: int, n: int) -> Digraph:
+    arcs = {(x, (-d * x - t) % n) for x in range(n) for t in range(1, d + 1)}
+    return Digraph(n, arcs, name=f"GK({d},{n})")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "family, reference, seconds",
+    [
+        (kautz, _eager_kautz, range(1, 5)),
+        (wrapped_butterfly, _eager_wrapped_butterfly, range(2, 5)),
+        (gen_de_bruijn, _eager_gen_de_bruijn, range(1, 10)),
+        (gen_kautz, _eager_gen_kautz, range(1, 10)),
+    ],
+    ids=["kautz", "wrapped-butterfly", "gen-de-bruijn", "gen-kautz"],
+)
+def test_streamed_generators_match_their_word_and_set_definitions(
+    family, reference, seconds, d
+):
+    # the word tables, index dicts and dedupe sets the streams replace
+    for second in seconds:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = family(d, second)
+        want = reference(d, second)
+        assert got == want and got.name == want.name
 
 
 def test_wrapped_butterfly_counts():

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 from random import Random
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcing_lab.corpus import random_digraph
 from forcing_lab.digraph import Digraph
-from forcing_lab.errors import DomainError
+from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.families import cycle, de_bruijn, complete_with_loops
 from forcing_lab.iso import are_isomorphic
 from forcing_lab.lines import LineLabeledDigraph, iterated_line, line_digraph
@@ -88,6 +90,14 @@ def test_iterated_line_depths():
 def test_iterated_line_rejects_negative_depth():
     with pytest.raises(DomainError):
         iterated_line(complete_with_loops(2), -1)
+
+
+def test_iterate_with_too_many_arcs_is_refused():
+    # order 362**2 = 131044 is inside MAX_ORDER, but its 4.7*10**7 arcs are not
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="^arc count above the limit"):
+        line_digraph(complete_with_loops(362))
+    assert time.perf_counter() - start < 2
 
 
 def test_labels_are_walks():
