@@ -11,6 +11,10 @@ never a property of the input.  Hypothesis violations raise
 All tie-breaks (choice of excluded out-neighbor, choice of in-neighbor,
 matching augmentation order) resolve to the least vertex id, making every
 witness reproducible.
+
+A line-digraph witness makes one choice per base vertex, then takes each
+id ``i`` of the iterate whose walk ``labels[i]`` fits it: witness ids are
+label positions (see ``lines``), and no walk is ever looked up.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .digraph import Digraph, check_vertex_set
 from .errors import DomainError
-from .lines import LineLabeledDigraph, iterated_line, line_digraph
+from .lines import LineLabeledDigraph, _dashed, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
 
 
@@ -219,8 +223,8 @@ class LineWitness:
     trace: PropagationTrace
 
     def labels(self) -> list[str]:
-        strings = self.line.label_strings()
-        return [strings[v] for v in sorted(self.vertices)]
+        walks = self.line.labels
+        return [_dashed(walks[v]) for v in sorted(self.vertices)]
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -272,19 +276,16 @@ def construct_zfs_line(g: Digraph) -> LineWitness:
     """
     _require_degrees(g, 2, 1)
     on_bad_cycle = {v for cycle in in_degree_one_cycles(g) for v in cycle}
-    labeled = line_digraph(g)
-    arc_index = {arc: i for i, arc in enumerate(labeled.labels)}
-    chosen: set[int] = set()
+    spared = []
     for v, heads in enumerate(g._out):
         eligible = heads - on_bad_cycle
         if not eligible:
             raise AssertionError(
                 f"vertex {v} has every out-neighbor on an in-degree-one cycle"
             )
-        spared = min(eligible)
-        for w in heads:
-            if w != spared:
-                chosen.add(arc_index[(v, w)])
+        spared.append(min(eligible))
+    labeled = line_digraph(g)
+    chosen = {i for i, (v, w) in enumerate(labeled.labels) if w != spared[v]}
     return _verified(labeled, chosen, g.arc_count - g.n, zf_closure, "zero forcing")
 
 
@@ -301,10 +302,9 @@ def construct_pds_L2(g: Digraph) -> LineWitness:
     if factor is None:
         raise DomainError("digraph has no suitable 1-factor")
     labeled = iterated_line(g, 2)
-    walk_index = {walk: i for i, walk in enumerate(labeled.labels)}
     f = factor.f
     chosen = {
-        walk_index[(f[u], u, v)] for u, v in g.arcs if u != f[v]
+        i for i, (t, u, v) in enumerate(labeled.labels) if t == f[u] and u != f[v]
     }
     return _verified(
         labeled, chosen, g.arc_count - g.n, pd_closure, "power domination"
@@ -341,13 +341,10 @@ def construct_pds_L(g: Digraph, s: Iterable[int]) -> LineWitness:
                     f"set fails the out-neighborhood conditions: vertices {y} "
                     f"and {x} have intersecting out-neighborhoods"
                 )
+    # Each vertex's paired in-neighbor; -1, no vertex, for those of s.
+    tail = [-1 if v in chosen_s else owner.get(v, min(g._in[v])) for v in range(g.n)]
     labeled = line_digraph(g)
-    arc_index = {arc: i for i, arc in enumerate(labeled.labels)}
-    chosen: set[int] = set()
-    for v in range(g.n):
-        if v not in chosen_s:
-            tail = owner[v] if v in owner else min(g.in_neighborhood(v))
-            chosen.add(arc_index[(tail, v)])
+    chosen = {i for i, (u, v) in enumerate(labeled.labels) if u == tail[v]}
     return _verified(
         labeled, chosen, g.n - len(chosen_s), pd_closure, "power domination"
     )

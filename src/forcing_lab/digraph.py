@@ -80,7 +80,7 @@ class DegreeSummary:
 class Digraph:
     """Immutable digraph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("n", "arcs", "name", "_out", "_in", "_hash")
+    __slots__ = ("n", "arcs", "name", "_out", "_in")
 
     def __init__(
         self,
@@ -120,7 +120,6 @@ class Digraph:
         self.name = name
         self._out = tuple(map(frozenset, out))
         self._in = tuple(map(frozenset, inn))
-        self._hash = hash((n, self.arcs))
 
     # -- identity ---------------------------------------------------------
 
@@ -130,7 +129,7 @@ class Digraph:
         return self.n == other.n and self.arcs == other.arcs
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.arcs))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

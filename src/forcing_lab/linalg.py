@@ -32,7 +32,7 @@ the values for ``d = 1`` (disjoint cycles).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .digraph import Digraph
 from .errors import DomainError, ResourceLimitError
@@ -57,10 +57,6 @@ class ExactMatrix:
             for x in row if set(map(type, row)) != {int} else ():  # only non-int rows
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise DomainError(f"matrix entry {x!r} is not an int")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ExactMatrix":
-        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def rows(self) -> int:

@@ -66,7 +66,11 @@ class LineLabeledDigraph:
 
     def label_strings(self) -> list[str]:
         """Walks as dash-joined strings, e.g. ``'3-0-1'``."""
-        return ["-".join(str(v) for v in walk) for walk in self.labels]
+        return list(map(_dashed, self.labels))
+
+
+def _dashed(walk: tuple[int, ...]) -> str:
+    return "-".join(map(str, walk))
 
 
 def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:

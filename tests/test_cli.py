@@ -236,6 +236,16 @@ def test_iso_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 3 and out == "" and "gave up after 3 images tried" in err
 
 
+def test_iso_above_the_order_bound_exits_3_at_once(capsys, tmp_path):
+    n = str(iso._MAX_ORDER + 1)
+    c = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", n)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "iso", c, c)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith(f"resource limit: isomorphism search order {n} is above")
+
+
 def test_iso_on_a_long_cycle(capsys, tmp_path):
     c = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "1500")
     code, doc, _ = _run_json(capsys, "iso", c, c)

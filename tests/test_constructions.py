@@ -262,13 +262,41 @@ def test_construct_zfs_line_on_loop_free_complete():
     assert is_zero_forcing_set(witness.line.graph, witness.vertices)
 
 
+def _assert_selects(witness, walks) -> None:
+    """``witness`` holds exactly the vertices labeled ``walks``, found by
+    looking each walk up in a walk -> id dict, and ``labels()`` gives their
+    label strings in id order."""
+    index = {walk: i for i, walk in enumerate(witness.line.labels)}
+    expected = {index[walk] for walk in walks}
+    assert witness.vertices == expected
+    strings = witness.line.label_strings()
+    assert witness.labels() == [strings[v] for v in sorted(expected)]
+
+
+def _zfs_walks(g: Digraph) -> list[tuple[int, int]]:
+    """Every out-arc but the spared one: the least out-neighbor off the
+    in-degree-one cycles."""
+    on_bad_cycle = {v for cycle in in_degree_one_cycles(g) for v in cycle}
+    walks = []
+    for v in range(g.n):
+        heads = g.out_neighborhood(v)
+        spared = min(heads - on_bad_cycle)
+        walks += [(v, w) for w in heads if w != spared]
+    return walks
+
+
 def test_construct_zfs_line_random_corpus():
     rng = Random(71)
-    for _ in range(20):
-        g = random_digraph_min_degrees(rng, 5, min_out=2, min_in=1)
+    bases = [random_digraph_min_degrees(rng, 5, min_out=2, min_in=1) for _ in range(20)]
+    bases += [_in_degree_one_two_cycle(n) for n in range(4, 9)]
+    with_bad_cycle = 0
+    for g in bases:
         witness = construct_zfs_line(g)
         assert len(witness.vertices) == g.arc_count - g.n
         assert is_zero_forcing_set(witness.line.graph, witness.vertices)
+        _assert_selects(witness, _zfs_walks(g))
+        with_bad_cycle += bool(in_degree_one_cycles(g))
+    assert with_bad_cycle >= 5
 
 
 def test_construct_zfs_line_degree_preconditions():
@@ -293,6 +321,29 @@ def test_construct_pds_l2_witness_dominates_square_iterate():
     square = iterated_line(g, 2).graph
     assert witness.line.graph == square
     assert is_power_dominating_set(square, witness.vertices)
+
+
+def test_construct_pds_l2_random_corpus():
+    # Bases with a good 1-factor f give the walks f(u) -> u -> v over the
+    # arcs (u, v) with u != f(v); the others raise.
+    rng = Random(5309)
+    built = 0
+    for i in range(40):
+        g = random_digraph_min_degrees(
+            rng, rng.randint(3, 7), min_out=2, min_in=1, extra_arcs=i % 3
+        )
+        factor = one_factor(g, require_good=True)
+        if factor is None:
+            with pytest.raises(DomainError):
+                construct_pds_L2(g)
+            continue
+        f = factor.f
+        witness = construct_pds_L2(g)
+        assert len(witness.vertices) == g.arc_count - g.n
+        assert is_power_dominating_set(witness.line.graph, witness.vertices)
+        _assert_selects(witness, [(f[u], u, v) for u, v in g.arcs if u != f[v]])
+        built += 1
+    assert built >= 20
 
 
 def test_construct_pds_l2_needs_a_good_factor():
@@ -332,6 +383,16 @@ def test_construct_pds_l_rejects_bad_set():
         construct_pds_L(de_bruijn(2, 3), {1, 5})
 
 
+def _pds_l_walks(g: Digraph, s: frozenset[int]) -> list[tuple[int, int]]:
+    """Each vertex outside ``s`` with its in-neighbor in ``s``, else with
+    its least in-neighbor."""
+    walks = []
+    for v in sorted(set(range(g.n)) - s):
+        owners = g.in_neighborhood(v) & s
+        walks.append((min(owners or g.in_neighborhood(v)), v))
+    return walks
+
+
 def test_construct_pds_l_random_regular():
     # Every combination of size 1-3 goes through construct_pds_L: the valid
     # ones give a power dominating set of size n - |S|, the others raise.
@@ -352,6 +413,7 @@ def test_construct_pds_l_random_regular():
                 witness = construct_pds_L(g, s)
                 assert len(witness.vertices) == g.n - len(s)
                 assert is_power_dominating_set(witness.line.graph, witness.vertices)
+                _assert_selects(witness, _pds_l_walks(g, s))
                 valid[size] += 1
     assert sorted(valid) == [1, 2, 3] and invalid > 100
 

@@ -186,3 +186,15 @@ def test_search_past_its_node_budget_raises(monkeypatch):
         are_isomorphic(g, h)
     monkeypatch.setattr(iso, "_SEARCH_NODES", 10_000)
     assert _is_valid_mapping(g, h, are_isomorphic(g, h))
+
+
+def test_orders_above_the_bound_are_refused_before_the_search(monkeypatch):
+    monkeypatch.setattr(iso, "_MAX_ORDER", 5)
+    assert are_isomorphic(cycle(5), cycle(5)) == (0, 1, 2, 3, 4)
+    # unequal orders or arc counts are still answered, not refused
+    assert are_isomorphic(cycle(6), cycle(5)) is None
+    assert are_isomorphic(cycle(6), Digraph(6, [(0, 1)])) is None
+    with pytest.raises(
+        ResourceLimitError, match="^isomorphism search order 6 is above the limit of 5$"
+    ):
+        are_isomorphic(cycle(6), cycle(6))

@@ -58,7 +58,7 @@ def test_matrix_validation():
     with pytest.raises(DomainError, match="^matrix entry None is not an int$"):
         ExactMatrix(((1, 2), (3, None), (1.5, 0)))  # first bad entry, row-major
     assert ExactMatrix(((1, _Int(2)),)).cols == 2  # int subclasses are ints
-    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    m = ExactMatrix(((1, 2), (3, 4)))
     assert m.rows == 2 and m.cols == 2
 
 
@@ -69,8 +69,8 @@ def test_adjacency_entries():
 
 
 def test_rank_of_identity_and_zero():
-    eye = ExactMatrix.from_rows([[1, 0], [0, 1]])
-    zero = ExactMatrix.from_rows([[0, 0], [0, 0]])
+    eye = ExactMatrix(((1, 0), (0, 1)))
+    zero = ExactMatrix(((0, 0), (0, 0)))
     assert rank_exact(eye).rank == 2
     r = rank_exact(zero)
     assert (r.rank, r.nullity) == (0, 2)
@@ -78,8 +78,8 @@ def test_rank_of_identity_and_zero():
 
 
 def test_rank_handles_negative_and_large_entries():
-    m = ExactMatrix.from_rows(
-        [[10**12, -3, 7], [0, 5, -(10**9)], [10**12, 2, 7 - 10**9]]
+    m = ExactMatrix(
+        ((10**12, -3, 7), (0, 5, -(10**9)), (10**12, 2, 7 - 10**9))
     )
     report = rank_exact(m)
     assert report.rank == _sympy_rank(m)
@@ -101,8 +101,11 @@ def test_rank_matches_sympy_on_random_integer_matrices():
     for _ in range(25):
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
-        m = ExactMatrix.from_rows(
-            [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+        m = ExactMatrix(
+            tuple(
+                tuple(rng.randrange(-9, 10) for _ in range(cols))
+                for _ in range(rows)
+            )
         )
         assert rank_exact(m).rank == _bareiss_rank(m.entries) == _sympy_rank(m)
 
@@ -135,14 +138,14 @@ def test_sandwich_decides_line_digraphs_of_random_regular_bases():
 
 def test_bareiss_decides_when_the_bounds_differ():
     # GF(2) rank 1 below 2 distinct rows; rank 2 over the rationals
-    plus_minus = ExactMatrix.from_rows([[1, 1], [1, -1]])
+    plus_minus = ExactMatrix(((1, 1), (1, -1)))
     # every entry even: GF(2) rank 0 below 2 distinct rows
-    twice_eye = ExactMatrix.from_rows([[2, 0], [0, 2]])
+    twice_eye = ExactMatrix(((2, 0), (0, 2)))
     for m in (plus_minus, twice_eye):
         assert rank_exact(m) == (2, 0, "bareiss")
         assert _sympy_rank(m) == 2
     # GF(2) rank 1 and 3 distinct rows, both off the true rank 2
-    between = ExactMatrix.from_rows([[1, 1], [1, -1], [2, 0]])
+    between = ExactMatrix(((1, 1), (1, -1), (2, 0)))
     assert rank_exact(between) == (2, 0, "bareiss") and _sympy_rank(between) == 2
 
 
@@ -312,7 +315,7 @@ def test_out_neighborhood_identities_do_not_leak_into_rank():
 
 
 def test_rectangular_rank():
-    wide = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    wide = ExactMatrix(((1, 2, 3), (2, 4, 6)))
     report = rank_exact(wide)
     assert report.rank == 1
     # nullity is the column count minus the rank
