@@ -343,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     factor = sub.add_parser("factor", help="1-factor or cycle factorization")
     factor.add_argument("input")
-    factor.add_argument("--cycles", action="store_true")
-    factor.add_argument("--require-good", action="store_true")
+    kind = factor.add_mutually_exclusive_group()
+    kind.add_argument("--cycles", action="store_true")
+    kind.add_argument("--require-good", action="store_true")
     factor.set_defaults(handler=_cmd_factor)
 
     iso = sub.add_parser("iso", help="isomorphism certificate")

@@ -54,11 +54,6 @@ class OneFactor:
         listed by least vertex ascending."""
         return _predecessor_cycles(self.f)
 
-    def is_good(self) -> bool:
-        """Every factor cycle contains a vertex of host in-degree > 1."""
-        inn = self.host._in
-        return all(any(len(inn[v]) > 1 for v in cycle) for cycle in self.cycles())
-
 
 @dataclass(frozen=True)
 class CycleFactorization:
@@ -73,16 +68,12 @@ class CycleFactorization:
             raise DomainError("cycle factorization requires a regular digraph")
         if len(self.factors) != d:
             raise DomainError(f"expected {d} factors, got {len(self.factors)}")
-        covered: set[tuple[int, int]] = set()
-        for factor in self.factors:
-            if factor.host != self.host:
-                raise DomainError("factor belongs to a different digraph")
-            arcs = factor.arcs()
-            if covered & arcs:
-                raise DomainError("factor arc sets are not disjoint")
-            covered |= arcs
-        if covered != self.host.arcs:
-            raise DomainError("factors do not cover every arc")
+        if any(factor.host != self.host for factor in self.factors):
+            raise DomainError("factor belongs to a different digraph")
+        # Each factor holds n host arcs, so d of them split the d * n host
+        # arcs exactly when their union has d * n arcs.
+        if len(set().union(*(f.arcs() for f in self.factors))) != self.host.arc_count:
+            raise DomainError("factor arc sets are not disjoint")
 
 
 def _predecessor_cycles(predecessor: Sequence[int]) -> list[list[int]]:
@@ -176,19 +167,17 @@ def one_factor(g: Digraph, *, require_good: bool = False) -> OneFactor | None:
     """A 1-factor of ``g``, or None when none exists.
 
     With ``require_good`` the factor must have a vertex of in-degree > 1 on
-    every cycle, and the first factor found decides the answer exactly.
-    On a factor cycle with no vertex of in-degree > 1, each factor arc is
-    the unique in-arc of its head, so the cycle is an in-degree-one cycle
-    of ``g``.  Every 1-factor must use those unique in-arcs, so every
-    1-factor contains that cycle and none is good.
+    every cycle, which depends on ``g`` alone, so it is decided before any
+    matching.  On a factor cycle with no vertex of in-degree > 1, each
+    factor arc is the unique in-arc of its head, so the cycle is an
+    in-degree-one cycle of ``g``.  Every 1-factor must use those unique
+    in-arcs, so every 1-factor contains every such cycle: ``g`` has a good
+    1-factor exactly when it has a 1-factor and no in-degree-one cycle.
     """
+    if require_good and in_degree_one_cycles(g):
+        return None
     match = _perfect_matching(_out_lists(g))
-    if match is None:
-        return None
-    factor = OneFactor(host=g, f=tuple(match))
-    if require_good and not factor.is_good():
-        return None
-    return factor
+    return None if match is None else OneFactor(host=g, f=tuple(match))
 
 
 def cycle_factorization(g: Digraph) -> CycleFactorization:
@@ -294,7 +283,8 @@ def construct_pds_L2(g: Digraph) -> LineWitness:
 
     Requires minimum out-degree 2 and minimum in-degree 1, plus a 1-factor
     ``f`` whose every cycle has a vertex of in-degree > 1, found by
-    :func:`one_factor`.  The set consists of the walks ``f(u) -> u -> v``
+    :func:`one_factor`; one exists exactly when ``g`` has a 1-factor and no
+    in-degree-one cycle.  The set consists of the walks ``f(u) -> u -> v``
     over all arcs ``(u, v)`` with ``u != f(v)``.
     """
     _require_degrees(g, 2, 1)

@@ -16,9 +16,8 @@ from .digraph import Digraph
 from .errors import DomainError
 from .iso import are_isomorphic
 
-# Resampling budgets of the two rejection samplers below.
+# Resampling budget of the connectivity rejection in random_digraph_min_degrees.
 _MIN_DEGREE_ATTEMPTS = 200
-_REGULAR_ATTEMPTS = 5000
 
 
 def random_digraph(
@@ -52,10 +51,13 @@ def random_digraph_min_degrees(
     Each vertex first receives ``min_out`` random out-arcs; vertices short
     of ``min_in`` in-arcs then receive patch arcs, and ``extra_arcs``
     further random arcs are sprinkled on top.  Weak connectivity is
-    enforced by resampling.
+    enforced by resampling.  A ``min_out`` or ``min_in`` above the ``n``
+    vertices (``n - 1`` without loops) is refused before any draw.
     """
     if min_out > (n if allow_loops else n - 1):
         raise DomainError("min_out larger than the number of available heads")
+    if min_in > (n if allow_loops else n - 1):
+        raise DomainError("min_in larger than the number of available tails")
     for _ in range(_MIN_DEGREE_ATTEMPTS):
         arcs: set[tuple[int, int]] = set()
         for u in range(n):
@@ -72,8 +74,6 @@ def random_digraph_min_degrees(
                     for u in range(n)
                     if (u, v) not in arcs and (allow_loops or u != v)
                 ]
-                if not tails:
-                    break
                 arcs.add((rng.choice(tails), v))
                 in_degree[v] += 1
         missing = [
@@ -94,19 +94,33 @@ def random_digraph_min_degrees(
 
 
 def random_regular_digraph(rng: Random, n: int, d: int) -> Digraph:
-    """A random ``d``-regular digraph as a union of ``d`` disjoint
-    permutation factors (loops permitted)."""
+    """A random ``d``-regular digraph on ``n`` vertices, loops permitted.
+
+    It starts from ``x -> pi(x) + t mod n`` for ``t < d``, with ``pi`` a
+    random permutation, which is ``d``-regular for every ``d <= n``.  Then
+    ``4 * d * n`` random interchanges each replace arcs ``(a, b), (c, e)``
+    by ``(a, e), (c, b)`` when neither new pair is an arc yet.  An
+    interchange keeps every degree, and by Ryser's theorem interchanges
+    connect all 0/1 matrices with the same row and column sums, so every
+    ``d``-regular digraph can be reached.
+    """
     if d > n:
         raise DomainError(f"no {d}-regular digraph on {n} vertices")
-    for _ in range(_REGULAR_ATTEMPTS):
-        perms = [rng.sample(range(n), n) for _ in range(d)]
-        if all(len({p[i] for p in perms}) == d for i in range(n)):
-            arcs = {(i, p[i]) for p in perms for i in range(n)}
-            return Digraph(n, arcs)
-    raise DomainError(
-        f"could not sample a {d}-regular digraph on {n} vertices "
-        f"in {_REGULAR_ATTEMPTS} tries"
-    )
+    pi = rng.sample(range(n), n)
+    arcs = [(x, (pi[x] + t) % n) for x in range(n) for t in range(d)]
+    heads = [{(pi[x] + t) % n for t in range(d)} for x in range(n)]
+    for _ in range(4 * d * n):
+        i = rng.randrange(len(arcs))
+        j = rng.randrange(len(arcs))
+        (a, b), (c, e) = arcs[i], arcs[j]
+        if e in heads[a] or b in heads[c]:
+            continue  # also when a == c or b == e
+        heads[a].remove(b)
+        heads[a].add(e)
+        heads[c].remove(e)
+        heads[c].add(b)
+        arcs[i], arcs[j] = (a, e), (c, b)
+    return Digraph(n, arcs)
 
 
 def all_regular_digraphs(n: int, d: int) -> Iterator[Digraph]:

@@ -6,14 +6,15 @@ nonzero rows bounds it from above, since a repeated row adds nothing to
 the row space.  Rows with pairwise disjoint supports are independent over
 every field (each has a column no other row touches), and the GF(2) rank
 of the rows taken mod 2 is a lower bound too (a minor that is odd is a
-nonzero integer).  When a lower bound meets the upper one, that is the
-rank over the rationals.  ``adjacency_rank`` reads the rows of a
-digraph's adjacency matrix from its out-neighborhoods and tries
-disjointness first: the distinct rows are disjoint exactly when their
-sizes sum to the size of their union.  Every line digraph passes, because
-the row of vertex ``(u, v)`` of ``L(G)`` is the set of arcs out of ``v``,
-so two rows are equal or disjoint.  ``rank_exact`` takes any integer
-matrix and tries GF(2) only.
+nonzero integer).  The GF(2) elimination has a work budget,
+``_GF2_MAX_BITS``; once it is spent the bound counts as not met.  When a
+lower bound meets the upper one, that is the rank over the rationals.
+``adjacency_rank`` reads the rows of a digraph's adjacency matrix from
+its out-neighborhoods and tries disjointness first: the distinct rows
+are disjoint exactly when their sizes sum to the size of their union.
+Every line digraph passes, because the row of vertex ``(u, v)`` of
+``L(G)`` is the set of arcs out of ``v``, so two rows are equal or
+disjoint.  ``rank_exact`` takes any integer matrix and tries GF(2) only.
 
 When the bounds differ, Bareiss fraction-free elimination decides, over
 Python's arbitrary-precision integers with exact divisions only.  It is
@@ -39,6 +40,15 @@ from .errors import DomainError, ResourceLimitError
 from .lines import iterated_line
 
 _BAREISS_MAX_ORDER = 1024
+# Work budget of the GF(2) lower bound, in bits: every mask kept in the
+# basis plus every mask XORed into a row.  It is 200 MiB of bits, the
+# memory of building an iterate of order ``MAX_ORDER``.  Measured on 2
+# cores, one process each, rank step only: GB(3, 16384) is decided in
+# 0.08 s (+12 MiB) and GB(3, 32768) in 0.24 s (+59 MiB); GB(3, 65536)
+# stops at the budget after 0.43 s (+193 MiB; deciding it took 0.72 s
+# and +255 MiB); a union of three random permutations of order 32768,
+# whose GF(2) rank falls short, stops after 0.27 s instead of 7.2 s.
+_GF2_MAX_BITS = 200 * 2**23
 
 
 @dataclass(frozen=True)
@@ -80,16 +90,21 @@ def adjacency_matrix(g: Digraph) -> ExactMatrix:
     return ExactMatrix(tuple(rows))
 
 
-def _gf2_rank(rows: Iterable[Iterable[int]]) -> int:
+def _gf2_rank(rows: Iterable[Iterable[int]]) -> int | None:
     """Rank over GF(2) of rows each given as the set of its odd columns,
-    by an XOR basis keyed by leading bit."""
+    by an XOR basis keyed by leading bit; None once the masks held plus
+    the masks XORed pass ``_GF2_MAX_BITS`` bits."""
     basis: dict[int, int] = {}
+    work = 0
     for row in rows:
         mask = 0
         for j in row:
             mask |= 1 << j
         while mask:
             lead = mask.bit_length() - 1
+            work += lead + 1  # the bits this mask is held or XORed with
+            if work > _GF2_MAX_BITS:
+                return None
             pivot = basis.get(lead)
             if pivot is None:
                 basis[lead] = mask

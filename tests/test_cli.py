@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 import forcing_lab
 from forcing_lab import cli, iso
@@ -190,6 +191,12 @@ def test_factor_commands(capsys, tmp_path):
     code, doc, _ = _run_json(capsys, "factor", path)
     assert code == 1 and doc == {"factor": None}
 
+    c4 = _gen(capsys, tmp_path, "c4.json", "gen", "cycle", "--n", "4")
+    code, doc, _ = _run_json(capsys, "factor", c4, "--cycles")
+    assert code == 0 and doc["degree"] == 1
+    code, out, err = _run(capsys, "factor", c4, "--cycles", "--require-good")
+    assert (code, out) == (2, "") and "not allowed with" in err
+
 
 def _write_arcs(tmp_path, name: str, n: int, arcs: list[tuple[int, int]]) -> str:
     path = str(tmp_path / name)
@@ -319,6 +326,20 @@ def test_oversize_families_exit_3_at_once(capsys):
     argv = ("gen", "gen-de-bruijn", "--d", "1000000000", "--n", "5")
     code, doc, _ = _run_json(capsys, *argv)
     assert code == 0 and doc["n"] == 5 and len(doc["arcs"]) == 25
+
+
+def test_rank_refuses_a_permutation_union_at_order_32768(capsys, tmp_path):
+    # GF(2) rank n - 1 falls short of the n distinct rows, so only Bareiss
+    # could decide, and the GF(2) step must give up within its budget
+    n = 32768
+    rng = Random(1)
+    perms = [rng.sample(range(n), n) for _ in range(3)]
+    arcs = sorted({(v, p[v]) for p in perms for v in range(n)})
+    path = _write_arcs(tmp_path, "union.json", n, arcs)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "rank", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "") and "Bareiss" in err
 
 
 def test_zf_min_order_limit_is_forty(capsys, tmp_path):

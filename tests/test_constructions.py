@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from forcing_lab import constructions
 from forcing_lab.constructions import (
     CycleFactorization,
     OneFactor,
@@ -20,6 +21,7 @@ from forcing_lab.corpus import (
     random_digraph,
     random_digraph_min_degrees,
     random_regular_digraph,
+    regular_digraphs_up_to_iso,
 )
 from forcing_lab.digraph import Digraph
 from forcing_lab.errors import DomainError
@@ -121,7 +123,7 @@ def test_one_factor_cycles_and_arcs():
     factor = OneFactor(complete_with_loops(3), (2, 1, 0))
     assert factor.arcs() == frozenset({(2, 0), (1, 1), (0, 2)})
     assert factor.cycles() == [[0, 2], [1]]
-    assert factor.is_good()
+    assert _good(factor.host, list(factor.f))
 
 
 def test_in_degree_one_cycles():
@@ -150,7 +152,7 @@ def test_one_factor_none_when_no_perfect_matching():
 def test_one_factor_good_requirement():
     assert one_factor(cycle(5), require_good=True) is None
     good = one_factor(de_bruijn(2, 2), require_good=True)
-    assert good is not None and good.is_good()
+    assert good is not None and _good(good.host, list(good.f))
 
 
 def test_one_factor_enumeration_limit():
@@ -160,6 +162,15 @@ def test_one_factor_enumeration_limit():
     g = _in_degree_one_two_cycle(12)
     assert one_factor(g) is not None
     assert one_factor(g, require_good=True) is None
+
+
+def test_good_factor_refused_before_any_matching(monkeypatch):
+    def no_matching(neighbors):
+        raise AssertionError("a matching was computed")
+
+    monkeypatch.setattr(constructions, "_perfect_matching", no_matching)
+    assert one_factor(_NO_GOOD_FACTOR, require_good=True) is None
+    assert one_factor(_in_degree_one_two_cycle(12), require_good=True) is None
 
 
 def test_one_factor_matches_kuhn_and_enumeration():
@@ -247,6 +258,23 @@ def test_factorization_record_validation():
     factor = OneFactor(g, (0, 1))
     with pytest.raises(DomainError):
         CycleFactorization(g, (factor,))  # one factor cannot cover degree 2
+
+
+def test_factorization_record_rejects_overlap_and_foreign_hosts():
+    hosts = regular_digraphs_up_to_iso(3, 2)
+    assert len(hosts) == 3
+    for host in hosts:
+        first, second = cycle_factorization(host).factors
+        CycleFactorization(host, (first, second))
+        with pytest.raises(DomainError, match="not disjoint"):
+            CycleFactorization(host, (first, first))
+        with pytest.raises(DomainError, match="not disjoint"):
+            CycleFactorization(host, (second, second))
+        for other in hosts:
+            if other != host:
+                foreign = cycle_factorization(other).factors[0]
+                with pytest.raises(DomainError, match="different digraph"):
+                    CycleFactorization(host, (first, foreign))
 
 
 def test_construct_zfs_line_frozen_case():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from itertools import combinations, product
 from random import Random
 
@@ -49,6 +50,15 @@ def test_min_degree_generator_meets_degrees():
 def test_min_degree_generator_rejects_impossible_orders():
     with pytest.raises((DomainError, ResourceLimitError)):
         random_digraph_min_degrees(Random(1), 2, min_out=3, min_in=1)
+    # in-degree 4 needs four tails: three vertices have only three
+    with pytest.raises(DomainError, match="min_in"):
+        random_digraph_min_degrees(Random(1), 3, min_out=1, min_in=4)
+    with pytest.raises(DomainError, match="min_in"):
+        random_digraph_min_degrees(
+            Random(1), 3, min_out=1, min_in=3, allow_loops=False
+        )
+    g = random_digraph_min_degrees(Random(1), 3, min_out=1, min_in=3)
+    assert g.degrees().min_in == 3
 
 
 def test_random_regular_digraph():
@@ -56,6 +66,28 @@ def test_random_regular_digraph():
     for n, d in [(4, 2), (5, 2), (5, 3), (6, 3)]:
         g = random_regular_digraph(rng, n, d)
         assert g.is_regular() == d
+
+
+@pytest.mark.parametrize(
+    ("n", "d"), [(n, n) for n in range(1, 9)] + [(10, 5), (20, 6), (4096, 8)]
+)
+def test_random_regular_digraph_builds_every_degree(n, d):
+    start = time.perf_counter()
+    g = random_regular_digraph(Random(n * d), n, d)
+    assert time.perf_counter() - start < 2
+    assert g.is_regular() == d
+    assert random_regular_digraph(Random(n * d), n, d) == g
+
+
+def test_random_regular_digraph_reaches_every_labelled_digraph():
+    # the interchanges connect all 90 labelled 2-regular digraphs on 4 vertices
+    reached = {random_regular_digraph(Random(seed), 4, 2) for seed in range(2000)}
+    assert reached == set(all_regular_digraphs(4, 2))
+
+
+def test_random_regular_digraph_rejects_degree_above_order():
+    with pytest.raises(DomainError):
+        random_regular_digraph(Random(1), 3, 4)
 
 
 def test_exhaustive_regular_all_labelled():

@@ -431,3 +431,18 @@ def test_bareiss_refused_above_the_order_limit(monkeypatch):
     monkeypatch.setattr(linalg, "adjacency_matrix", no_dense_matrix)
     with pytest.raises(ResourceLimitError):
         adjacency_rank(big)
+
+
+def test_gf2_budget_decides_gb_3_16384():
+    # GB(3, n) rows overlap, so only the GF(2) bound can meet the row count
+    report = adjacency_rank(gen_de_bruijn(3, 16384))
+    assert report == (16384, 0, "sandwich")
+
+
+def test_gf2_budget_falls_through_to_bareiss(monkeypatch):
+    g = gen_de_bruijn(3, 64)
+    assert adjacency_rank(g) == (64, 0, "sandwich")
+    monkeypatch.setattr(linalg, "_GF2_MAX_BITS", 64)
+    assert adjacency_rank(g) == (64, 0, "bareiss")
+    assert rank_exact(adjacency_matrix(g)) == (64, 0, "bareiss")
+    assert _sympy_rank(adjacency_matrix(g)) == 64
