@@ -43,7 +43,7 @@ class OneFactor:
         if sorted(self.f) != list(range(self.host.n)):
             raise DomainError("factor map is not a permutation")
         for v, u in enumerate(self.f):
-            if (u, v) not in self.host.arcs:
+            if u not in self.host._in[v]:
                 raise DomainError(f"factor arc ({u}, {v}) is not a host arc")
 
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -70,9 +70,11 @@ class CycleFactorization:
             raise DomainError(f"expected {d} factors, got {len(self.factors)}")
         if any(factor.host != self.host for factor in self.factors):
             raise DomainError("factor belongs to a different digraph")
-        # Each factor holds n host arcs, so d of them split the d * n host
-        # arcs exactly when their union has d * n arcs.
-        if len(set().union(*(f.arcs() for f in self.factors))) != self.host.arc_count:
+        # Each factor has one host arc into each head ``v``, so the d factors
+        # split the d host arcs into ``v`` exactly when their tails ``f[v]``
+        # are d distinct vertices: n sets of d tails, d * n in all.
+        tails = zip(*(factor.f for factor in self.factors))
+        if sum(map(len, map(set, tails))) != d * self.host.n:
             raise DomainError("factor arc sets are not disjoint")
 
 

@@ -11,8 +11,11 @@ raises :class:`DomainError`.  A pair of plain ``int`` endpoints in range
 passes at once; only a pair that fails that test gets the full check,
 which either names the arc or admits an ``int`` subclass other than
 ``bool``.  So the plain-int test decides when the full check runs, never
-what it answers.  ``arcs`` is the frozenset of the checked ``(u, v)``
-pairs collected in that pass.
+what it answers.  The pass fills the out- and in-neighborhood sets, and
+those are the only store of the arcs: ``arc_count`` is the sum of the
+out-degrees, equality and ``arcs_sorted`` read the out-sets, and
+``arcs``, the frozenset of the ``(u, v)`` pairs, is built from them on
+first read and kept.
 
 An order above ``MAX_ORDER`` (131072) is refused with
 :class:`ResourceLimitError` before any set is allocated or any arc read,
@@ -37,16 +40,16 @@ from .errors import DomainError, ResourceLimitError
 # The largest order a ``Digraph``, and so an iterate built by ``lines``, may
 # have: 2**17 = 131072 vertices, the order of ``L^16(K_2 + loops)``.
 # Measured with Python 3.11 on x86-64: ``iterated_line`` builds that
-# iterate in about 1.6 s at a max RSS of 201 MiB, and an arc-free
-# ``Digraph`` of this order peaks at 133 MiB.  ``{"n": 10**9, "arcs": []}``
+# iterate in about 0.9 s at a max RSS of 145 MiB, and an arc-free
+# ``Digraph`` of this order peaks at 103 MiB.  ``{"n": 10**9, "arcs": []}``
 # would otherwise allocate 2*10**9 sets.
 MAX_ORDER = 1 << 17
 
 # The most arcs a ``Digraph`` may have: 2**19 = 524288, so that every
 # digraph of out-degree at most 4 fits at ``MAX_ORDER``.  Measured with
 # Python 3.11 on x86-64: ``gen_de_bruijn(4, 2**17)``, at both limits, builds
-# in 0.9 s at a max RSS of 205 MiB, and the 2**20 arcs of
-# ``complete_with_loops(1024)`` would peak at 336 MiB.
+# in 0.8 s at a max RSS of 123 MiB, and the 2**20 arcs of
+# ``complete_with_loops(1024)`` would peak at 200 MiB.
 # ``complete_with_loops(100000)`` would otherwise try to hold 10**10 arcs.
 MAX_ARCS = 1 << 19
 
@@ -80,7 +83,7 @@ class DegreeSummary:
 class Digraph:
     """Immutable digraph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("n", "arcs", "name", "_out", "_in")
+    __slots__ = ("n", "arc_count", "name", "_out", "_in", "_arcs")
 
     def __init__(
         self,
@@ -95,7 +98,6 @@ class Digraph:
             raise ResourceLimitError(f"order {n} is above the limit of {MAX_ORDER}")
         out: list[set[int]] = [set() for _ in range(n)]
         inn: list[set[int]] = [set() for _ in range(n)]
-        pairs = []
         rest = iter(arcs)
         for arc in islice(rest, MAX_ARCS):
             try:
@@ -108,43 +110,53 @@ class Digraph:
                         raise DomainError(
                             f"arc {arc!r} has endpoint outside 0..{n - 1}"
                         )
-            if v in out[u]:
+            heads = out[u]
+            if v in heads:
                 raise DomainError(f"duplicate arc {(u, v)!r}")
-            out[u].add(v)
+            heads.add(v)
             inn[v].add(u)
-            pairs.append((u, v))
         for _ in rest:
             raise ResourceLimitError(f"arc count above the limit of {MAX_ARCS}")
         self.n = n
-        self.arcs = frozenset(pairs)
+        self.arc_count = sum(map(len, out))
         self.name = name
         self._out = tuple(map(frozenset, out))
+        del out  # the out-sets go before the in-sets are copied: a lower peak
         self._in = tuple(map(frozenset, inn))
+        self._arcs: frozenset[tuple[int, int]] | None = None
 
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
+        return self.n == other.n and self._out == other._out
 
     def __hash__(self) -> int:
         return hash((self.n, self.arcs))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
-        return f"<Digraph{label} n={self.n} arcs={len(self.arcs)}>"
+        return f"<Digraph{label} n={self.n} arcs={self.arc_count}>"
 
     # -- basic queries ----------------------------------------------------
 
     @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The set of ``(u, v)`` arcs, built from the out-sets on first
+        read and kept."""
+        if self._arcs is None:
+            self._arcs = frozenset(
+                (u, v) for u, heads in enumerate(self._out) for v in heads
+            )
+        return self._arcs
 
     @property
     def arcs_sorted(self) -> tuple[tuple[int, int], ...]:
         """All arcs in lexicographic order."""
-        return tuple(sorted(self.arcs))
+        return tuple(
+            (u, v) for u, heads in enumerate(self._out) for v in sorted(heads)
+        )
 
     @property
     def has_loops(self) -> bool:
@@ -221,7 +233,11 @@ def adjacency_masks(g: Digraph) -> tuple[list[int], list[int]]:
     when ``(u, v)`` is an arc."""
     out = [0] * g.n
     inn = [0] * g.n
-    for u, v in g.arcs:
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
+    for u, heads in enumerate(g._out):
+        bit = 1 << u
+        mask = 0
+        for v in heads:
+            mask |= 1 << v
+            inn[v] |= bit
+        out[u] = mask
     return out, inn

@@ -3,7 +3,8 @@
 The interchange document is a JSON object with required keys ``n`` (order)
 and ``arcs`` (list of ``[tail, head]`` pairs), plus optional ``name`` and
 ``labels`` (one string per vertex, as produced by the line-digraph
-operator).  Arcs are written in lexicographic order so serialisation is
+operator; a repeated label is refused, since ``--set`` looks vertices up
+by label).  Arcs are written in lexicographic order so serialisation is
 deterministic.  Each entry of ``arcs`` is checked by :class:`Digraph`
 itself, whose message is reported under ``key 'arcs' is invalid``.
 """
@@ -63,6 +64,11 @@ def digraph_from_json_dict(doc: object) -> tuple[Digraph, list[str] | None]:
             raise DomainError("key 'labels' must be a list of strings")
         if len(labels) != n:
             raise DomainError(f"key 'labels' must have {n} entries, got {len(labels)}")
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen:
+                raise DomainError(f"key 'labels' repeats the label {label!r}")
+            seen.add(label)
     try:
         g = Digraph(n, arcs, name=name)
     except DomainError as exc:
@@ -98,9 +104,8 @@ def to_dot(g: Digraph, labels: list[str] | None = None) -> str:
             lines.append(f"  {v} [label={_dot_quote(labels[v])}];")
     else:
         # Bare statements keep isolated vertices visible.
-        touched = {u for u, _ in g.arcs} | {v for _, v in g.arcs}
         for v in range(g.n):
-            if v not in touched:
+            if not (g._out[v] or g._in[v]):
                 lines.append(f"  {v};")
     for u, v in g.arcs_sorted:
         lines.append(f"  {u} -> {v};")

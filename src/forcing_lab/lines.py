@@ -46,12 +46,13 @@ class LineLabeledDigraph:
             raise DomainError(
                 f"expected {self.graph.n} labels, got {len(self.labels)}"
             )
-        lengths = {len(w) for w in self.labels}
+        lengths = set(map(len, self.labels))
         if len(lengths) != 1 or min(lengths) < 1:
             raise DomainError("walk labels must all have the same positive length")
         if len(set(self.labels)) != len(self.labels):
             raise DomainError("walk labels must be pairwise distinct")
-        if min(map(min, self.labels)) < 0 or max(map(max, self.labels)) >= self.base_n:
+        letters = set().union(*self.labels)
+        if min(letters) < 0 or max(letters) >= self.base_n:
             for walk in self.labels:
                 for v in walk:
                     if not 0 <= v < self.base_n:

@@ -98,6 +98,14 @@ def test_set_rejects_unknown_label(capsys, tmp_path):
     assert code == 2 and "no labels" in err
 
 
+def test_set_on_repeated_labels_exits_2(capsys, tmp_path):
+    path = tmp_path / "twins.json"
+    path.write_text('{"n": 2, "arcs": [[0, 1], [1, 0]], "labels": ["a", "a"]}')
+    code, out, err = _run(capsys, "zf", "closure", str(path), "--set", "a")
+    assert code == 2 and out == ""
+    assert err == "error: key 'labels' repeats the label 'a'\n"
+
+
 def test_pd_min_and_construct(capsys, tmp_path):
     path = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "3")
     code, doc, _ = _run_json(capsys, "pd", "min", path)

@@ -32,7 +32,12 @@ from forcing_lab.families import (
     de_bruijn,
 )
 from forcing_lab.lines import iterated_line
-from forcing_lab.propagation import is_power_dominating_set, is_zero_forcing_set
+from forcing_lab.propagation import (
+    is_power_dominating_set,
+    is_zero_forcing_set,
+    pd_closure,
+    zf_closure,
+)
 
 # out-degree 2 everywhere, but vertices 0 and 1 have in-degree 1 and form
 # a 2-cycle, so every 1-factor contains that cycle and none is good
@@ -275,6 +280,36 @@ def test_factorization_record_rejects_overlap_and_foreign_hosts():
                 foreign = cycle_factorization(other).factors[0]
                 with pytest.raises(DomainError, match="different digraph"):
                     CycleFactorization(host, (first, foreign))
+
+
+def test_factorization_record_rejects_distinct_factors_sharing_an_arc():
+    host = complete_with_loops(3)
+    identity = OneFactor(host, (0, 1, 2))
+    swap = OneFactor(host, (0, 2, 1))  # shares the loop (0, 0) only
+    shift = OneFactor(host, (1, 2, 0))
+    CycleFactorization(host, (identity, shift, OneFactor(host, (2, 0, 1))))
+    with pytest.raises(DomainError, match="^factor arc sets are not disjoint$"):
+        CycleFactorization(host, (identity, swap, shift))
+    assert identity.arcs() & swap.arcs() == {(0, 0)}
+
+
+def test_line_path_never_builds_the_arc_set():
+    # ``Digraph.arcs`` is built on first read and kept in ``_arcs``; the
+    # iterates, witnesses, factorizations and closures read only the
+    # out- and in-sets, so no digraph they build or take holds that set.
+    base = complete_with_loops(2)
+    g = iterated_line(base, 9).graph
+    assert g.n == 1024
+    zf_closure(g, range(0, g.n, 2))
+    pd_closure(g, range(0, g.n, 3))
+    touched = [
+        base,
+        g,
+        construct_zfs_line(g).line.graph,
+        construct_pds_L2(g).line.graph,
+        cycle_factorization(g).host,
+    ]
+    assert [d._arcs for d in touched] == [None] * len(touched)
 
 
 def test_construct_zfs_line_frozen_case():

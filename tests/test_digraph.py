@@ -186,6 +186,41 @@ def test_constructor_state_from_one_pass():
     assert hash(g) == hash((3, g.arcs))
 
 
+def test_arc_views_agree_with_a_plain_set():
+    rng = Random(20261020)
+    loops = empty_out_sets = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        wanted = {
+            (u, v) for u in range(n) for v in range(n) if rng.random() < density
+        }
+        arcs = list(wanted)
+        rng.shuffle(arcs)
+        g = Digraph(n, arcs)
+        h = Digraph(n, iter(sorted(wanted, reverse=True)))
+        # equality reads the out-sets, never the arc set
+        assert g == h and g._arcs is None and h._arcs is None
+        assert g.arc_count == len(wanted)
+        assert repr(g) == f"<Digraph n={n} arcs={len(wanted)}>"
+        assert g.arcs_sorted == tuple(sorted(wanted))
+        assert g.arcs == wanted and g.arcs is g.arcs
+        assert hash(g) == hash(h) == hash((n, frozenset(wanted)))
+        assert g != Digraph(n + 1, arcs)
+        dropped = rng.choice(arcs) if arcs else None
+        fewer = [arc for arc in arcs if arc != dropped]
+        missing = sorted({(u, v) for u in range(n) for v in range(n)} - wanted)
+        added = [rng.choice(missing)] if missing else []
+        # one arc fewer, one more, or one moved: never equal
+        for other in (fewer, arcs + added, fewer + added):
+            if set(other) != wanted:
+                assert Digraph(n, other) != g
+                assert Digraph(n, other).arcs == set(other)
+        loops += g.has_loops
+        empty_out_sets += any(not heads for heads in g._out)
+    assert loops > 100 and empty_out_sets > 100
+
+
 def test_rejects_empty_vertex_set():
     with pytest.raises(DomainError):
         Digraph(0, [])

@@ -109,6 +109,14 @@ def test_wrong_label_count_rejected():
         digraph_from_json_dict({"n": 2, "arcs": [[0, 1]], "labels": ["0-1"]})
 
 
+def test_repeated_label_rejected():
+    doc = {"n": 3, "arcs": [[0, 1], [1, 2]], "labels": ["a", "b", "b"]}
+    with pytest.raises(DomainError, match=r"^key 'labels' repeats the label 'b'$"):
+        digraph_from_json_dict(doc)
+    doc["labels"] = ["a", "b", "c"]
+    assert digraph_from_json_dict(doc)[1] == ["a", "b", "c"]
+
+
 def test_non_object_document_rejected():
     with pytest.raises(DomainError):
         digraph_from_json_dict([1, 2])

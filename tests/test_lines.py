@@ -125,6 +125,9 @@ def test_labeled_digraph_validation():
         LineLabeledDigraph(g, ((0,), (5,)), 2)  # letter outside base range
     with pytest.raises(DomainError, match=r"^walk \(0, -1\) leaves base order 2$"):
         LineLabeledDigraph(g, ((0, 1), (0, -1)), 2)
+    # an out-of-range letter inside a walk, with in-range ends
+    with pytest.raises(DomainError, match=r"^walk \(0, 5, 1\) leaves base order 2$"):
+        LineLabeledDigraph(g, ((0, 1, 1), (0, 5, 1)), 2)
 
 
 def test_line_name_tracks_operator():
