@@ -64,11 +64,10 @@ def _write_or_emit(document: object, out: str | None, what: str) -> None:
     _info(f"wrote {what} to {out}")
 
 
-def _parse_vertex_set(
-    raw: str, g: Digraph, labels: list[str] | None
-) -> frozenset[int]:
+def _parse_vertex_set(raw: str, labels: list[str] | None) -> frozenset[int]:
     """Accept comma-separated vertex ids, or walk labels such as 0-1-3
-    when the digraph carries labels."""
+    when the digraph carries labels; the library checks the ids.  A token
+    that is an id and the label of another vertex is refused."""
     vertices: set[int] = set()
     label_index = {label: i for i, label in enumerate(labels)} if labels else {}
     for token in raw.split(","):
@@ -76,24 +75,23 @@ def _parse_vertex_set(
         if not token:
             continue
         try:
-            vertices.add(int(token))
-            continue
+            as_id: int | None = int(token)
         except ValueError:
-            pass
-        if token in label_index:
-            vertices.add(label_index[token])
-            continue
-        if labels is None:
+            as_id = None
+        v = label_index.get(token, as_id)
+        if as_id is not None and v != as_id:
+            raise DomainError(
+                f"--set token {token!r} is ambiguous: vertex id {as_id}, "
+                f"or the label of vertex {v}"
+            )
+        if v is None and labels is None:
             raise DomainError(
                 f"--set token {token!r} is not an integer and the input "
                 "carries no labels"
             )
-        raise DomainError(f"--set token {token!r} matches no label")
-    if not vertices:
-        raise DomainError("--set resolved to the empty set")
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise DomainError(f"--set vertex {v} outside 0..{g.n - 1}")
+        if v is None:
+            raise DomainError(f"--set token {token!r} matches no label")
+        vertices.add(v)
     return frozenset(vertices)
 
 
@@ -154,7 +152,7 @@ def _cmd_closure(
     with ``s``, ``colored``, ``n`` and ``rounds``."""
     if args.set is None:
         raise DomainError(f"{args.command} {args.action} needs --set")
-    s = _parse_vertex_set(args.set, g, labels)
+    s = _parse_vertex_set(args.set, labels)
     trace = closure(g, s)
     _emit(trace.to_json_dict())
     if args.action == "closure":
@@ -202,7 +200,7 @@ def _cmd_pd(args: argparse.Namespace) -> int:
             raise DomainError(
                 "construct-l needs --set with a disjoint out-neighborhood set"
             )
-        s = _parse_vertex_set(args.set, g, labels)
+        s = _parse_vertex_set(args.set, labels)
         return _emit_witness(construct_pds_L(g, s), what, "line digraph")
     note = "domination plus forcing from {s} colors {colored}/{n} vertices"
     return _cmd_closure(args, g, labels, pd_closure, note, what)

@@ -253,7 +253,7 @@ def _verified(
     trace = closure(labeled.graph, chosen)
     if not trace.covers_all:
         raise AssertionError(f"constructed set failed {what} verification")
-    return LineWitness(line=labeled, vertices=frozenset(chosen), trace=trace)
+    return LineWitness(line=labeled, vertices=trace.initial, trace=trace)
 
 
 def construct_zfs_line(g: Digraph) -> LineWitness:

@@ -13,9 +13,9 @@ Power domination prepends a single domination round: round 1 colors the
 closed out-neighborhood of ``S``, and every later round applies the
 zero-forcing rule above.
 
-Traces record the newly colored set of each round plus a certificate entry
-``(forcer, forced, round)`` per colored vertex, with the least-id eligible
-forcer chosen for determinism.
+A trace stores only its certificate: an entry ``(forcer, forced, round)``
+per colored vertex, in order, with the least-id eligible forcer chosen for
+determinism; the rounds and the final set are built from it when read.
 
 One worklist engine runs both closures over the adjacency sets the
 :class:`Digraph` already holds.  It keeps a count of white out-neighbors
@@ -45,22 +45,32 @@ MODE_POWER_DOMINATION = "power-domination"
 
 @dataclass(frozen=True)
 class PropagationTrace:
-    """The full history of one closure computation.
+    """The full history of one closure computation, as its certificate.
 
-    ``rounds[i]`` is the set newly colored in round ``i + 1``; rounds are
-    pairwise disjoint and disjoint from ``initial``, and ``final`` is their
-    union with ``initial``.  Certificate entries are ``(u, v, r)``: in
-    round ``r`` vertex ``u`` forced ``v`` (for a power-domination trace,
-    round-1 entries mean ``v`` lies in the closed out-neighborhood of the
-    starting set, witnessed by ``u``).
+    Entries ``(u, v, r)`` come in the order colored: in round ``r`` vertex
+    ``u`` forced ``v`` (in a power-domination trace, a round-1 entry means
+    ``v`` lies in the closed out-neighborhood of the starting set,
+    witnessed by ``u``).  ``rounds[i]`` is read off it as the ``v`` of
+    round ``i + 1``, up to the last entry's round, and ``final`` as
+    ``initial`` plus every ``v``.
     """
 
     mode: str
     initial: frozenset[int]
-    rounds: tuple[frozenset[int], ...]
     certificate: tuple[tuple[int, int, int], ...]
-    final: frozenset[int]
     covers_all: bool
+
+    @property
+    def rounds(self) -> tuple[frozenset[int], ...]:
+        last = self.certificate[-1][2] if self.certificate else 0
+        blocks: list[list[int]] = [[] for _ in range(last)]
+        for _, v, r in self.certificate:
+            blocks[r - 1].append(v)
+        return tuple(frozenset(block) for block in blocks)
+
+    @property
+    def final(self) -> frozenset[int]:
+        return self.initial.union(v for _, v, _ in self.certificate)
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -80,16 +90,12 @@ def _start_set(g: Digraph, vertices: Iterable[int]) -> frozenset[int]:
     return s
 
 
-def _run(
-    g: Digraph,
-    mode: str,
-    initial: frozenset[int],
-) -> PropagationTrace:
+def _run(g: Digraph, mode: str, initial: frozenset[int]) -> PropagationTrace:
     out, inn = g._out, g._in
     loop_rule = g.has_loops
     colored = set(initial)
-    rounds: list[frozenset[int]] = []
     certificate: list[tuple[int, int, int]] = []
+    r = 1
     if mode == MODE_POWER_DOMINATION:
         owner: dict[int, int] = {}
         for u in sorted(initial):
@@ -98,8 +104,8 @@ def _run(
                     owner[v] = u
         for v in sorted(owner):
             certificate.append((owner[v], v, 1))
-        rounds.append(frozenset(owner))
         colored.update(owner)
+        r = 2
     white = [len(out[u] - colored) for u in range(g.n)]
     # Only a vertex colored last round, or one that lost a white
     # out-neighbor to it, can have become an eligible forcer since.
@@ -115,26 +121,19 @@ def _run(
                     forced[v] = u
         if not forced:
             break
-        r = len(rounds) + 1
         touched = set(forced)
         for v in sorted(forced):
             certificate.append((forced[v], v, r))
             for u in inn[v]:
                 white[u] -= 1
             touched |= inn[v]
-        rounds.append(frozenset(forced))
         colored.update(forced)
         candidates = sorted(touched)
-    # A power-domination trace whose domination round added nothing and
-    # never got past it reduces to no rounds at all.
-    if rounds and not rounds[-1]:
-        rounds.pop()
+        r += 1
     return PropagationTrace(
         mode=mode,
         initial=initial,
-        rounds=tuple(rounds),
         certificate=tuple(certificate),
-        final=frozenset(colored),
         covers_all=len(colored) == g.n,
     )
 

@@ -49,7 +49,7 @@ from .families import (
     wrapped_butterfly,
 )
 from .iso import are_isomorphic
-from .linalg import adjacency_rank, mr_and_max_nullity_regular_line
+from .linalg import adjacency_rank
 from .lines import iterated_line, line_digraph
 from .propagation import is_power_dominating_set, is_zero_forcing_set
 from .solvers import min_power_dominating, min_zero_forcing
@@ -106,7 +106,8 @@ def check_line_zf_formula() -> list[CheckResult]:
 
 
 def check_de_bruijn_suite() -> list[CheckResult]:
-    """Brute-force and exact-rank values on B(2,2), B(2,3), B(3,2)."""
+    """Brute-force and exact-rank values on B(2,2), B(2,3), B(3,2); M of
+    B(2,3) is pinned between its adjacency nullity and its Z."""
     results = []
     for d, big_d, z_expected, gp_expected in [
         (2, 2, 2, 1),
@@ -116,6 +117,8 @@ def check_de_bruijn_suite() -> list[CheckResult]:
         g = de_bruijn(d, big_d)
         z = min_zero_forcing(g).number
         gp = min_power_dominating(g).number
+        if (d, big_d) == (2, 3):
+            b23, z23 = g, z
         results.append(
             _check(
                 f"Z(B({d},{big_d})) == {z_expected}",
@@ -130,15 +133,12 @@ def check_de_bruijn_suite() -> list[CheckResult]:
                 f"brute force found {gp}",
             )
         )
-    report = mr_and_max_nullity_regular_line(complete_with_loops(2), 2)
+    rank = adjacency_rank(b23)
     results.append(
         _check(
             "mr(B(2,3)) == 4 and max nullity == 4 by exact rank",
-            report.min_rank == 4
-            and report.max_nullity == 4
-            and report.rank_consistent,
-            f"adjacency rank {report.adjacency_rank} of order {report.order} "
-            f"by {report.rank_method}",
+            rank.nullity == z23 == 4 and b23.n - rank.nullity == 4,
+            f"adjacency rank {rank.rank} of order {b23.n} by {rank.method}",
         )
     )
     return results

@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 from random import Random
 
+import pytest
+
 import forcing_lab
 from forcing_lab import cli, iso
 from forcing_lab.cli import main
@@ -388,3 +390,38 @@ def test_python_dash_m_runs_the_command_line(capsys):
     assert code == 0 and done.stdout == out
     doc = json.loads(done.stdout)
     assert doc["suite"] == "de-bruijn" and doc["failed"] == 0 and doc["checks"]
+
+
+def test_set_refuses_an_id_that_labels_another_vertex(capsys, tmp_path):
+    path = tmp_path / "swapped.json"
+    path.write_text(
+        '{"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]], "labels": ["1", "0", "2"]}'
+    )
+    code, out, err = _run(capsys, "zf", "closure", str(path), "--set", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --set token '1' is ambiguous: vertex id 1, "
+        "or the label of vertex 0\n"
+    )
+
+
+def test_set_accepts_an_id_that_labels_itself(capsys, tmp_path):
+    base = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "3")
+    same = str(tmp_path / "same.json")
+    code, _, _ = _run(capsys, "line", base, "--iterate", "0", "-o", same)
+    assert code == 0
+    assert json.loads(open(same).read())["labels"] == ["0", "1", "2"]
+    code, doc, err = _run_json(capsys, "zf", "closure", same, "--set", "1")
+    assert code == 0 and doc["initial"] == [1]
+    assert err == "closure of [1] colors 3/3 vertices in 2 rounds\n"
+
+
+@pytest.mark.parametrize("bad", ["9", "-1", ","])
+@pytest.mark.parametrize(
+    "command", [("zf", "check"), ("pd", "closure"), ("pd", "construct-l")]
+)
+def test_bad_set_exits_2_with_nothing_on_stdout(capsys, tmp_path, command, bad):
+    path = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "3")
+    code, out, err = _run(capsys, *command, path, "--set", bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")

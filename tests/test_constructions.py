@@ -487,3 +487,13 @@ def test_line_witness_json_shape():
     assert doc["size"] == 6
     assert doc["witness"] == sorted(doc["witness"])
     assert len(doc["witness_labels"]) == 6
+
+
+def test_witness_shares_its_vertex_set_with_its_trace():
+    k3 = complete_with_loops(3)
+    for witness in (
+        construct_zfs_line(k3),
+        construct_pds_L2(k3),
+        construct_pds_L(k3, {0}),
+    ):
+        assert witness.vertices is witness.trace.initial

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 from random import Random
 
@@ -21,9 +22,19 @@ from forcing_lab.propagation import (
 )
 
 
-def _naive_zf_final(g: Digraph, start: set[int]) -> set[int]:
-    """Straight-from-the-definition closure, sets only, no bit tricks."""
+def _naive_rounds(
+    g: Digraph, start: set[int], mode: str
+) -> tuple[list[set[int]], set[int]]:
+    """Straight-from-the-definition synchronous rescan, sets only: the set
+    newly colored in each round, and the final set."""
     colored = set(start)
+    rounds: list[set[int]] = []
+    if mode == MODE_POWER_DOMINATION:
+        dominated = set()
+        for s in start:
+            dominated |= g.out_neighborhood(s)
+        rounds.append(dominated - colored)
+        colored |= dominated
     loop_rule = g.has_loops
     while True:
         new = set()
@@ -33,25 +44,31 @@ def _naive_zf_final(g: Digraph, start: set[int]) -> set[int]:
             uncolored = [w for w in g.out_neighborhood(u) if w not in colored]
             if len(uncolored) == 1:
                 new.add(uncolored[0])
-        if new <= colored:
-            return colored
+        if not new:
+            break
+        rounds.append(new)
         colored |= new
+    # only an empty domination round can end the list, and it is no round
+    if rounds and not rounds[-1]:
+        rounds.pop()
+    return rounds, colored
 
 
 def _replay(g: Digraph, trace: PropagationTrace) -> None:
-    """Re-validate every certificate entry against the color rule."""
+    """Re-validate every certificate entry against the color rule, and
+    the rounds and final set against the naive rescan."""
+    expected_rounds, expected_final = _naive_rounds(g, set(trace.initial), trace.mode)
     colored = set(trace.initial)
     loop_rule = g.has_loops
     by_round: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for u, v, r in trace.certificate:
         by_round[r].append((u, v))
-    assert set(by_round) <= set(range(1, len(trace.rounds) + 1))
-    for idx, block in enumerate(trace.rounds):
-        r = idx + 1
+    assert set(by_round) <= set(range(1, len(expected_rounds) + 1))
+    for r, block in enumerate(expected_rounds, start=1):
         snapshot = set(colored)
         newly = set()
         for u, v in by_round.get(r, []):
-            assert v not in snapshot
+            assert v not in snapshot and v not in newly
             if trace.mode == MODE_POWER_DOMINATION and r == 1:
                 dominators = [
                     s for s in trace.initial if v in g.out_neighborhood(s)
@@ -66,12 +83,12 @@ def _replay(g: Digraph, trace: PropagationTrace) -> None:
                 ]
                 assert valid and u == min(valid)
             newly.add(v)
-        assert newly == set(block)
+        assert newly == block
         colored |= newly
-    assert colored == set(trace.final)
+    assert colored == expected_final
+    assert [set(block) for block in trace.rounds] == expected_rounds
+    assert trace.final == expected_final
     assert trace.covers_all == (len(colored) == g.n)
-    if trace.rounds:
-        assert trace.rounds[-1], "trailing empty round must be dropped"
 
 
 def _random_digraphs() -> st.SearchStrategy[Digraph]:
@@ -171,6 +188,33 @@ def test_pd_closure_of_full_set_has_no_rounds():
     assert trace.rounds == ()
 
 
+def test_pd_keeps_an_empty_domination_round_before_forcing():
+    g = Digraph(2, [(0, 0), (1, 1)])
+    trace = pd_closure(g, {0})
+    assert [sorted(block) for block in trace.rounds] == [[], [1]]
+    assert trace.certificate == ((1, 1, 2),)
+    assert trace.to_json_dict()["rounds"] == [[], [1]]
+    assert trace.covers_all
+    _replay(g, trace)
+
+
+def test_pd_with_nothing_colored_has_no_rounds():
+    g = Digraph(2, [(0, 0)])
+    trace = pd_closure(g, {0})
+    assert trace.rounds == ()
+    assert trace.certificate == ()
+    assert not trace.covers_all
+    _replay(g, trace)
+
+
+def test_trace_stores_only_its_certificate():
+    names = [field.name for field in dataclasses.fields(PropagationTrace)]
+    assert names == ["mode", "initial", "certificate", "covers_all"]
+    trace = zf_closure(cycle(4), {0})
+    assert trace.rounds == (frozenset({1}), frozenset({2}), frozenset({3}))
+    assert trace.final == frozenset(range(4))
+
+
 def test_empty_start_set_rejected():
     g = cycle(3)
     with pytest.raises(DomainError):
@@ -221,7 +265,8 @@ def test_trace_json_shape():
 @given(_digraph_with_set())
 def test_closure_matches_naive_oracle(pair):
     g, s = pair
-    assert set(zf_closure(g, s).final) == _naive_zf_final(g, set(s))
+    _, final = _naive_rounds(g, set(s), MODE_ZERO_FORCING)
+    assert zf_closure(g, s).final == final
 
 
 @settings(max_examples=100, deadline=None)
