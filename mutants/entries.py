@@ -1,0 +1,318 @@
+"""The committed mutants.
+
+Each entry names one file under ``src/``, an exact snippet of it, the
+snippet's replacement and a pytest selector.  The snippet must occur
+exactly once in the file, and the selector must fail once it is replaced.
+A change that rewrites a mutated line re-points its entry here.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # a path under src/
+    snippet: str
+    replacement: str
+    test: str  # a pytest selector, run from the repository root
+
+
+LINES = "forcing_lab/lines.py"
+DIGRAPH = "forcing_lab/digraph.py"
+PROPAGATION = "forcing_lab/propagation.py"
+CONSTRUCTIONS = "forcing_lab/constructions.py"
+FAMILIES = "forcing_lab/families.py"
+
+WALK_DICT = "tests/test_lines.py::test_iterated_line_matches_the_walk_dict_reference"
+ARC_VIEWS = "tests/test_digraph.py::test_arc_views_agree_with_a_plain_set"
+FIRST_OFFENDER = "tests/test_digraph.py::test_constructor_keeps_the_first_offender_rule"
+NAIVE_CLOSURE = "tests/test_propagation.py::test_closure_matches_naive_oracle"
+PROPAGATION_TESTS = "tests/test_propagation.py"
+LABEL_CHECKS = "tests/test_lines.py::test_labeled_digraph_validation"
+
+MUTANTS = [
+    # -- the line operator's hand-over ----------------------------------
+    Mutant(
+        "lines: in-tuples keyed by head instead of tail",
+        LINES,
+        "tails = list(chain.from_iterable(map(repeat, into, outdeg)))",
+        "tails = list(map(into.__getitem__, head_of))",
+        WALK_DICT,
+    ),
+    Mutant(
+        "lines: in-block bound one past its end",
+        LINES,
+        "by_head[in_start[v] : in_start[v + 1]]",
+        "by_head[in_start[v] : in_start[v + 1] + 1]",
+        WALK_DICT,
+    ),
+    Mutant(
+        "lines: line vertex (u, v) given the in-degree of v",
+        LINES,
+        "indeg = list(chain.from_iterable(map(repeat, indeg, outdeg)))",
+        "indeg = list(map(indeg.__getitem__, head_of))",
+        WALK_DICT,
+    ),
+    Mutant(
+        "lines: out-block bound one short",
+        LINES,
+        "ids[start[v] : start[v + 1]]",
+        "ids[start[v] : start[v + 1] - 1]",
+        WALK_DICT,
+    ),
+    Mutant(
+        "lines: head block taken from the tail",
+        LINES,
+        "heads = list(map(block.__getitem__, head_of))",
+        "heads = list(chain.from_iterable(map(repeat, block, map(len, heads))))",
+        WALK_DICT,
+    ),
+    Mutant(
+        "digraph: hand-over refuses an iterate at the arc bound",
+        DIGRAPH,
+        "if self.arc_count > MAX_ARCS:",
+        "if self.arc_count >= MAX_ARCS:",
+        "tests/test_digraph.py::test_arc_limit_reads_one_arc_past_the_bound",
+    ),
+    Mutant(
+        "digraph: hand-over without the arc bound",
+        DIGRAPH,
+        "if self.arc_count > MAX_ARCS:",
+        "if False:",
+        "tests/test_lines.py::test_iterate_with_too_many_arcs_is_refused",
+    ),
+    # -- the public constructor and identity ------------------------------
+    Mutant(
+        "digraph: public constructor stores heads unsorted",
+        DIGRAPH,
+        "self._out = tuple(map(tuple, map(sorted, out)))",
+        "self._out = tuple(map(tuple, out))",
+        ARC_VIEWS,
+    ),
+    Mutant(
+        "digraph: public constructor lists tails in descending order",
+        DIGRAPH,
+        "for u, heads in enumerate(self._out):",
+        "for u, heads in reversed(list(enumerate(self._out))):",
+        WALK_DICT,
+    ),
+    Mutant(
+        "digraph: __eq__ by arc count",
+        DIGRAPH,
+        "return self.n == other.n and self._out == other._out",
+        "return self.n == other.n and self.arc_count == other.arc_count",
+        ARC_VIEWS,
+    ),
+    Mutant(
+        "digraph: no leftover-arc check",
+        DIGRAPH,
+        "for _ in rest:",
+        "for _ in ():",
+        "tests/test_digraph.py::test_arc_count_above_the_limit_is_refused",
+    ),
+    Mutant(
+        "digraph: fast test without the range check",
+        DIGRAPH,
+        "type(v) is int and 0 <= u < n and 0 <= v < n",
+        "type(v) is int",
+        FIRST_OFFENDER,
+    ),
+    Mutant(
+        "digraph: full check without the bool test",
+        DIGRAPH,
+        "if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < n:",
+        "if not isinstance(w, int) or not 0 <= w < n:",
+        FIRST_OFFENDER,
+    ),
+    # -- labels -----------------------------------------------------------
+    Mutant(
+        "lines: no repeated-label check",
+        LINES,
+        "if len(set(self.labels)) != len(self.labels):",
+        "if False:",
+        LABEL_CHECKS,
+    ),
+    Mutant(
+        "lines: range check on first and last letters only",
+        LINES,
+        "letters = set().union(*self.labels)",
+        "letters = {w[0] for w in self.labels} | {w[-1] for w in self.labels}",
+        LABEL_CHECKS,
+    ),
+    # -- the closure engine -----------------------------------------------
+    Mutant(
+        "propagation: white seeded without the colored vertices' in-arcs",
+        PROPAGATION,
+        """    white = list(map(len, out))
+    for v in colored:
+        for u in inn[v]:
+            white[u] -= 1
+""",
+        """    white = list(map(len, out))
+""",
+        NAIVE_CLOSURE,
+    ),
+    Mutant(
+        "propagation: no round increment",
+        PROPAGATION,
+        "        r += 1\n",
+        "        r += 0\n",
+        PROPAGATION_TESTS,
+    ),
+    Mutant(
+        "propagation: power-domination forcing rounds start at 1",
+        PROPAGATION,
+        "        r = 2\n",
+        "        r = 1\n",
+        PROPAGATION_TESTS,
+    ),
+    Mutant(
+        "propagation: final without initial",
+        PROPAGATION,
+        "return self.initial.union(v for _, v, _ in self.certificate)",
+        "return frozenset(v for _, v, _ in self.certificate)",
+        PROPAGATION_TESTS,
+    ),
+    Mutant(
+        "propagation: one round bucket short",
+        PROPAGATION,
+        "[[] for _ in range(last)]",
+        "[[] for _ in range(last - 1)]",
+        PROPAGATION_TESTS,
+    ),
+    # -- witnesses and factors --------------------------------------------
+    Mutant(
+        "constructions: the last eligible spare instead of the first",
+        CONSTRUCTIONS,
+        "next((w for w in heads if w not in on_bad_cycle), None)",
+        "next((w for w in reversed(heads) if w not in on_bad_cycle), None)",
+        "tests/test_constructions.py",
+    ),
+    Mutant(
+        "constructions: in-degree-one cycles ignored",
+        CONSTRUCTIONS,
+        "on_bad_cycle = {v for cycle in in_degree_one_cycles(g) for v in cycle}",
+        "on_bad_cycle = set()",
+        "tests/test_constructions.py",
+    ),
+    Mutant(
+        "constructions: max instead of min for the paired tail",
+        CONSTRUCTIONS,
+        "owner.get(v, min(g._in[v]))",
+        "owner.get(v, max(g._in[v]))",
+        "tests/test_constructions.py",
+    ),
+    Mutant(
+        "constructions: witness labels unsorted",
+        CONSTRUCTIONS,
+        "for v in sorted(self.vertices)]",
+        "for v in self.vertices]",
+        "tests/test_constructions.py",
+    ),
+    Mutant(
+        "constructions: OneFactor checks its arcs on host.arcs",
+        CONSTRUCTIONS,
+        "if u not in self.host._in[v]:",
+        "if (u, v) not in self.host.arcs:",
+        "tests/test_constructions.py::test_line_path_never_builds_the_arc_set",
+    ),
+    Mutant(
+        "constructions: goodness decided after the matching",
+        CONSTRUCTIONS,
+        """    if require_good and in_degree_one_cycles(g):
+        return None
+    match = _perfect_matching(g._out)
+""",
+        """    match = _perfect_matching(g._out)
+    if require_good and in_degree_one_cycles(g):
+        return None
+""",
+        "tests/test_constructions.py::test_good_factor_refused_before_any_matching",
+    ),
+    Mutant(
+        "constructions: factorization disjoint by distinct factor maps",
+        CONSTRUCTIONS,
+        "if sum(map(len, map(set, tails))) != d * self.host.n:",
+        "if len({factor.f for factor in self.factors}) != d:",
+        "tests/test_constructions.py"
+        "::test_factorization_record_rejects_distinct_factors_sharing_an_arc",
+    ),
+    Mutant(
+        "constructions: factorization without the disjointness count",
+        CONSTRUCTIONS,
+        "if sum(map(len, map(set, tails))) != d * self.host.n:",
+        "if False:",
+        "tests/test_constructions.py",
+    ),
+    # -- families, corpus, oracles ----------------------------------------
+    Mutant(
+        "families: Kautz heads without the block skip",
+        FAMILIES,
+        "yield j // d, rest + block if rest >= first * block else rest",
+        "yield j // d, rest",
+        "tests/test_families.py",
+    ),
+    Mutant(
+        "families: wrapped butterfly place values reversed",
+        FAMILIES,
+        "places = [d ** (n - 1 - l) for l in range(n)]",
+        "places = [d**l for l in range(n)]",
+        "tests/test_families.py",
+    ),
+    Mutant(
+        "families: generalised Kautz without its offset",
+        FAMILIES,
+        "(-d * x - t - 1) % n",
+        "(-d * x - t) % n",
+        "tests/test_families.py",
+    ),
+    Mutant(
+        "families: generalised Kautz heads not capped at n",
+        FAMILIES,
+        "arcs = ((x, (-d * x - t - 1) % n) for x in range(n) for t in range(min(d, n)))",
+        "arcs = ((x, (-d * x - t - 1) % n) for x in range(n) for t in range(d))",
+        "tests/test_families.py",
+    ),
+    Mutant(
+        "corpus: random regular digraphs without interchanges",
+        "forcing_lab/corpus.py",
+        "for _ in range(4 * d * n):",
+        "for _ in range(0):",
+        "tests/test_corpus.py::test_random_regular_digraph_reaches_every_labelled_digraph",
+    ),
+    Mutant(
+        "linalg: the sandwich always taken",
+        "forcing_lab/linalg.py",
+        "if _gf2_rank(odd) == upper:",
+        "if True:",
+        "tests/test_linalg.py::test_bareiss_decides_when_the_bounds_differ",
+    ),
+    Mutant(
+        "iso: order bound checked before the order comparison",
+        "forcing_lab/iso.py",
+        """    if g.n != h.n or g.arc_count != h.arc_count:
+        return None
+    if g.n > _MAX_ORDER:
+        raise ResourceLimitError(
+            f"isomorphism search order {g.n} is above the limit of {_MAX_ORDER}"
+        )
+""",
+        """    if g.n > _MAX_ORDER:
+        raise ResourceLimitError(
+            f"isomorphism search order {g.n} is above the limit of {_MAX_ORDER}"
+        )
+    if g.n != h.n or g.arc_count != h.arc_count:
+        return None
+""",
+        "tests/test_iso.py::test_orders_above_the_bound_are_refused_before_the_search",
+    ),
+    Mutant(
+        "iso: no order bound",
+        "forcing_lab/iso.py",
+        "if g.n > _MAX_ORDER:",
+        "if False:",
+        "tests/test_iso.py::test_orders_above_the_bound_are_refused_before_the_search",
+    ),
+]

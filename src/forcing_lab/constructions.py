@@ -110,15 +110,11 @@ def in_degree_one_cycles(g: Digraph) -> list[list[int]]:
     Each cycle is returned in arc order starting at its least vertex.
     """
     return _predecessor_cycles(
-        [next(iter(tails)) if len(tails) == 1 else -1 for tails in g._in]
+        [tails[0] if len(tails) == 1 else -1 for tails in g._in]
     )
 
 
-def _out_lists(g: Digraph) -> list[list[int]]:
-    return [sorted(heads) for heads in g._out]
-
-
-def _perfect_matching(neighbors: list[list[int]]) -> list[int] | None:
+def _perfect_matching(neighbors: Sequence[Sequence[int]]) -> list[int] | None:
     """Augmenting-path perfect matching tails -> heads over the sorted
     out-neighbor lists ``neighbors``; ``result[v]`` is the tail matched to
     head ``v``.  Deterministic: least ids first.
@@ -178,7 +174,7 @@ def one_factor(g: Digraph, *, require_good: bool = False) -> OneFactor | None:
     """
     if require_good and in_degree_one_cycles(g):
         return None
-    match = _perfect_matching(_out_lists(g))
+    match = _perfect_matching(g._out)
     return None if match is None else OneFactor(host=g, f=tuple(match))
 
 
@@ -193,7 +189,7 @@ def cycle_factorization(g: Digraph) -> CycleFactorization:
     d = g.is_regular()
     if d is None:
         raise DomainError("cycle factorization requires a regular digraph")
-    neighbors = _out_lists(g)
+    neighbors = list(map(list, g._out))
     factors = []
     for _ in range(d):
         match = _perfect_matching(neighbors)
@@ -269,12 +265,12 @@ def construct_zfs_line(g: Digraph) -> LineWitness:
     on_bad_cycle = {v for cycle in in_degree_one_cycles(g) for v in cycle}
     spared = []
     for v, heads in enumerate(g._out):
-        eligible = heads - on_bad_cycle
-        if not eligible:
+        spare = next((w for w in heads if w not in on_bad_cycle), None)
+        if spare is None:
             raise AssertionError(
                 f"vertex {v} has every out-neighbor on an in-degree-one cycle"
             )
-        spared.append(min(eligible))
+        spared.append(spare)
     labeled = line_digraph(g)
     chosen = {i for i, (v, w) in enumerate(labeled.labels) if w != spared[v]}
     return _verified(labeled, chosen, g.arc_count - g.n, zf_closure, "zero forcing")

@@ -56,7 +56,7 @@ def in_twin_classes(g: Digraph) -> list[frozenset[int]]:
     """The classes of at least two vertices that share one non-empty
     in-neighborhood, ordered by least member; every pair inside a class is
     a fort."""
-    classes: dict[frozenset[int], list[int]] = {}
+    classes: dict[tuple[int, ...], list[int]] = {}
     for v, into in enumerate(g._in):
         if into:
             classes.setdefault(into, []).append(v)

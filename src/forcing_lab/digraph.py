@@ -5,24 +5,38 @@ pairs, so parallel arcs cannot exist; a pair ``(v, v)`` is a loop.  Vertex
 sets passed to the query helpers are ordinary Python sets (any iterable of
 ints is accepted and normalised to a ``frozenset``).
 
-The constructor is the one place arcs are checked, in one pass: the first
-non-pair, endpoint outside ``0 .. n-1`` (bools included) or repeated arc
-raises :class:`DomainError`.  A pair of plain ``int`` endpoints in range
-passes at once; only a pair that fails that test gets the full check,
-which either names the arc or admits an ``int`` subclass other than
-``bool``.  So the plain-int test decides when the full check runs, never
-what it answers.  The pass fills the out- and in-neighborhood sets, and
-those are the only store of the arcs: ``arc_count`` is the sum of the
-out-degrees, equality and ``arcs_sorted`` read the out-sets, and
-``arcs``, the frozenset of the ``(u, v)`` pairs, is built from them on
-first read and kept.
+The arcs are stored once, as sorted tuples of ints: ``_out[u]`` holds the
+heads of the arcs out of ``u`` and ``_in[v]`` the tails of the arcs into
+``v``, both ascending.  The cyclic garbage collector stops tracking a
+tuple of ints the first time it examines it, and the empty tuple is one
+shared object, so the store costs the collector little and costs nothing
+per vertex of degree zero.  ``arc_count`` is the sum of the out-degrees,
+equality and ``arcs_sorted`` read the out-tuples in order, and ``arcs``,
+the frozenset of the ``(u, v)`` pairs, is built from them on first read
+and kept.  The neighborhood queries return frozensets made on each call.
 
-An order above ``MAX_ORDER`` (131072) is refused with
-:class:`ResourceLimitError` before any set is allocated or any arc read,
+The public constructor is the one place arcs are checked, in one pass:
+the first non-pair, endpoint outside ``0 .. n-1`` (bools included) or
+repeated arc raises :class:`DomainError`.  A pair of plain ``int``
+endpoints in range passes at once; only a pair that fails that test gets
+the full check, which either names the arc or admits an ``int`` subclass
+other than ``bool``.  So the plain-int test decides when the full check
+runs, never what it answers.  The pass fills one set of heads per
+vertex, which then become the sorted out-tuples; a walk over those, by
+ascending tail, lists the tails of each vertex already sorted.
+
+``lines`` builds its iterates with their tuples already sorted, and hands
+them over whole through the keyword-only ``_store=(out, inn)``, which no
+other caller passes; its arcs are not read one by one.  That module's
+docstring proves the tuples sorted, in range and each other's transpose.
+
+On both paths an order above ``MAX_ORDER`` (131072) is refused with
+:class:`ResourceLimitError` before anything is allocated or any arc read,
 so a caller may pass a lazy stream of arcs whose order alone is too large
-and no arc of it is ever made.  The same loop reads at most ``MAX_ARCS``
-(524288) arcs and refuses an input with one more, with no per-arc count:
-it runs over an ``islice`` of the input and then looks for a leftover.
+and no arc of it is ever made.  Both refuse more than ``MAX_ARCS``
+(524288) arcs.  The public loop reads at most that many, with no per-arc
+count: it runs over an ``islice`` of the input and then looks for a
+leftover.  The hand-over sums its out-degrees.
 
 A ``Digraph`` is immutable after construction.  Equality and hashing look
 only at the order and the arc set; the optional ``name`` is a display label
@@ -32,24 +46,24 @@ and does not affect identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
 
 # The largest order a ``Digraph``, and so an iterate built by ``lines``, may
 # have: 2**17 = 131072 vertices, the order of ``L^16(K_2 + loops)``.
-# Measured with Python 3.11 on x86-64: ``iterated_line`` builds that
-# iterate in about 0.9 s at a max RSS of 145 MiB, and an arc-free
-# ``Digraph`` of this order peaks at 103 MiB.  ``{"n": 10**9, "arcs": []}``
-# would otherwise allocate 2*10**9 sets.
+# Measured with Python 3.11 on x86-64, 2 cores, the collector on:
+# ``iterated_line`` builds that iterate in 0.36-0.47 s at a max RSS of
+# 78-80 MiB, and an arc-free ``Digraph`` of this order peaks at 46 MiB.
+# ``{"n": 10**9, "arcs": []}`` would otherwise allocate 10**9 sets.
 MAX_ORDER = 1 << 17
 
 # The most arcs a ``Digraph`` may have: 2**19 = 524288, so that every
-# digraph of out-degree at most 4 fits at ``MAX_ORDER``.  Measured with
-# Python 3.11 on x86-64: ``gen_de_bruijn(4, 2**17)``, at both limits, builds
-# in 0.8 s at a max RSS of 123 MiB, and the 2**20 arcs of
-# ``complete_with_loops(1024)`` would peak at 200 MiB.
+# digraph of out-degree at most 4 fits at ``MAX_ORDER``.  Measured as
+# above: ``gen_de_bruijn(4, 2**17)``, at both limits, builds in 0.64-0.70 s
+# at a max RSS of 72 MiB, and the 2**20 arcs of
+# ``complete_with_loops(1024)``, with the limit raised, peak at 80 MiB.
 # ``complete_with_loops(100000)`` would otherwise try to hold 10**10 arcs.
 MAX_ARCS = 1 << 19
 
@@ -91,13 +105,22 @@ class Digraph:
         arcs: Iterable[tuple[int, int]] = (),
         *,
         name: str | None = None,
+        _store: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None,
     ) -> None:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise DomainError(f"order must be a positive int, got {n!r}")
         if n > MAX_ORDER:
             raise ResourceLimitError(f"order {n} is above the limit of {MAX_ORDER}")
+        self.n = n
+        self.name = name
+        self._arcs: frozenset[tuple[int, int]] | None = None
+        if _store is not None:
+            self._out, self._in = map(tuple, _store)
+            self.arc_count = sum(map(len, self._out))
+            if self.arc_count > MAX_ARCS:
+                raise ResourceLimitError(f"arc count above the limit of {MAX_ARCS}")
+            return
         out: list[set[int]] = [set() for _ in range(n)]
-        inn: list[set[int]] = [set() for _ in range(n)]
         rest = iter(arcs)
         for arc in islice(rest, MAX_ARCS):
             try:
@@ -114,16 +137,16 @@ class Digraph:
             if v in heads:
                 raise DomainError(f"duplicate arc {(u, v)!r}")
             heads.add(v)
-            inn[v].add(u)
         for _ in rest:
             raise ResourceLimitError(f"arc count above the limit of {MAX_ARCS}")
-        self.n = n
         self.arc_count = sum(map(len, out))
-        self.name = name
-        self._out = tuple(map(frozenset, out))
-        del out  # the out-sets go before the in-sets are copied: a lower peak
-        self._in = tuple(map(frozenset, inn))
-        self._arcs: frozenset[tuple[int, int]] | None = None
+        self._out = tuple(map(tuple, map(sorted, out)))
+        del out  # the sets go before the in-lists are made: a lower peak
+        inn: list[list[int]] = [[] for _ in range(n)]
+        for u, heads in enumerate(self._out):
+            for v in heads:
+                inn[v].append(u)  # tails come in ascending order
+        self._in = tuple(map(tuple, inn))
 
     # -- identity ---------------------------------------------------------
 
@@ -143,7 +166,7 @@ class Digraph:
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
-        """The set of ``(u, v)`` arcs, built from the out-sets on first
+        """The set of ``(u, v)`` arcs, built from the out-tuples on first
         read and kept."""
         if self._arcs is None:
             self._arcs = frozenset(
@@ -154,9 +177,7 @@ class Digraph:
     @property
     def arcs_sorted(self) -> tuple[tuple[int, int], ...]:
         """All arcs in lexicographic order."""
-        return tuple(
-            (u, v) for u, heads in enumerate(self._out) for v in sorted(heads)
-        )
+        return tuple((u, v) for u, heads in enumerate(self._out) for v in heads)
 
     @property
     def has_loops(self) -> bool:
@@ -165,19 +186,19 @@ class Digraph:
     def out_neighborhood(self, v: int) -> frozenset[int]:
         """``N+(v)``."""
         check_vertex(self, v)
-        return self._out[v]
+        return frozenset(self._out[v])
 
     def in_neighborhood(self, v: int) -> frozenset[int]:
         """``N-(v)``."""
         check_vertex(self, v)
-        return self._in[v]
+        return frozenset(self._in[v])
 
     def out_neighborhood_of_set(self, vertices: Iterable[int]) -> frozenset[int]:
         """Closed out-neighborhood ``N+[S]`` of a vertex set."""
         s = check_vertex_set(self, vertices)
         result = set(s)
         for v in s:
-            result |= self._out[v]
+            result.update(self._out[v])
         return frozenset(result)
 
     def degrees(self) -> DegreeSummary:
@@ -215,7 +236,7 @@ class Digraph:
             stack = [start]
             while stack:
                 u = stack.pop()
-                for w in self._out[u] | self._in[u]:
+                for w in chain(self._out[u], self._in[u]):
                     if not seen[w]:
                         seen[w] = True
                         block.append(w)

@@ -85,8 +85,9 @@ def _refine_colors(g: Digraph, h: Digraph) -> tuple[list[int], list[int]] | None
 def _complement(g: Digraph) -> Digraph:
     """The digraph of the ordered pairs, loops included, that are not
     arcs of ``g``."""
+    heads = map(set, g._out)
     return Digraph(
-        g.n, [(u, v) for u in range(g.n) for v in range(g.n) if v not in g._out[u]]
+        g.n, [(u, v) for u, out in enumerate(heads) for v in range(g.n) if v not in out]
     )
 
 

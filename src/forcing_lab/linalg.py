@@ -86,7 +86,7 @@ class RankReport(NamedTuple):
 def adjacency_matrix(g: Digraph) -> ExactMatrix:
     """0/1 adjacency matrix with entry ``[u][v] = 1`` when ``u -> v``."""
     cols = range(g.n)
-    rows = (tuple(1 if v in out else 0 for v in cols) for out in g._out)
+    rows = (tuple(1 if v in out else 0 for v in cols) for out in map(set, g._out))
     return ExactMatrix(tuple(rows))
 
 
@@ -171,7 +171,7 @@ def adjacency_rank(g: Digraph) -> RankReport:
     """``rank_exact(adjacency_matrix(g))``, with the sandwich read from the
     out-neighborhoods of ``g``; only Bareiss builds the matrix."""
     rows = set(g._out)
-    rows.discard(frozenset())
+    rows.discard(())
     upper = len(rows)
     disjoint = sum(map(len, rows)) == len(set().union(*rows))
     if disjoint or _gf2_rank(rows) == upper:

@@ -13,17 +13,34 @@ vertices of ``L^{j+1}`` are the sorted arcs of ``L^j``, and arc ``(u, v)``
 points at every arc ``(v, x)``.  Those form one consecutive block of ids,
 ``start[v] .. start[v+1] - 1`` with ``start`` the running sum of the
 out-degrees of ``L^j``, because sorted pairs are grouped by their first
-entry.  Each level's order, ``start[-1]``, is known before its walks or
-ids exist, and one above ``digraph.MAX_ORDER`` is refused with
+entry.  The arcs into ``(u, v)`` come from every arc ``(x, u)``, the arcs
+of ``L^j`` with head ``u``.  A stable sort of the ids by head groups them
+by head, ascending within each group, and the group of ``u`` has the
+in-degree of ``u`` in ``L^j`` members, so the running sum of those
+in-degrees cuts the sorted ids into one group per vertex.
+
+Each level keeps the out-tuples of its vertices, as in ``Digraph``, and
+only their in-degrees: line vertex ``(u, v)`` gets the block of ``v`` as
+its out-tuple and the in-degree of ``u``.  The last level also gets its
+in-tuples, the group of ``u`` for ``(u, v)``.  Both are ascending runs of
+ids below the order, so they are sorted and in range, and ``y`` is in the
+out-tuple of ``x`` exactly when ``x`` is in the in-tuple of ``y``: both
+say ``x = (u, v)`` and ``y = (v, w)``.  Each slice is one object for a
+vertex of the level below, shared by every line vertex that takes it, so
+the last level is handed to ``Digraph`` whole, through its ``_store``,
+with no Python work per arc.
+
+Each level's order, ``start[-1]``, is known before its walks or ids
+exist, and one above ``digraph.MAX_ORDER`` is refused with
 :class:`ResourceLimitError`.  Arcs need no check here: a level's arc count
-is the next level's order, and the last level reaches ``Digraph`` as a
-stream over shared id slices, refused there past ``digraph.MAX_ARCS``.
+is the next level's order, and ``Digraph`` refuses a last level whose
+out-degrees sum past ``digraph.MAX_ARCS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 from .digraph import MAX_ORDER, Digraph
 from .errors import DomainError, ResourceLimitError
@@ -76,12 +93,13 @@ def _dashed(walk: tuple[int, ...]) -> str:
 
 def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:
     """``L^k(g)`` one level at a time from the running sums of the
-    out-degrees (module docstring); ``heads[u]`` is the sorted out-list of
-    ``u`` at the current level."""
-    heads = [sorted(out) for out in g._out]
+    degrees (module docstring); ``heads[u]`` is the sorted out-tuple of
+    ``u`` at the current level and ``indeg[u]`` its in-degree."""
+    heads, indeg = g._out, list(map(len, g._in))
     labels = [(v,) for v in range(g.n)]
-    for _ in range(k):
-        start = [0, *accumulate(map(len, heads))]
+    for level in range(k):
+        outdeg = list(map(len, heads))
+        start = [0, *accumulate(outdeg)]
         order = start[-1]
         if not order:
             raise DomainError("line digraph of an arc-free digraph is empty")
@@ -89,16 +107,23 @@ def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:
             raise ResourceLimitError(
                 f"iterate order {order} is above the limit of {MAX_ORDER}"
             )
-        # Slices of one list, so that every arc shares its head's int.
-        ids = list(range(order))
+        # Slices of one tuple, so that every arc shares its head's int.
+        ids = tuple(range(order))
+        head_of = list(chain.from_iterable(heads))
         block = [ids[start[v] : start[v + 1]] for v in range(len(heads))]
+        if level < k - 1:
+            indeg = list(chain.from_iterable(map(repeat, indeg, outdeg)))
+        else:
+            by_head = tuple(sorted(ids, key=head_of.__getitem__))
+            in_start = [0, *accumulate(indeg)]
+            into = [by_head[in_start[v] : in_start[v + 1]] for v in range(len(indeg))]
+            tails = list(chain.from_iterable(map(repeat, into, outdeg)))
         labels = [w + (labels[v][-1],) for w, out in zip(labels, heads) for v in out]
-        heads = [block[v] for out in heads for v in out]
+        heads = list(map(block.__getitem__, head_of))
     graph = g
     if k:
-        arcs = ((u, v) for u, out in enumerate(heads) for v in out)
         name = None if g.name is None else "L(" * k + g.name + ")" * k
-        graph = Digraph(len(labels), arcs, name=name)
+        graph = Digraph(len(labels), name=name, _store=(heads, tails))
     return LineLabeledDigraph(graph=graph, labels=tuple(labels), base_n=g.n)
 
 

@@ -17,7 +17,7 @@ A trace stores only its certificate: an entry ``(forcer, forced, round)``
 per colored vertex, in order, with the least-id eligible forcer chosen for
 determinism; the rounds and the final set are built from it when read.
 
-One worklist engine runs both closures over the adjacency sets the
+One worklist engine runs both closures over the adjacency tuples the
 :class:`Digraph` already holds.  It keeps a count of white out-neighbors
 per vertex; the first forcing round examines every vertex, and each later
 round only the vertices colored in the round before and their
@@ -106,7 +106,10 @@ def _run(g: Digraph, mode: str, initial: frozenset[int]) -> PropagationTrace:
             certificate.append((owner[v], v, 1))
         colored.update(owner)
         r = 2
-    white = [len(out[u] - colored) for u in range(g.n)]
+    white = list(map(len, out))
+    for v in colored:
+        for u in inn[v]:
+            white[u] -= 1
     # Only a vertex colored last round, or one that lost a white
     # out-neighbor to it, can have become an eligible forcer since.
     candidates: Iterable[int] = range(g.n)
@@ -126,7 +129,7 @@ def _run(g: Digraph, mode: str, initial: frozenset[int]) -> PropagationTrace:
             certificate.append((forced[v], v, r))
             for u in inn[v]:
                 white[u] -= 1
-            touched |= inn[v]
+            touched.update(inn[v])
         colored.update(forced)
         candidates = sorted(touched)
         r += 1

@@ -23,7 +23,8 @@ from forcing_lab.corpus import (
     random_regular_digraph,
     regular_digraphs_up_to_iso,
 )
-from forcing_lab.digraph import Digraph
+from forcing_lab.critical import twin_forcing_lower_bound
+from forcing_lab.digraph import MAX_ORDER, Digraph
 from forcing_lab.errors import DomainError
 from forcing_lab.families import (
     complete_with_loops,
@@ -31,6 +32,7 @@ from forcing_lab.families import (
     cycle,
     de_bruijn,
 )
+from forcing_lab.linalg import adjacency_rank
 from forcing_lab.lines import iterated_line
 from forcing_lab.propagation import (
     is_power_dominating_set,
@@ -296,7 +298,7 @@ def test_factorization_record_rejects_distinct_factors_sharing_an_arc():
 def test_line_path_never_builds_the_arc_set():
     # ``Digraph.arcs`` is built on first read and kept in ``_arcs``; the
     # iterates, witnesses, factorizations and closures read only the
-    # out- and in-sets, so no digraph they build or take holds that set.
+    # out- and in-tuples, so no digraph they build or take holds that set.
     base = complete_with_loops(2)
     g = iterated_line(base, 9).graph
     assert g.n == 1024
@@ -310,6 +312,21 @@ def test_line_path_never_builds_the_arc_set():
         cycle_factorization(g).host,
     ]
     assert [d._arcs for d in touched] == [None] * len(touched)
+
+
+def test_certificate_of_l16_k2_with_loops_at_max_order():
+    # Z(L^16) = M(L^16) = 65536 and gamma_P(L^16) <= 32768, at MAX_ORDER:
+    # both witnesses are built on L^16 and close it, and the twin bound and
+    # the adjacency nullity meet the zero forcing witness from below.
+    base = complete_with_loops(2)
+    zfs = construct_zfs_line(iterated_line(base, 15).graph)
+    pds = construct_pds_L2(iterated_line(base, 14).graph)
+    for witness, size in [(zfs, 65536), (pds, 32768)]:
+        assert witness.line.graph.n == MAX_ORDER
+        assert len(witness.vertices) == size
+        assert witness.trace.covers_all
+    top = iterated_line(base, 16).graph
+    assert twin_forcing_lower_bound(top) == adjacency_rank(top).nullity == 65536
 
 
 def test_construct_zfs_line_frozen_case():

@@ -10,6 +10,7 @@ import pytest
 from forcing_lab import digraph
 from forcing_lab.digraph import MAX_ARCS, MAX_ORDER, Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
+from forcing_lab.lines import iterated_line, line_digraph
 
 
 class Vertex(IntEnum):
@@ -176,6 +177,11 @@ def test_arc_limit_reads_one_arc_past_the_bound(monkeypatch):
         Digraph(2, endless)
     with pytest.raises(DomainError, match="^duplicate arc"):
         Digraph(2, [(0, 0), (0, 0), (1, 0), (1, 1)])
+    # an iterate handed over whole meets the same bound; both bases have 3
+    # arcs, L^5 of the 3-cycle has 3 and L of 0 -> 1 -> 1 -> 2 has 4
+    assert iterated_line(Digraph(3, [(0, 1), (1, 2), (2, 0)]), 5).graph.arc_count == 3
+    with pytest.raises(ResourceLimitError, match="^arc count above the limit of 3$"):
+        line_digraph(Digraph(3, [(0, 1), (1, 1), (1, 2)]))
 
 
 def test_constructor_state_from_one_pass():
@@ -199,7 +205,7 @@ def test_arc_views_agree_with_a_plain_set():
         rng.shuffle(arcs)
         g = Digraph(n, arcs)
         h = Digraph(n, iter(sorted(wanted, reverse=True)))
-        # equality reads the out-sets, never the arc set
+        # equality reads the out-tuples, never the arc set
         assert g == h and g._arcs is None and h._arcs is None
         assert g.arc_count == len(wanted)
         assert repr(g) == f"<Digraph n={n} arcs={len(wanted)}>"

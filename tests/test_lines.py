@@ -243,6 +243,13 @@ def test_iterated_line_matches_the_walk_dict_reference():
             lab = iterated_line(g, k)
             assert lab.labels == tuple(walks)
             assert lab.graph.arcs_sorted == graph.arcs_sorted
+            # the stores handed over equal the public constructor's, in-tuples too
+            assert lab.graph._out == graph._out
+            assert lab.graph._in == graph._in
+            assert all(
+                type(t) is tuple and list(t) == sorted(set(t))
+                for t in lab.graph._out + lab.graph._in
+            )
             assert lab.graph.name == graph.name
             assert hash(lab.graph) == hash(graph)
     assert arc_free >= 60 and with_sink > 100 and 0 < raised
