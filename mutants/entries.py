@@ -24,13 +24,13 @@ DIGRAPH = "forcing_lab/digraph.py"
 PROPAGATION = "forcing_lab/propagation.py"
 CONSTRUCTIONS = "forcing_lab/constructions.py"
 FAMILIES = "forcing_lab/families.py"
+IO = "forcing_lab/io.py"
 
 WALK_DICT = "tests/test_lines.py::test_iterated_line_matches_the_walk_dict_reference"
 ARC_VIEWS = "tests/test_digraph.py::test_arc_views_agree_with_a_plain_set"
 FIRST_OFFENDER = "tests/test_digraph.py::test_constructor_keeps_the_first_offender_rule"
 NAIVE_CLOSURE = "tests/test_propagation.py::test_closure_matches_naive_oracle"
 PROPAGATION_TESTS = "tests/test_propagation.py"
-LABEL_CHECKS = "tests/test_lines.py::test_labeled_digraph_validation"
 
 MUTANTS = [
     # -- the line operator's hand-over ----------------------------------
@@ -126,20 +126,20 @@ MUTANTS = [
         "if not isinstance(w, int) or not 0 <= w < n:",
         FIRST_OFFENDER,
     ),
-    # -- labels -----------------------------------------------------------
+    # -- labels and their letter limit -----------------------------------
     Mutant(
-        "lines: no repeated-label check",
+        "lines: label extended by the first letter of the next walk",
         LINES,
-        "if len(set(self.labels)) != len(self.labels):",
-        "if False:",
-        LABEL_CHECKS,
+        "(labels[v][-1],)",
+        "(labels[v][0],)",
+        WALK_DICT,
     ),
     Mutant(
-        "lines: range check on first and last letters only",
+        "lines: letters counted one short per label",
         LINES,
-        "letters = set().union(*self.labels)",
-        "letters = {w[0] for w in self.labels} | {w[-1] for w in self.labels}",
-        LABEL_CHECKS,
+        "letters += order * (level + 2)",
+        "letters += order * (level + 1)",
+        "tests/test_lines.py::test_letter_limit_admits_an_iterate_at_its_exact_letter_count",
     ),
     # -- the closure engine -----------------------------------------------
     Mutant(
@@ -245,6 +245,14 @@ MUTANTS = [
         "if sum(map(len, map(set, tails))) != d * self.host.n:",
         "if False:",
         "tests/test_constructions.py",
+    ),
+    # -- reading input ----------------------------------------------------
+    Mutant(
+        "io: JSON nested past the recursion limit not refused",
+        IO,
+        "except RecursionError:",
+        "except json.JSONDecodeError:",
+        "tests/test_cli.py::test_malformed_json_exits_2_with_one_error_line",
     ),
     # -- families, corpus, oracles ----------------------------------------
     Mutant(

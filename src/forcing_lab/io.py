@@ -6,7 +6,9 @@ and ``arcs`` (list of ``[tail, head]`` pairs), plus optional ``name`` and
 operator; a repeated label is refused, since ``--set`` looks vertices up
 by label).  Arcs are written in lexicographic order so serialisation is
 deterministic.  Each entry of ``arcs`` is checked by :class:`Digraph`
-itself, whose message is reported under ``key 'arcs' is invalid``.
+itself, whose message is reported under ``key 'arcs' is invalid``.  A
+file nested past the recursion limit, or with an integer past the
+interpreter's digit limit, is refused as one that cannot be parsed.
 """
 
 from __future__ import annotations
@@ -85,6 +87,12 @@ def read_digraph(path: str | Path) -> tuple[Digraph, list[str] | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise DomainError(f"cannot parse {path}: JSON nested too deeply") from None
+    except ValueError:  # an int past the interpreter's digit limit
+        raise DomainError(
+            f"cannot parse {path}: a number has too many digits"
+        ) from None
     return digraph_from_json_dict(doc)
 
 

@@ -317,6 +317,32 @@ def test_orders_above_the_limit_exit_3(capsys, tmp_path):
     assert err.startswith("resource limit:")
 
 
+def test_deep_iterates_of_a_cycle_exit_3_at_the_letter_limit(capsys, tmp_path):
+    # out-degree 1 keeps the order at 131072, but each level adds a letter
+    # to every label, so only the letter limit stops these
+    cyc = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "131072")
+    refused = "resource limit: walk labels of L^7 pass the limit of 4194304 letters\n"
+    for argv in (["line", cyc, "--iterate", "1000"], ["rank", cyc, "--line-depth", "1000"]):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv)
+        assert time.perf_counter() - start < 5, argv
+        assert (code, out, err) == (3, "", refused), argv
+
+
+def test_malformed_json_exits_2_with_one_error_line(capsys, tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000)
+    long_int = tmp_path / "long-int.json"
+    long_int.write_text('{"n": ' + "9" * 5000 + ', "arcs": []}')
+    for path, why in [
+        (nested, "JSON nested too deeply"),
+        (long_int, "a number has too many digits"),
+    ]:
+        code, out, err = _run(capsys, "zf", "check", str(path), "--set", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse {path}: {why}\n"
+
+
 def test_oversize_families_exit_3_at_once(capsys):
     for argv in (
         "de-bruijn --d 2 --D 30",

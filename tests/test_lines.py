@@ -13,7 +13,8 @@ from forcing_lab.digraph import Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.families import cycle, de_bruijn, complete_with_loops
 from forcing_lab.iso import are_isomorphic
-from forcing_lab.lines import LineLabeledDigraph, iterated_line, line_digraph
+from forcing_lab import lines
+from forcing_lab.lines import iterated_line, line_digraph
 
 
 def _random_digraphs() -> st.SearchStrategy[Digraph]:
@@ -100,12 +101,29 @@ def test_iterate_with_too_many_arcs_is_refused():
     assert time.perf_counter() - start < 2
 
 
+def test_deep_iterates_of_out_degree_one_are_refused_by_their_letters():
+    for base, k, refused_at in [(cycle(131072), 1000, 7), (cycle(1), 10**7, 2895)]:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=rf"^walk labels of L\^{refused_at} "):
+            iterated_line(base, k)
+        assert time.perf_counter() - start < 5
+
+
+def test_letter_limit_admits_an_iterate_at_its_exact_letter_count(monkeypatch):
+    # L^j(K_2 + loops) has 2**(j + 1) labels of j + 1 letters
+    letters = sum(2 ** (j + 1) * (j + 1) for j in range(1, 11))
+    monkeypatch.setattr(lines, "_MAX_LETTERS", letters)
+    assert iterated_line(complete_with_loops(2), 10).graph.n == 2**11
+    monkeypatch.setattr(lines, "_MAX_LETTERS", letters - 1)
+    with pytest.raises(ResourceLimitError, match=r"^walk labels of L\^10 pass"):
+        iterated_line(complete_with_loops(2), 10)
+
+
 def test_labels_are_walks():
     lab = iterated_line(complete_with_loops(2), 2)
     for (u, v) in lab.graph.arcs:
         # consecutive vertices overlap in all but one letter
         assert lab.labels[u][1:] == lab.labels[v][:-1]
-    assert lab.depth == 2
     assert all(len(word) == 3 for word in lab.labels)
 
 
@@ -113,21 +131,6 @@ def test_label_strings_and_lookup():
     lab = line_digraph(de_bruijn(2, 2))
     strings = lab.label_strings()
     assert strings[0] == "0-0"
-
-
-def test_labeled_digraph_validation():
-    g = Digraph(2, [(0, 1)])
-    with pytest.raises(DomainError):
-        LineLabeledDigraph(g, ((0,),), 2)  # wrong label count
-    with pytest.raises(DomainError):
-        LineLabeledDigraph(g, ((0,), (0,)), 2)  # duplicate labels
-    with pytest.raises(DomainError, match=r"^walk \(5,\) leaves base order 2$"):
-        LineLabeledDigraph(g, ((0,), (5,)), 2)  # letter outside base range
-    with pytest.raises(DomainError, match=r"^walk \(0, -1\) leaves base order 2$"):
-        LineLabeledDigraph(g, ((0, 1), (0, -1)), 2)
-    # an out-of-range letter inside a walk, with in-range ends
-    with pytest.raises(DomainError, match=r"^walk \(0, 5, 1\) leaves base order 2$"):
-        LineLabeledDigraph(g, ((0, 1, 1), (0, 5, 1)), 2)
 
 
 def test_line_name_tracks_operator():
