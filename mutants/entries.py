@@ -25,11 +25,13 @@ PROPAGATION = "forcing_lab/propagation.py"
 CONSTRUCTIONS = "forcing_lab/constructions.py"
 FAMILIES = "forcing_lab/families.py"
 IO = "forcing_lab/io.py"
+ISO = "forcing_lab/iso.py"
 
 WALK_DICT = "tests/test_lines.py::test_iterated_line_matches_the_walk_dict_reference"
 ARC_VIEWS = "tests/test_digraph.py::test_arc_views_agree_with_a_plain_set"
 FIRST_OFFENDER = "tests/test_digraph.py::test_constructor_keeps_the_first_offender_rule"
 NAIVE_CLOSURE = "tests/test_propagation.py::test_closure_matches_naive_oracle"
+NAIVE_REFINE = "tests/test_iso.py::test_refinement_matches_the_round_based_oracle"
 PROPAGATION_TESTS = "tests/test_propagation.py"
 
 MUTANTS = [
@@ -299,7 +301,7 @@ MUTANTS = [
     ),
     Mutant(
         "iso: order bound checked before the order comparison",
-        "forcing_lab/iso.py",
+        ISO,
         """    if g.n != h.n or g.arc_count != h.arc_count:
         return None
     if g.n > _MAX_ORDER:
@@ -318,9 +320,41 @@ MUTANTS = [
     ),
     Mutant(
         "iso: no order bound",
-        "forcing_lab/iso.py",
+        ISO,
         "if g.n > _MAX_ORDER:",
         "if False:",
         "tests/test_iso.py::test_orders_above_the_bound_are_refused_before_the_search",
+    ),
+    # -- color refinement by splitters ------------------------------------
+    Mutant(
+        "iso: split parts not checked for balance",
+        ISO,
+        """            if len(part_g) != len(part_h):
+                return None
+""",
+        """            if False:
+                return None
+""",
+        NAIVE_REFINE,
+    ),
+    Mutant(
+        "iso: a new part not pushed onto the worklist",
+        ISO,
+        "                work.append(new)\n",
+        "",
+        NAIVE_REFINE,
+    ),
+    Mutant(
+        "iso: out- and in-counts merged into one count",
+        ISO,
+        """                found[colors[v], k, ins.pop(v, 0)].append(v)
+            for v, k in ins.items():
+                found[colors[v], 0, k].append(v)
+""",
+        """                found[colors[v], k + ins.pop(v, 0), 0].append(v)
+            for v, k in ins.items():
+                found[colors[v], k, 0].append(v)
+""",
+        NAIVE_REFINE,
     ),
 ]

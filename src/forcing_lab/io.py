@@ -9,15 +9,27 @@ deterministic.  Each entry of ``arcs`` is checked by :class:`Digraph`
 itself, whose message is reported under ``key 'arcs' is invalid``.  A
 file nested past the recursion limit, or with an integer past the
 interpreter's digit limit, is refused as one that cannot be parsed.
+
+A file above ``MAX_FILE_BYTES`` is refused with
+:class:`ResourceLimitError` before it is read, so the memory of a parse
+is bounded by the bound on the file, not by the file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
-from .digraph import Digraph
-from .errors import DomainError
+from .digraph import MAX_ARCS, MAX_ORDER, Digraph
+from .errors import DomainError, ResourceLimitError
+
+# The largest file read.  As the CLI writes a document, two spaces a
+# level, the widest arc, ``[131071, 131071]``, takes 40 bytes, and each of
+# the longest walk labels at order ``MAX_ORDER``, those of
+# ``L^6(cycle(131072))``, 56 bytes; 64 KiB more are left for the rest.
+# That is 28 MiB: a labelled ``L^16(K_2 + loops)`` takes 15 MiB.
+MAX_FILE_BYTES = 40 * MAX_ARCS + 64 * MAX_ORDER + (1 << 16)
 
 _ALLOWED_KEYS = {"n", "arcs", "name", "labels"}
 
@@ -80,8 +92,22 @@ def digraph_from_json_dict(doc: object) -> tuple[Digraph, list[str] | None]:
 
 def read_digraph(path: str | Path) -> tuple[Digraph, list[str] | None]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size <= MAX_FILE_BYTES:
+                # A pipe or a device reports no size, so the read stops
+                # one byte past the bound.
+                data = handle.read(MAX_FILE_BYTES + 1)
+                size = len(data)
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
+    if size > MAX_FILE_BYTES:
+        raise ResourceLimitError(
+            f"{path} is above the input limit of {MAX_FILE_BYTES} bytes"
+        )
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)

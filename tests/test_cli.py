@@ -13,6 +13,7 @@ import pytest
 import forcing_lab
 from forcing_lab import cli, iso
 from forcing_lab.cli import main
+from forcing_lab.io import MAX_FILE_BYTES, read_digraph
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -315,6 +316,31 @@ def test_orders_above_the_limit_exit_3(capsys, tmp_path):
     code, out, err = _run(capsys, "line", str(huge))
     assert (code, out) == (3, "")
     assert err.startswith("resource limit:")
+
+
+def test_input_file_above_the_byte_bound_exits_3_unparsed(capsys, tmp_path, monkeypatch):
+    # A sparse file of NUL bytes, one past the bound: parsed, it would exit
+    # 2 as invalid JSON.
+    huge = tmp_path / "huge.json"
+    with open(huge, "wb") as handle:
+        handle.truncate(MAX_FILE_BYTES + 1)
+    parsed = []
+    monkeypatch.setattr(json, "loads", parsed.append)
+    code, out, err = _run(capsys, "zf", "min", str(huge))
+    assert (code, out, parsed) == (3, "", [])
+    assert err == (
+        f"resource limit: {huge} is above the input limit of "
+        f"{MAX_FILE_BYTES} bytes\n"
+    )
+
+
+def test_largest_document_the_cli_writes_is_read_back(capsys, tmp_path):
+    k2 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "2")
+    line = _gen(capsys, tmp_path, "l.json", "line", k2, "--iterate", "16")
+    assert os.path.getsize(line) <= MAX_FILE_BYTES
+    g, labels = read_digraph(line)
+    assert (g.n, g.arc_count) == (1 << 17, 1 << 18)
+    assert labels[0] == "-".join(["0"] * 17) and labels[-1] == "-".join(["1"] * 17)
 
 
 def test_deep_iterates_of_a_cycle_exit_3_at_the_letter_limit(capsys, tmp_path):

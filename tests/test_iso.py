@@ -11,7 +11,15 @@ from forcing_lab import iso
 from forcing_lab.corpus import random_regular_digraph
 from forcing_lab.digraph import Digraph
 from forcing_lab.errors import ResourceLimitError
-from forcing_lab.families import complete_with_loops, cycle, de_bruijn, kautz
+from forcing_lab.families import (
+    complete_with_loops,
+    cycle,
+    de_bruijn,
+    gen_de_bruijn,
+    gen_kautz,
+    kautz,
+    wrapped_butterfly,
+)
 from forcing_lab.iso import are_isomorphic
 from forcing_lab.lines import iterated_line, line_digraph
 
@@ -24,6 +32,56 @@ def _is_valid_mapping(g: Digraph, h: Digraph, phi: tuple[int, ...]) -> bool:
     if sorted(phi) != list(range(g.n)):
         return False
     return {(phi[u], phi[v]) for u, v in g.arcs} == h.arcs
+
+
+def _naive_refine(g: Digraph, h: Digraph) -> tuple[list[int], list[int]] | None:
+    """Round-by-round joint color refinement, kept as the oracle for the
+    splitter refinement: every round re-signs every vertex by its color
+    and the sorted colors of its out- and in-neighbors, and the rounds
+    stop when the number of colors stays put.  None when the color
+    histograms of the two sides ever differ."""
+
+    def signatures(d: Digraph, colors: list[int]) -> list[tuple]:
+        return [
+            (
+                colors[v],
+                tuple(sorted(colors[w] for w in d._out[v])),
+                tuple(sorted(colors[w] for w in d._in[v])),
+            )
+            for v in range(d.n)
+        ]
+
+    sig_g = [(len(g._out[v]), len(g._in[v]), v in g._out[v]) for v in range(g.n)]
+    sig_h = [(len(h._out[v]), len(h._in[v]), v in h._out[v]) for v in range(h.n)]
+    colors_g: list[int] = []
+    for _ in range(g.n + 1):
+        palette: dict[tuple, int] = {}
+        new_g = [palette.setdefault(s, len(palette)) for s in sig_g]
+        new_h = [palette.get(s, -1) for s in sig_h]
+        if sorted(new_g) != sorted(new_h):
+            return None
+        if colors_g and len(set(new_g)) == len(set(colors_g)):
+            break
+        colors_g, colors_h = new_g, new_h
+        sig_g, sig_h = signatures(g, colors_g), signatures(h, colors_h)
+    return new_g, new_h
+
+
+def _same_refinement(g: Digraph, h: Digraph) -> bool:
+    """Asserts that the splitter refinement and the round-based oracle
+    give the same verdict and, up to renaming the classes, the same
+    partition of both sides; True when they refute the pair."""
+
+    def classes(refined: tuple[list[int], list[int]]) -> list[int]:
+        renamed: dict[int, int] = {}
+        return [renamed.setdefault(c, len(renamed)) for c in refined[0] + refined[1]]
+
+    expected, got = _naive_refine(g, h), iso._refine_colors(g, h)
+    assert (got is None) == (expected is None)
+    if got is None:
+        return True
+    assert classes(got) == classes(expected)
+    return False
 
 
 def _random_digraphs() -> st.SearchStrategy[Digraph]:
@@ -83,6 +141,60 @@ def test_lex_least_against_all_permutations():
         found += expected is not None
         refuted += expected is None
     assert found > 100 and refuted > 50
+
+
+def test_refinement_matches_the_round_based_oracle():
+    # Relabellings, one-arc moves and head swaps (which keep every degree)
+    # at orders 1-12, with and without loops.  A refuted pair whose
+    # (out-degree, in-degree, loop) histograms agree passes the first
+    # check, so the refinement refutes it mid-way.
+    rng = Random(23)
+    refuted_mid_way = 0
+    for i in range(1200):
+        n = rng.randint(1, 12)
+        loops = i % 2 == 0
+        density = rng.choice([0.1, 0.2, 0.3, 0.5, 0.7])
+        pairs = [(u, v) for u in range(n) for v in range(n) if loops or u != v]
+        g = Digraph(n, [p for p in pairs if rng.random() < density])
+        phi = list(range(n))
+        rng.shuffle(phi)
+        arcs = {(phi[u], phi[v]) for u, v in g.arcs}
+        if i % 4 == 2 and arcs and len(arcs) < len(pairs):
+            arcs.remove(rng.choice(sorted(arcs)))
+            arcs.add(rng.choice([p for p in pairs if p not in arcs]))
+        elif i % 4 == 3 and len(arcs) >= 2:
+            (a, b), (c, d) = rng.sample(sorted(arcs), 2)
+            if (a, d) in pairs and (c, b) in pairs and not {(a, d), (c, b)} & arcs:
+                arcs -= {(a, b), (c, d)}
+                arcs |= {(a, d), (c, b)}
+        h = Digraph(n, arcs)
+        refuted = _same_refinement(g, h)
+        degrees = [
+            sorted((len(d._out[v]), len(d._in[v]), v in d._out[v]) for v in range(n))
+            for d in (g, h)
+        ]
+        refuted_mid_way += refuted and degrees[0] == degrees[1]
+    assert refuted_mid_way >= 20
+
+
+def test_refinement_matches_the_oracle_on_relabelled_families():
+    rng = Random(29)
+    sizes = [(2, 600), (3, 400), (2, 97), (4, 100)]
+    family = [de_bruijn(2, k) for k in range(1, 10)]
+    family += [kautz(3, k) for k in range(1, 6)]
+    family += [gen_de_bruijn(d, n) for d, n in sizes]
+    family += [gen_kautz(d, n) for d, n in sizes]
+    family += [wrapped_butterfly(d, n) for d, n in [(2, 3), (2, 6), (3, 3), (3, 4)]]
+    for g in family:
+        for _ in range(2):
+            phi = list(range(g.n))
+            rng.shuffle(phi)
+            assert not _same_refinement(g, _apply(g, phi))
+    # generalised de Bruijn and Kautz digraphs of one order and degree
+    for d, n in sizes:
+        phi = list(range(n))
+        rng.shuffle(phi)
+        assert _same_refinement(gen_de_bruijn(d, n), _apply(gen_kautz(d, n), phi))
 
 
 def test_relabellings_found_at_orders_3000_and_4096():
