@@ -26,12 +26,15 @@ CONSTRUCTIONS = "forcing_lab/constructions.py"
 FAMILIES = "forcing_lab/families.py"
 IO = "forcing_lab/io.py"
 ISO = "forcing_lab/iso.py"
+LINALG = "forcing_lab/linalg.py"
 
 WALK_DICT = "tests/test_lines.py::test_iterated_line_matches_the_walk_dict_reference"
 ARC_VIEWS = "tests/test_digraph.py::test_arc_views_agree_with_a_plain_set"
 FIRST_OFFENDER = "tests/test_digraph.py::test_constructor_keeps_the_first_offender_rule"
 NAIVE_CLOSURE = "tests/test_propagation.py::test_closure_matches_naive_oracle"
 NAIVE_REFINE = "tests/test_iso.py::test_refinement_matches_the_round_based_oracle"
+SHARED_ROWS = "tests/test_linalg.py::test_adjacency_matrix_shares_one_row_per_out_tuple"
+BOUNDS_DIFFER = "tests/test_linalg.py::test_bareiss_decides_when_the_bounds_differ"
 PROPAGATION_TESTS = "tests/test_propagation.py"
 
 MUTANTS = [
@@ -292,12 +295,55 @@ MUTANTS = [
         "for _ in range(0):",
         "tests/test_corpus.py::test_random_regular_digraph_reaches_every_labelled_digraph",
     ),
+    # -- dense matrices and their rank -----------------------------------
     Mutant(
         "linalg: the sandwich always taken",
-        "forcing_lab/linalg.py",
+        LINALG,
         "if _gf2_rank(odd) == upper:",
         "if True:",
-        "tests/test_linalg.py::test_bareiss_decides_when_the_bounds_differ",
+        BOUNDS_DIFFER,
+    ),
+    Mutant(
+        "linalg: nonzero entries taken as odd",
+        LINALG,
+        "[j for j in compress(cols, row) if row[j] & 1]",
+        "[j for j in compress(cols, row)]",
+        BOUNDS_DIFFER,
+    ),
+    Mutant(
+        "linalg: only the first row object's entry types checked",
+        LINALG,
+        "            if id(row) in checked:\n",
+        "            if checked:\n",
+        SHARED_ROWS,
+    ),
+    Mutant(
+        "linalg: rows that are not tuples accepted",
+        LINALG,
+        "isinstance(row, tuple) for row in entries",
+        "row is not None for row in entries",
+        "tests/test_linalg.py::test_matrix_refuses_rows_that_are_not_tuples",
+    ),
+    Mutant(
+        "linalg: a shared row keyed by the wrong out-tuple",
+        LINALG,
+        "ExactMatrix(tuple(map(shared.__getitem__, g._out)))",
+        "ExactMatrix(tuple(map(shared.__getitem__, sorted(g._out))))",
+        SHARED_ROWS,
+    ),
+    Mutant(
+        "linalg: the shared zero list written to, not copied",
+        LINALG,
+        "row = zero.copy()",
+        "row = zero",
+        SHARED_ROWS,
+    ),
+    Mutant(
+        "linalg: the dense bound counts distinct rows, not their cells",
+        LINALG,
+        "if len(shared) * g.n > _DENSE_MAX_CELLS:",
+        "if len(shared) > _DENSE_MAX_CELLS:",
+        "tests/test_linalg.py::test_dense_matrix_bound_counts_distinct_rows_times_order",
     ),
     Mutant(
         "iso: order bound checked before the order comparison",

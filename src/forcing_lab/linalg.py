@@ -23,6 +23,16 @@ one that needs a dense matrix.  Above order ``_BAREISS_MAX_ORDER`` it is
 refused with :class:`ResourceLimitError` before one is built (it took
 22 s at order 1024).  Every report names the method that decided it.
 
+``adjacency_matrix`` builds one row tuple per distinct out-tuple and
+hands it to every vertex with that out-tuple, so a line digraph's matrix
+holds only ``n / d`` distinct rows (in-twins have equal rows).  It is
+refused with :class:`ResourceLimitError` before any row is built when
+the distinct rows times the order pass ``_DENSE_MAX_CELLS``.
+``ExactMatrix`` checks every row's length and the entry types of each
+row object once, naming the first bad entry in row-major order, and
+``rank_exact`` hashes each row object once, so their work follows the
+distinct rows.
+
 For a ``d``-regular line digraph the adjacency rank is the order divided
 by ``d``.  With ``nullity(A) <= maximum nullity <= zero forcing number``
 this pins the minimum rank and maximum nullity of ``d``-regular iterated
@@ -33,6 +43,7 @@ the values for ``d = 1`` (disjoint cycles).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Callable, Iterable, NamedTuple
 
 from .digraph import Digraph
@@ -40,6 +51,13 @@ from .errors import DomainError, ResourceLimitError
 from .lines import iterated_line
 
 _BAREISS_MAX_ORDER = 1024
+# Cells of a dense adjacency matrix's distinct rows, their number times
+# the order: 16 MiB of row pointers, twice the 1026 x 1026 of the largest
+# matrix the tests build.  Measured on 2 cores, one process, matrix
+# build only: 1026 distinct rows of order 1026 take 0.05 s (+7.6 MiB),
+# 1448 of order 1448 (2,096,704 cells) 0.11 s (+16 MiB), and the 1024
+# rows of B(2, 11), order 2048, 0.08 s (+16 MiB).
+_DENSE_MAX_CELLS = 2**21
 # Work budget of the GF(2) lower bound, in bits: every mask kept in the
 # basis plus every mask XORed into a row.  It is 200 MiB of bits, the
 # memory of building an iterate of order ``MAX_ORDER``.  Measured on 2
@@ -58,15 +76,24 @@ class ExactMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+        entries = self.entries
+        if not isinstance(entries, tuple) or not all(
+            isinstance(row, tuple) for row in entries
+        ):
+            raise DomainError("matrix must be a tuple of row tuples")
+        if not entries or not entries[0]:
             raise DomainError("matrix must have at least one row and column")
-        width = len(self.entries[0])
-        for row in self.entries:
+        width = len(entries[0])
+        checked: set[int] = set()  # ids of rows whose entries are all ints
+        for row in entries:
             if len(row) != width:
                 raise DomainError("matrix rows must all have the same length")
+            if id(row) in checked:
+                continue
             for x in row if set(map(type, row)) != {int} else ():  # only non-int rows
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise DomainError(f"matrix entry {x!r} is not an int")
+            checked.add(id(row))
 
     @property
     def rows(self) -> int:
@@ -84,10 +111,23 @@ class RankReport(NamedTuple):
 
 
 def adjacency_matrix(g: Digraph) -> ExactMatrix:
-    """0/1 adjacency matrix with entry ``[u][v] = 1`` when ``u -> v``."""
-    cols = range(g.n)
-    rows = (tuple(1 if v in out else 0 for v in cols) for out in map(set, g._out))
-    return ExactMatrix(tuple(rows))
+    """0/1 adjacency matrix with entry ``[u][v] = 1`` when ``u -> v``.
+
+    Vertices with equal out-tuples share one row object; refused above
+    ``_DENSE_MAX_CELLS`` distinct-row cells before any row is built."""
+    shared = dict.fromkeys(g._out)
+    if len(shared) * g.n > _DENSE_MAX_CELLS:
+        raise ResourceLimitError(
+            f"dense adjacency matrix of {len(shared)} distinct rows of "
+            f"{g.n} entries is above the limit of {_DENSE_MAX_CELLS} cells"
+        )
+    zero = [0] * g.n
+    for heads in shared:
+        row = zero.copy()
+        for v in heads:
+            row[v] = 1
+        shared[heads] = tuple(row)
+    return ExactMatrix(tuple(map(shared.__getitem__, g._out)))
 
 
 def _gf2_rank(rows: Iterable[Iterable[int]]) -> int | None:
@@ -157,11 +197,14 @@ def _bareiss_rank(entries: tuple[tuple[int, ...], ...]) -> int:
 def rank_exact(m: ExactMatrix) -> RankReport:
     """Exact rank and nullity (columns minus rank) over the rationals,
     with the method that decided the rank."""
-    distinct = set(m.entries)
+    # a shared row is hashed once, so the cost follows the distinct rows
+    distinct = set({id(row): row for row in m.entries}.values())
     distinct.discard((0,) * m.cols)
     upper = len(distinct)
-    # ``e & 1`` is the parity of negative entries too
-    odd = ([j for j, e in enumerate(row) if e & 1] for row in distinct)
+    cols = tuple(range(m.cols))
+    # odd entries are among the nonzero ones, which ``compress`` finds
+    # without a Python step; ``& 1`` is the parity of negative entries too
+    odd = ([j for j in compress(cols, row) if row[j] & 1] for row in distinct)
     if _gf2_rank(odd) == upper:
         return RankReport(rank=upper, nullity=m.cols - upper, method="sandwich")
     return _by_bareiss(max(m.rows, m.cols), lambda: m)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import permutations
 from random import Random
 
@@ -12,7 +13,7 @@ from forcing_lab.corpus import (
     random_regular_digraph,
     regular_digraphs_up_to_iso,
 )
-from forcing_lab.digraph import Digraph
+from forcing_lab.digraph import MAX_ORDER, Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.families import (
     complete_with_loops,
@@ -60,6 +61,99 @@ def test_matrix_validation():
     assert ExactMatrix(((1, _Int(2)),)).cols == 2  # int subclasses are ints
     m = ExactMatrix(((1, 2), (3, 4)))
     assert m.rows == 2 and m.cols == 2
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ([1, 2], [3, 4]),  # list rows would crash the hashing in rank_exact
+        [[1, 2], [3, 4]],
+        [(1, 2), (3, 4)],  # tuple rows, but not a tuple of them
+        (5, 6),  # a row of ints, not a matrix
+    ],
+    ids=["tuple-of-lists", "list-of-lists", "list-of-tuples", "one-bare-row"],
+)
+def test_matrix_refuses_rows_that_are_not_tuples(entries):
+    with pytest.raises(DomainError, match="^matrix must be a tuple of row tuples$"):
+        ExactMatrix(entries)
+
+
+def _first_bad_entry(entries) -> object:
+    """The first entry, row-major, that is a bool or not an int."""
+    for row in entries:
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, int):
+                return x
+    return None
+
+
+def _reference_adjacency(g: Digraph) -> tuple[tuple[int, ...], ...]:
+    arcs = g.arcs
+    return tuple(tuple(int((u, v) in arcs) for v in range(g.n)) for u in range(g.n))
+
+
+def test_adjacency_matrix_shares_one_row_per_out_tuple():
+    """Seeded digraphs with and without loops, isolated vertices appended
+    (zero rows): the entries match a per-cell reference, every distinct
+    out-tuple has exactly one row object, and a matrix that repeats one
+    bad row object names its first bad entry in row-major order."""
+    rng = Random(2411)
+    shared = zero_rows = 0
+    for i in range(240):
+        core = random_digraph(
+            rng,
+            rng.randrange(1, 10),
+            arc_probability=rng.choice((0.1, 0.3, 0.6)),
+            loop_probability=0.4 if i % 2 else 0.0,
+        )
+        g = Digraph(core.n + rng.randrange(3), core.arcs)
+        m = adjacency_matrix(g)
+        assert m.entries == _reference_adjacency(g)
+        assert len(set(map(id, m.entries))) == len(set(g._out))
+        shared += len(set(g._out)) < g.n
+        zero_rows += () in g._out
+
+        # one row object, made bad, in every place it held; a second bad
+        # row, when there is one, competes for the first offender
+        objects = list(dict.fromkeys(m.entries))
+        bad_rows = {}
+        for row in rng.sample(objects, min(2, len(objects))):
+            cells = list(row)
+            cells[rng.randrange(g.n)] = rng.choice((1.0, True, None, "1"))
+            bad_rows[id(row)] = tuple(cells)
+        entries = tuple(bad_rows.get(id(row), row) for row in m.entries)
+        x = _first_bad_entry(entries)
+        with pytest.raises(DomainError) as err:
+            ExactMatrix(entries)
+        assert str(err.value) == f"matrix entry {x!r} is not an int"
+    assert shared > 60 and zero_rows > 60
+
+
+def test_dense_matrix_bound_counts_distinct_rows_times_order(monkeypatch):
+    g = Digraph(4, [(0, 1), (1, 1), (2, 0)])  # out-tuples (1,), (1,), (0,), ()
+    monkeypatch.setattr(linalg, "_DENSE_MAX_CELLS", 12)
+    assert adjacency_matrix(g).entries == _reference_adjacency(g)
+    with pytest.raises(ResourceLimitError):
+        adjacency_matrix(Digraph(4, [(0, 1), (1, 2), (2, 0)]))  # four rows
+
+
+def test_dense_matrix_of_cycle_at_max_order_refused_at_once():
+    g = cycle(MAX_ORDER)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            adjacency_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**25  # one dense row alone is 1 MiB, all of them 128 GiB
+
+
+def test_shared_rows_keep_a_wide_matrix_cheap():
+    g = Digraph(MAX_ORDER, [(u, 0) for u in range(MAX_ORDER)])
+    m = adjacency_matrix(g)
+    assert len(set(map(id, m.entries))) == 1
+    assert rank_exact(m) == (1, MAX_ORDER - 1, "sandwich")
 
 
 def test_adjacency_entries():
