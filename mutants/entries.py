@@ -27,6 +27,7 @@ FAMILIES = "forcing_lab/families.py"
 IO = "forcing_lab/io.py"
 ISO = "forcing_lab/iso.py"
 LINALG = "forcing_lab/linalg.py"
+SOLVERS = "forcing_lab/solvers.py"
 
 WALK_DICT = "tests/test_lines.py::test_iterated_line_matches_the_walk_dict_reference"
 ARC_VIEWS = "tests/test_digraph.py::test_arc_views_agree_with_a_plain_set"
@@ -36,6 +37,9 @@ NAIVE_REFINE = "tests/test_iso.py::test_refinement_matches_the_round_based_oracl
 SHARED_ROWS = "tests/test_linalg.py::test_adjacency_matrix_shares_one_row_per_out_tuple"
 BOUNDS_DIFFER = "tests/test_linalg.py::test_bareiss_decides_when_the_bounds_differ"
 PROPAGATION_TESTS = "tests/test_propagation.py"
+MEMO_ONLY = "tests/test_solvers.py::test_sibling_rule_keeps_the_answers_at_orders_11_to_20"
+VERIFY_SCANS = "tests/test_solvers.py::test_sibling_rule_keeps_the_answers_on_the_verify_iterates"
+WORK_COUNTS = "tests/test_solvers.py::test_subsets_tested_counts_every_closure_at_every_size"
 
 MUTANTS = [
     # -- the line operator's hand-over ----------------------------------
@@ -402,5 +406,62 @@ MUTANTS = [
                 found[colors[v], k, 0].append(v)
 """,
         NAIVE_REFINE,
+    ),
+    # -- the exhaustive scan's sibling rule --------------------------------
+    Mutant(
+        "solvers: power domination skipped by the union alone",
+        SOLVERS,
+        "not dominate or any(not fresh & ~c for c in earlier)",
+        "True",
+        MEMO_ONLY,
+    ),
+    Mutant(
+        # a fresh zero forcing seed is one vertex, and an earlier closure
+        # holding all of fresh is still needed, so both tests change
+        "solvers: skipped when fresh meets the earlier closures",
+        SOLVERS,
+        """                if not fresh & ~reached and (
+                    not dominate or any(not fresh & ~c for c in earlier)
+""",
+        """                if fresh & reached and (
+                    not dominate or any(fresh & c for c in earlier)
+""",
+        MEMO_ONLY,
+    ),
+    Mutant(
+        "solvers: a skipped vertex excluded at every size",
+        SOLVERS,
+        "if not chosen:",
+        "if True:",
+        VERIFY_SCANS,
+    ),
+    Mutant(
+        "solvers: earlier closures not reset per parent",
+        SOLVERS,
+        """        for base, chosen in level.items():
+            # the union and the list of the closures of earlier siblings
+            reached, earlier = 0, []
+""",
+        """        reached, earlier = 0, []
+        for base, chosen in level.items():
+""",
+        MEMO_ONLY,
+    ),
+    Mutant(
+        "solvers: the closures the memo drops left out of reached",
+        SOLVERS,
+        """                reached |= colored
+                earlier.append(colored)
+                if colored in level or colored in nxt:
+                    pruned += 1
+                else:
+""",
+        """                if colored in level or colored in nxt:
+                    pruned += 1
+                else:
+                    reached |= colored
+                    earlier.append(colored)
+""",
+        WORK_COUNTS,
     ),
 ]

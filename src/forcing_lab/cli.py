@@ -130,6 +130,7 @@ def _cmd_min(
             "witness": sorted(result.witness),
             "subsets_tested": result.subsets_tested,
             "prefixes_pruned": result.prefixes_pruned,
+            "siblings_skipped": result.siblings_skipped,
             "tested_per_size": list(result.tested_per_size),
         }
     )

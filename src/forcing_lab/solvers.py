@@ -45,6 +45,25 @@ cheap special case, with ``R`` the parent itself: the child is skipped
 without computing a closure.  It never fires at size 1, where the parent
 is empty.
 
+Siblings dominate each other too.  The child ``P + v`` of a kept set
+``P`` is skipped, before its closure is computed, when its fresh seeds
+(those outside ``cl(P)``) lie in the closure of one earlier child
+``P + a``, ``a < v``, of the same parent, and ``siblings_skipped``
+counts it.  Suppose ``P + v`` were a prefix of ``W``.  Then
+``W' = W - v + a`` closes: ``cl(W')`` holds ``cl(P + a)``, so the seeds
+of ``v``, and the seeds of ``W - v``, so every seed of ``W``.  If ``a``
+is in ``W``, ``W'`` is smaller; if not, it has the size of ``W`` and
+comes before it, since the vertices of ``W`` below ``v`` are those of
+``P``, all below ``a``.  Either contradicts the choice of ``W``.  Under
+zero forcing the fresh seed is ``v`` alone, so the test is whether ``v``
+lies in the union of the earlier siblings' closures; for power
+domination that union is only a pre-filter, and one closure must hold
+all the fresh seeds.  The earlier siblings include those the memo then
+drops, and not those skipped, whose closures lie in an earlier one.  At
+size 1 the parent is empty and the same ``W'`` works for every ``W``
+holding ``v``, so a vertex skipped there is left out of every later
+size and counted once.
+
 The closure deliberately does not share code with the worklist engine in
 :mod:`forcing_lab.propagation`.  Every witness the constructions return is
 certified by that engine, so a fault in it must not be able to reach the
@@ -89,6 +108,7 @@ class MinimumSetResult:
     witness: frozenset[int]
     subsets_tested: int
     prefixes_pruned: int
+    siblings_skipped: int
     tested_per_size: tuple[int, ...]
 
 
@@ -143,8 +163,10 @@ def _scan(g: Digraph, dominate: bool) -> MinimumSetResult:
     # level maps the closure of each surviving set of the previous size to
     # its vertex mask, in lexicographic order; the empty set starts it.
     level = {0: 0}
-    tested = pruned = 0
+    tested = pruned = skipped = excluded = 0
     per_size: list[int] = []
+    # later[u] lists the vertices from u on that may still be chosen.
+    later = [range(u, n) for u in range(n + 1)]
     # Under the loop rule the empty set can force, so a first seed's
     # closure examines every vertex.
     pool = full if loop_rule else 0
@@ -152,9 +174,18 @@ def _scan(g: Digraph, dominate: bool) -> MinimumSetResult:
         before = tested
         nxt: dict[int, int] = {}
         for base, chosen in level.items():
-            for v in range(chosen.bit_length(), n):
+            # the union and the list of the closures of earlier siblings
+            reached, earlier = 0, []
+            for v in later[chosen.bit_length()]:
                 fresh = seeds[v] & ~base
                 if not fresh:
+                    continue
+                if not fresh & ~reached and (
+                    not dominate or any(not fresh & ~c for c in earlier)
+                ):
+                    skipped += 1
+                    if not chosen:
+                        excluded |= 1 << v
                     continue
                 tested += 1
                 if tested > budget:
@@ -167,12 +198,18 @@ def _scan(g: Digraph, dominate: bool) -> MinimumSetResult:
                         witness=frozenset(u for u in range(n) if chosen >> u & 1),
                         subsets_tested=tested,
                         prefixes_pruned=pruned,
+                        siblings_skipped=skipped,
                         tested_per_size=(*per_size, tested - before),
                     )
+                reached |= colored
+                earlier.append(colored)
                 if colored in level or colored in nxt:
                     pruned += 1
                 else:
                     nxt[colored] = chosen | 1 << v
+        if excluded:
+            later = [[u for u in vs if not excluded >> u & 1] for vs in later]
+            excluded = 0
         per_size.append(tested - before)
         level = nxt
         pool = 0

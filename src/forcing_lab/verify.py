@@ -11,10 +11,10 @@ instances are replaced by the same property at the smaller sizes, and
 the details strings say so explicitly.  The cut instances cost far more
 than the under one second all suites take together (2-core x86_64,
 Python 3.11.7): Z of L^2 of the 3-regular order-3 class (27 vertices,
-Z = 18) takes 5-8 s and 2.9*10^6 closures; gamma_P of L^2 of each of
-the five 3-regular order-4 classes (36 vertices, gamma_P = 8) takes
-4-7 s and 1.6-2.0*10^6 closures; and Z of those order-4 iterates
-(Z = nullity = 24) exhausts the budget of 5*10^6 closures after 10-15 s.
+Z = 18) takes about 5 s and 2.4*10^6 closures; gamma_P of L^2 of each
+of the five 3-regular order-4 classes (36 vertices, gamma_P = 8) takes
+3-5.5 s and 0.74-1.34*10^6 closures; and Z of those order-4 iterates
+(Z = nullity = 24) exhausts the budget of 5*10^6 closures after 13-16 s.
 """
 
 from __future__ import annotations

@@ -64,8 +64,9 @@ def test_zf_min(capsys, tmp_path):
     code, doc, _ = _run_json(capsys, "zf", "min", path)
     assert code == 0
     assert doc["number"] == 4 and doc["witness"] == [0, 2, 4, 6]
-    assert doc["subsets_tested"] == 29 and doc["prefixes_pruned"] == 14
-    assert doc["tested_per_size"] == [8, 12, 8, 1]
+    assert doc["subsets_tested"] == 15 and doc["prefixes_pruned"] == 0
+    assert doc["siblings_skipped"] == 4
+    assert doc["tested_per_size"] == [4, 6, 4, 1]
 
 
 def test_zf_check_exit_codes(capsys, tmp_path):
@@ -113,8 +114,9 @@ def test_pd_min_and_construct(capsys, tmp_path):
     path = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "3")
     code, doc, _ = _run_json(capsys, "pd", "min", path)
     assert code == 0 and doc["number"] == 2 and doc["witness"] == [1, 6]
-    assert doc["subsets_tested"] == 20 and doc["prefixes_pruned"] == 8
-    assert doc["tested_per_size"] == [8, 12]
+    assert doc["subsets_tested"] == 13 and doc["prefixes_pruned"] == 3
+    assert doc["siblings_skipped"] == 4
+    assert doc["tested_per_size"] == [6, 7]
 
     k3 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "3")
     code, doc, err = _run_json(capsys, "pd", "construct-l2", k3)

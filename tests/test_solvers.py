@@ -8,11 +8,11 @@ from random import Random
 
 import pytest
 
-from forcing_lab.digraph import Digraph
+from forcing_lab.digraph import Digraph, adjacency_masks
 from forcing_lab.errors import ResourceLimitError
 from forcing_lab.corpus import random_digraph
 from forcing_lab.families import cycle, de_bruijn
-from forcing_lab import solvers
+from forcing_lab import solvers, verify
 from forcing_lab.lines import line_digraph
 from forcing_lab.solvers import min_power_dominating, min_zero_forcing
 
@@ -177,15 +177,20 @@ def _unskipped_count(g: Digraph, number: int, witness: frozenset[int]) -> int:
 
 def test_subsets_tested_counts_every_closure_at_every_size():
     # every set whose closure was computed counts, at every size; the
-    # memo drops the children whose closure an earlier set reached
-    for solve, g, tested, pruned, unskipped in (
-        (min_zero_forcing, de_bruijn(2, 3), 29, 14, 113),
-        (min_zero_forcing, de_bruijn(3, 2), 184, 60, 405),
-        (min_power_dominating, de_bruijn(2, 3), 20, 8, 20),
-        (min_power_dominating, de_bruijn(3, 2), 18, 4, 18),
+    # sibling rule skips children before their closure is computed, and
+    # the memo drops the children whose closure an earlier set reached
+    for solve, g, tested, pruned, skipped, unskipped in (
+        (min_zero_forcing, de_bruijn(2, 3), 15, 0, 4, 113),
+        (min_zero_forcing, de_bruijn(3, 2), 154, 30, 30, 405),
+        (min_power_dominating, de_bruijn(2, 3), 13, 3, 4, 20),
+        (min_power_dominating, de_bruijn(3, 2), 12, 0, 4, 18),
     ):
         result = solve(g)
-        assert (result.subsets_tested, result.prefixes_pruned) == (tested, pruned)
+        assert (
+            result.subsets_tested,
+            result.prefixes_pruned,
+            result.siblings_skipped,
+        ) == (tested, pruned, skipped)
         assert sum(result.tested_per_size) == tested
         assert len(result.tested_per_size) == result.number
         assert _unskipped_count(g, result.number, result.witness) == unskipped
@@ -193,10 +198,95 @@ def test_subsets_tested_counts_every_closure_at_every_size():
 
 
 def test_tested_per_size_on_de_bruijn_2_3():
-    # Z keeps 4, 6 and 4 of the sets it closes at sizes 1-3, and the
-    # first set of size 4 it closes colors every vertex
-    assert min_zero_forcing(de_bruijn(2, 3)).tested_per_size == (8, 12, 8, 1)
-    assert min_power_dominating(de_bruijn(2, 3)).tested_per_size == (8, 12)
+    # 2k and 2k + 1 are in-twins and the closure of 2k holds 2k + 1, so Z
+    # closes the 4 even vertices alone and leaves the odd ones out at
+    # every size, then the 6 pairs and 4 triples of the even ones, and
+    # the first set of size 4 it closes colors every vertex
+    assert min_zero_forcing(de_bruijn(2, 3)).tested_per_size == (4, 6, 4, 1)
+    assert min_power_dominating(de_bruijn(2, 3)).tested_per_size == (6, 7)
+
+
+def _memo_only_scan(g: Digraph, dominate: bool) -> tuple[int, frozenset[int], int]:
+    """The scan without the sibling rule: only the memo drops children.
+    Returns the number, the witness and the closures computed."""
+    n = g.n
+    masks, inn = adjacency_masks(g)
+    seeds = [(1 << v) | (masks[v] if dominate else 0) for v in range(n)]
+    full = (1 << n) - 1
+    level, tested = {0: 0}, 0
+    pool = full if g.has_loops else 0
+    for size in range(1, n + 1):
+        nxt: dict[int, int] = {}
+        for base, chosen in level.items():
+            for v in range(chosen.bit_length(), n):
+                fresh = seeds[v] & ~base
+                if not fresh:
+                    continue
+                tested += 1
+                colored = solvers._closure(
+                    masks, inn, g.has_loops, base | fresh, fresh, pool
+                )
+                if colored == full:
+                    chosen |= 1 << v
+                    witness = frozenset(u for u in range(n) if chosen >> u & 1)
+                    return size, witness, tested
+                if colored not in level and colored not in nxt:
+                    nxt[colored] = chosen | 1 << v
+        level, pool = nxt, 0
+    raise AssertionError("the full vertex set always succeeds")
+
+
+def _assert_matches_memo_only_scan(g: Digraph, dominate: bool) -> int:
+    got = solvers._scan(g, dominate)
+    number, witness, tested = _memo_only_scan(g, dominate)
+    assert (got.number, got.witness) == (number, witness)
+    assert got.subsets_tested <= tested
+    return got.siblings_skipped
+
+
+def test_sibling_rule_keeps_the_answers_on_the_verify_iterates(monkeypatch):
+    # every scan of the nullity-collapse, sandwich and pd-identity suites,
+    # the order-27 gamma_P of L^2(K_3 + loops) among them
+    scans = []
+    for name, dominate in (
+        ("min_zero_forcing", False),
+        ("min_power_dominating", True),
+    ):
+        solve = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda g, s=solve, d=dominate: scans.append((g, d)) or s(g)
+        )
+    for suite in ("nullity-collapse", "sandwich", "pd-identity"):
+        assert all(check.passed for check in verify.SUITES[suite]())
+    assert (27, True) in {(g.n, d) for g, d in scans}
+    skipped = [_assert_matches_memo_only_scan(g, d) for g, d in scans]
+    assert len(skipped) == 92 and sum(s > 0 for s in skipped) > 80
+
+
+def test_sibling_rule_keeps_the_answers_at_orders_11_to_20():
+    # random digraphs of mean out-degree 2, and line digraphs of random
+    # digraphs of 5-9 vertices, with and without loops
+    rng = Random(25)
+    fired = checked = 0
+    while checked < 300:
+        loops = 0.3 if checked % 4 >= 2 else 0.0
+        if checked % 2:
+            n = rng.randrange(11, 21)
+            g = random_digraph(rng, n, arc_probability=2 / n, loop_probability=loops)
+        else:
+            base = random_digraph(
+                rng,
+                rng.randrange(5, 10),
+                arc_probability=rng.uniform(0.2, 0.5),
+                loop_probability=loops,
+            )
+            if not 11 <= base.arc_count <= 20 or base.arc_count - base.n > 6:
+                continue
+            g = line_digraph(base).graph
+        checked += 1
+        for dominate in (False, True):
+            fired += _assert_matches_memo_only_scan(g, dominate) > 0
+    assert fired > 500
 
 
 def test_a_budget_of_exactly_the_sets_tested_suffices(monkeypatch):
