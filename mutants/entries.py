@@ -25,6 +25,7 @@ PROPAGATION = "forcing_lab/propagation.py"
 CONSTRUCTIONS = "forcing_lab/constructions.py"
 FAMILIES = "forcing_lab/families.py"
 IO = "forcing_lab/io.py"
+CLI = "forcing_lab/cli.py"
 ISO = "forcing_lab/iso.py"
 LINALG = "forcing_lab/linalg.py"
 SOLVERS = "forcing_lab/solvers.py"
@@ -134,6 +135,13 @@ MUTANTS = [
         "if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < n:",
         "if not isinstance(w, int) or not 0 <= w < n:",
         FIRST_OFFENDER,
+    ),
+    Mutant(
+        "digraph: the non-empty vertex set check refuses nothing",
+        DIGRAPH,
+        "if not s:",
+        "if False:",
+        "tests/test_digraph.py::test_an_empty_vertex_set_is_refused_in_the_callers_words",
     ),
     # -- labels and their letter limit -----------------------------------
     Mutant(
@@ -263,6 +271,21 @@ MUTANTS = [
         "except json.JSONDecodeError:",
         "tests/test_cli.py::test_malformed_json_exits_2_with_one_error_line",
     ),
+    # -- the command line ---------------------------------------------------
+    Mutant(
+        "cli: a frozenset encoded in iteration order",
+        CLI,
+        "return sorted(value)",
+        "return list(value)",
+        "tests/test_cli.py::test_records_print_the_golden_stdout",
+    ),
+    Mutant(
+        "cli: a closed stdout reported as an internal error",
+        CLI,
+        "return 141",
+        "return 4",
+        "tests/test_cli.py::test_stdout_closed_early_exits_141_with_nothing_on_stderr",
+    ),
     # -- families, corpus, oracles ----------------------------------------
     Mutant(
         "families: Kautz heads without the block skip",
@@ -317,8 +340,8 @@ MUTANTS = [
     Mutant(
         "linalg: only the first row object's entry types checked",
         LINALG,
-        "            if id(row) in checked:\n",
-        "            if checked:\n",
+        "for x in row if set(map(type, row)) != {int} else ():",
+        "for x in row if row is entries[0] and set(map(type, row)) != {int} else ():",
         SHARED_ROWS,
     ),
     Mutant(

@@ -2,20 +2,24 @@
 
 One JSON document goes to stdout; human-readable summaries go to stderr,
 so pipelines can consume the machine output without scraping prose.
+Records are encoded in ``_emit``: a dataclass as its fields in order, a
+frozenset as its sorted list.
 
 Exit codes: 0 success, 1 a checked property does not hold (a set fails
 to force, digraphs are not isomorphic, a verification suite has a
 failing check), 2 usage or domain error, 3 search abandoned on a
 resource limit, 4 internal error (any other exception, reported on one
-stderr line).
+stderr line), 141 stdout closed before the document was written (like a
+process killed by SIGPIPE, adding nothing to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -43,8 +47,17 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _encode(value: object) -> object:
+    """``json``'s ``default``: the JSON form of a record or a vertex set."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if is_dataclass(value):
+        return asdict(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(document: object) -> None:
-    print(json.dumps(document, indent=2))
+    print(json.dumps(document, indent=2, default=_encode))
 
 
 def _write_file(path: str, text: str) -> None:
@@ -124,16 +137,7 @@ def _cmd_min(
     g: Digraph, solve: Callable[[Digraph], MinimumSetResult], what: str
 ) -> int:
     result = solve(g)
-    _emit(
-        {
-            "number": result.number,
-            "witness": sorted(result.witness),
-            "subsets_tested": result.subsets_tested,
-            "prefixes_pruned": result.prefixes_pruned,
-            "siblings_skipped": result.siblings_skipped,
-            "tested_per_size": list(result.tested_per_size),
-        }
-    )
+    _emit(result)
     _info(
         f"{what} = {result.number}, witness {sorted(result.witness)} "
         f"({result.subsets_tested} subsets tested)"
@@ -211,7 +215,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     g, _ = read_digraph(args.input)
     if args.line_depth is not None:
         report = mr_and_max_nullity_regular_line(g, args.line_depth)
-        _emit(report.to_json_dict())
+        _emit(report)
         _info(
             f"L^{report.depth} of the degree-{report.degree} input: "
             f"order {report.order}, mr {report.min_rank}, "
@@ -227,8 +231,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _factor_dict(factor: OneFactor) -> dict[str, list]:
-    return {"f": list(factor.f), "cycles": [list(c) for c in factor.cycles()]}
+def _factor_dict(factor: OneFactor) -> dict[str, object]:
+    return {"f": factor.f, "cycles": factor.cycles()}
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
@@ -257,7 +261,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
         _emit({"isomorphic": False})
         _info("not isomorphic")
         return 1
-    _emit({"isomorphic": True, "mapping": list(mapping)})
+    _emit({"isomorphic": True, "mapping": mapping})
     _info(f"isomorphic via {list(mapping)}")
     return 0
 
@@ -268,13 +272,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if result.passed else "FAIL"
         _info(f"{status} {result.label}: {result.details}")
     failed = sum(1 for result in results if not result.passed)
-    _emit(
-        {
-            "suite": args.suite,
-            "checks": [asdict(result) for result in results],
-            "failed": failed,
-        }
-    )
+    _emit({"suite": args.suite, "checks": results, "failed": failed})
     _info(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
 
@@ -371,13 +369,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout is found here, not at exit
+        return code
     except DomainError as exc:
         _info(f"error: {exc}")
         return 2
     except ResourceLimitError as exc:
         _info(f"resource limit: {exc}")
         return 3
+    except BrokenPipeError:
+        # fd 1 goes to devnull so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         _info(f"internal error: {type(exc).__name__}: {exc}")
         return 4

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .digraph import Digraph, check_vertex_set
+from .digraph import Digraph, check_nonempty_vertex_set
 from .errors import DomainError
 from .lines import LineLabeledDigraph, _dashed, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
@@ -311,9 +311,7 @@ def construct_pds_L(g: Digraph, s: Iterable[int]) -> LineWitness:
     least in-neighbor, and the paired arcs form the returned set.
     """
     _require_degrees(g, 2, 2)
-    chosen_s = check_vertex_set(g, s)
-    if not chosen_s:
-        raise DomainError("the disjoint-out-neighborhood set must be non-empty")
+    chosen_s = check_nonempty_vertex_set(g, s, "the disjoint-out-neighborhood set")
     owner: dict[int, int] = {}  # covered vertex -> its in-neighbor in s
     for x in sorted(chosen_s):
         extra = (g.out_neighborhood(x) & chosen_s) - {x}

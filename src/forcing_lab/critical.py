@@ -27,20 +27,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .digraph import Digraph, check_vertex_set
-from .errors import DomainError
-
-
-def _checked_nonempty(g: Digraph, w: Iterable[int]) -> frozenset[int]:
-    s = check_vertex_set(g, w)
-    if not s:
-        raise DomainError("critical-set candidate must be non-empty")
-    return s
+from .digraph import Digraph, check_nonempty_vertex_set
 
 
 def is_critical(g: Digraph, w: Iterable[int]) -> bool:
     """No vertex outside ``w`` has exactly one out-neighbor in ``w``."""
-    s = _checked_nonempty(g, w)
+    s = check_nonempty_vertex_set(g, w, "critical-set candidate")
     return all(
         len(g.out_neighborhood(v) & s) != 1 for v in range(g.n) if v not in s
     )
@@ -48,7 +40,7 @@ def is_critical(g: Digraph, w: Iterable[int]) -> bool:
 
 def is_strongly_critical(g: Digraph, w: Iterable[int]) -> bool:
     """No vertex anywhere has exactly one out-neighbor in ``w``."""
-    s = _checked_nonempty(g, w)
+    s = check_nonempty_vertex_set(g, w, "critical-set candidate")
     return all(len(g.out_neighborhood(v) & s) != 1 for v in range(g.n))
 
 

@@ -82,6 +82,16 @@ def check_vertex_set(g: "Digraph", vertices: Iterable[int]) -> frozenset[int]:
     return frozenset(check_vertex(g, v) for v in vertices)
 
 
+def check_nonempty_vertex_set(
+    g: "Digraph", vertices: Iterable[int], what: str
+) -> frozenset[int]:
+    """``check_vertex_set``, refusing the empty set as ``what``."""
+    s = check_vertex_set(g, vertices)
+    if not s:
+        raise DomainError(f"{what} must be non-empty")
+    return s
+
+
 @dataclass(frozen=True)
 class DegreeSummary:
     """Per-vertex out/in degrees together with the four extremes."""

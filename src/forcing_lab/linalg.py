@@ -28,10 +28,10 @@ hands it to every vertex with that out-tuple, so a line digraph's matrix
 holds only ``n / d`` distinct rows (in-twins have equal rows).  It is
 refused with :class:`ResourceLimitError` before any row is built when
 the distinct rows times the order pass ``_DENSE_MAX_CELLS``.
-``ExactMatrix`` checks every row's length and the entry types of each
-row object once, naming the first bad entry in row-major order, and
-``rank_exact`` hashes each row object once, so their work follows the
-distinct rows.
+``ExactMatrix`` checks the length and the entry types of each row object
+once, in order of first use, so it names the first bad entry in
+row-major order, and ``rank_exact`` hashes each row object once: the
+work of both follows the distinct rows.
 
 For a ``d``-regular line digraph the adjacency rank is the order divided
 by ``d``.  With ``nullity(A) <= maximum nullity <= zero forcing number``
@@ -42,7 +42,7 @@ the values for ``d = 1`` (disjoint cycles).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, NamedTuple
 
@@ -84,16 +84,13 @@ class ExactMatrix:
         if not entries or not entries[0]:
             raise DomainError("matrix must have at least one row and column")
         width = len(entries[0])
-        checked: set[int] = set()  # ids of rows whose entries are all ints
-        for row in entries:
+        # each row object once, in order of first use: row-major for the first offender
+        for row in {id(row): row for row in entries}.values():
             if len(row) != width:
                 raise DomainError("matrix rows must all have the same length")
-            if id(row) in checked:
-                continue
             for x in row if set(map(type, row)) != {int} else ():  # only non-int rows
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise DomainError(f"matrix entry {x!r} is not an int")
-            checked.add(id(row))
 
     @property
     def rows(self) -> int:
@@ -242,9 +239,6 @@ class MinimumRankReport:
     max_nullity: int
     zero_forcing_number: int
     rank_consistent: bool
-
-    def to_json_dict(self) -> dict[str, object]:
-        return asdict(self)
 
 
 def mr_and_max_nullity_regular_line(g: Digraph, k: int) -> MinimumRankReport:

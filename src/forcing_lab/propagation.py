@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import Digraph, check_vertex_set
-from .errors import DomainError
+from .digraph import Digraph, check_nonempty_vertex_set
 
 MODE_ZERO_FORCING = "zero-forcing"
 MODE_POWER_DOMINATION = "power-domination"
@@ -83,14 +82,8 @@ class PropagationTrace:
         }
 
 
-def _start_set(g: Digraph, vertices: Iterable[int]) -> frozenset[int]:
-    s = check_vertex_set(g, vertices)
-    if not s:
-        raise DomainError("starting set must be non-empty")
-    return s
-
-
-def _run(g: Digraph, mode: str, initial: frozenset[int]) -> PropagationTrace:
+def _run(g: Digraph, mode: str, s: Iterable[int]) -> PropagationTrace:
+    initial = check_nonempty_vertex_set(g, s, "starting set")
     out, inn = g._out, g._in
     loop_rule = g.has_loops
     colored = set(initial)
@@ -143,7 +136,7 @@ def _run(g: Digraph, mode: str, initial: frozenset[int]) -> PropagationTrace:
 
 def zf_closure(g: Digraph, s: Iterable[int]) -> PropagationTrace:
     """Run zero forcing from ``s`` to its fixed point."""
-    return _run(g, MODE_ZERO_FORCING, _start_set(g, s))
+    return _run(g, MODE_ZERO_FORCING, s)
 
 
 def is_zero_forcing_set(g: Digraph, s: Iterable[int]) -> bool:
@@ -153,7 +146,7 @@ def is_zero_forcing_set(g: Digraph, s: Iterable[int]) -> bool:
 
 def pd_closure(g: Digraph, s: Iterable[int]) -> PropagationTrace:
     """Run the domination round and then zero forcing from ``s``."""
-    return _run(g, MODE_POWER_DOMINATION, _start_set(g, s))
+    return _run(g, MODE_POWER_DOMINATION, s)
 
 
 def is_power_dominating_set(g: Digraph, s: Iterable[int]) -> bool:

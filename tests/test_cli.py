@@ -13,7 +13,9 @@ import pytest
 import forcing_lab
 from forcing_lab import cli, iso
 from forcing_lab.cli import main
+from forcing_lab.digraph import Digraph
 from forcing_lab.io import MAX_FILE_BYTES, read_digraph
+from forcing_lab.solvers import min_zero_forcing
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -153,6 +155,15 @@ def test_rank_and_line_depth(capsys, tmp_path):
     code, doc, _ = _run_json(capsys, "rank", k3, "--line-depth", "2")
     assert code == 0
     assert doc["min_rank"] == 9 and doc["max_nullity"] == 18
+
+
+def test_rank_line_depth_report_json_keys(capsys, tmp_path):
+    k2 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "2")
+    code, doc, _ = _run_json(capsys, "rank", k2, "--line-depth", "1")
+    assert code == 0
+    assert doc["degree"] == 2 and doc["depth"] == 1
+    assert doc["min_rank"] == 2 and doc["max_nullity"] == 2
+    assert doc["rank_method"] == "sandwich"
 
 
 def test_rank_line_depth_at_order_131072(capsys, tmp_path):
@@ -431,19 +442,38 @@ def test_usage_error_without_subcommand(capsys):
     assert _run(capsys)[0] == 2
 
 
-def test_python_dash_m_runs_the_command_line(capsys):
+def _module_env() -> dict[str, str]:
+    """The environment with this package's source first on PYTHONPATH."""
     src = str(Path(forcing_lab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, path)))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, path)))}
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
     done = subprocess.run(
         [sys.executable, "-m", "forcing_lab", "verify", "de-bruijn"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     code, out, _ = _run(capsys, "verify", "de-bruijn")
     assert code == 0 and done.stdout == out
     doc = json.loads(done.stdout)
     assert doc["suite"] == "de-bruijn" and doc["failed"] == 0 and doc["checks"]
+
+
+def test_stdout_closed_early_exits_141_with_nothing_on_stderr():
+    """The reader takes one byte and closes the pipe.  The document, about
+    290 KB, outgrows the pipe, so the write fails inside ``main``."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "forcing_lab", "gen", "de-bruijn", "--d", "2", "--D",
+         "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_set_refuses_an_id_that_labels_another_vertex(capsys, tmp_path):
@@ -479,3 +509,46 @@ def test_bad_set_exits_2_with_nothing_on_stdout(capsys, tmp_path, command, bad):
     code, out, err = _run(capsys, *command, path, "--set", bad)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# Two directed paths with sources 1 and 8, so both solvers return the
+# witness {1, 8}, a frozenset that iterates as [8, 1]: an encoder that
+# lists a frozenset without sorting it changes the stdout.
+TWO_PATHS = [(1, 0), (0, 2), (2, 3), (3, 4), (8, 5), (5, 6), (6, 7), (7, 9)]
+
+
+def _golden_inputs(capsys, tmp_path) -> dict[str, str]:
+    return {
+        "paths": _write_arcs(tmp_path, "paths.json", 10, TWO_PATHS),
+        "mirror": _write_arcs(
+            tmp_path, "mirror.json", 10, [(9 - u, 9 - v) for u, v in TWO_PATHS]
+        ),
+        "k2": _gen(capsys, tmp_path, "k2.json", "gen", "complete-loops", "--d", "2"),
+        "k3": _gen(capsys, tmp_path, "k3.json", "gen", "complete-loops", "--d", "3"),
+    }
+
+
+GOLDEN_COMMANDS = {
+    "zf-min": ("zf", "min", "{paths}"),
+    "pd-min": ("pd", "min", "{paths}"),
+    "rank-line-depth": ("rank", "{k2}", "--line-depth", "2"),
+    "factor-cycles": ("factor", "{k3}", "--cycles"),
+    "iso": ("iso", "{paths}", "{mirror}"),
+    "verify-de-bruijn": ("verify", "de-bruijn"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_records_print_the_golden_stdout(capsys, tmp_path, name):
+    """Each record prints, byte for byte, the stdout in ``tests/golden``."""
+    inputs = _golden_inputs(capsys, tmp_path)
+    argv = [arg.format(**inputs) for arg in GOLDEN_COMMANDS[name]]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_golden_witness_does_not_iterate_in_ascending_order():
+    witness = min_zero_forcing(Digraph(10, TWO_PATHS)).witness
+    assert witness == {1, 8} and list(witness) != sorted(witness)

@@ -8,9 +8,13 @@ import networkx as nx
 import pytest
 
 from forcing_lab import digraph
+from forcing_lab.constructions import construct_pds_L
+from forcing_lab.critical import is_critical, is_strongly_critical
 from forcing_lab.digraph import MAX_ARCS, MAX_ORDER, Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
+from forcing_lab.families import complete_with_loops
 from forcing_lab.lines import iterated_line, line_digraph
+from forcing_lab.propagation import pd_closure, zf_closure
 
 
 class Vertex(IntEnum):
@@ -286,3 +290,22 @@ def test_weak_components_against_networkx():
     assert [sorted(block) for block in g.weak_components()] == expected
     assert not g.is_weakly_connected()
     assert Digraph(2, [(0, 1)]).is_weakly_connected()
+
+
+# each caller of the shared non-empty check, and the noun its message names
+NONEMPTY_CALLERS = {
+    zf_closure: "starting set",
+    pd_closure: "starting set",
+    is_critical: "critical-set candidate",
+    is_strongly_critical: "critical-set candidate",
+    construct_pds_L: "the disjoint-out-neighborhood set",
+}
+
+
+@pytest.mark.parametrize("check", NONEMPTY_CALLERS, ids=lambda check: check.__name__)
+def test_an_empty_vertex_set_is_refused_in_the_callers_words(check):
+    g = complete_with_loops(3)  # out- and in-degree 3, as construct_pds_L needs
+    message = f"^{NONEMPTY_CALLERS[check]} must be non-empty$"
+    with pytest.raises(DomainError, match=message):
+        check(g, iter(()))
+    check(g, [0])  # one vertex is accepted

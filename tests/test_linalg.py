@@ -287,13 +287,6 @@ def test_report_degree_one_opt_in():
     assert report.rank_consistent
 
 
-def test_report_json_keys():
-    doc = mr_and_max_nullity_regular_line(complete_with_loops(2), 1).to_json_dict()
-    assert doc["degree"] == 2 and doc["depth"] == 1
-    assert doc["min_rank"] == 2 and doc["max_nullity"] == 2
-    assert doc["rank_method"] == "sandwich"
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
