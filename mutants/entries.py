@@ -29,6 +29,7 @@ CLI = "forcing_lab/cli.py"
 ISO = "forcing_lab/iso.py"
 LINALG = "forcing_lab/linalg.py"
 SOLVERS = "forcing_lab/solvers.py"
+VERIFY = "forcing_lab/verify.py"
 
 WALK_DICT = "tests/test_lines.py::test_iterated_line_matches_the_walk_dict_reference"
 ARC_VIEWS = "tests/test_digraph.py::test_arc_views_agree_with_a_plain_set"
@@ -263,6 +264,13 @@ MUTANTS = [
         "if False:",
         "tests/test_constructions.py",
     ),
+    Mutant(
+        "constructions: the matching head bound dropped",
+        CONSTRUCTIONS,
+        "if tried > _MATCHING_HEADS:",
+        "if False:",
+        "tests/test_constructions.py::test_matching_gives_up_past_its_head_bound",
+    ),
     # -- reading input ----------------------------------------------------
     Mutant(
         "io: JSON nested past the recursion limit not refused",
@@ -270,6 +278,21 @@ MUTANTS = [
         "except RecursionError:",
         "except json.JSONDecodeError:",
         "tests/test_cli.py::test_malformed_json_exits_2_with_one_error_line",
+    ),
+    # -- verification suites ----------------------------------------------
+    Mutant(
+        "verify: a check with no instance passes",
+        VERIFY,
+        "0 < held == total",
+        "held == total",
+        "tests/test_verify.py::test_a_check_left_with_no_instance_fails",
+    ),
+    Mutant(
+        "verify: a check passes with one instance false",
+        VERIFY,
+        "0 < held == total",
+        "0 < held >= total - 1",
+        "tests/test_verify.py::test_one_disagreeing_instance_fails_its_check",
     ),
     # -- the command line ---------------------------------------------------
     Mutant(

@@ -60,21 +60,24 @@ def _emit(document: object) -> None:
     print(json.dumps(document, indent=2, default=_encode))
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write ``text`` to ``path``; an unwritable path is a usage error."""
+def _write_or_print(text: str, out: str | None, what: str) -> None:
+    """Print ``text``, which ends in a newline, or write it to the file
+    ``out`` and say so on stderr; an unwritable path is a usage error."""
+    if out is None:
+        # The newline goes in a write of its own: unbuffered, a write cut
+        # short by a closed pipe raises nothing, and the next one raises.
+        print(text[:-1])
+        return
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _write_or_emit(document: object, out: str | None, what: str) -> None:
-    if out is None:
-        _emit(document)
-        return
-    _write_file(out, json.dumps(document, indent=2) + "\n")
+        raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
     _info(f"wrote {what} to {out}")
+
+
+def _digraph_text(g: Digraph, labels: list[str] | None = None) -> str:
+    return json.dumps(digraph_to_json_dict(g, labels=labels), indent=2) + "\n"
 
 
 def _parse_vertex_set(raw: str, labels: list[str] | None) -> frozenset[int]:
@@ -109,14 +112,8 @@ def _parse_vertex_set(raw: str, labels: list[str] | None) -> frozenset[int]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    provided = {
-        name: getattr(args, name)
-        for name in ("d", "D", "n")
-        if getattr(args, name) is not None
-    }
-    spec = FamilySpec(args.family, **provided)
-    g = spec.build()
-    _write_or_emit(digraph_to_json_dict(g), args.output, g.name or "digraph")
+    g = FamilySpec(args.family, d=args.d, D=args.D, n=args.n).build()
+    _write_or_print(_digraph_text(g), args.output, g.name or "digraph")
     _info(f"{g.name}: {g.n} vertices, {g.arc_count} arcs")
     return 0
 
@@ -124,8 +121,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_line(args: argparse.Namespace) -> int:
     g, _ = read_digraph(args.input)
     labeled = iterated_line(g, args.iterate)
-    document = digraph_to_json_dict(labeled.graph, labels=labeled.label_strings())
-    _write_or_emit(document, args.output, labeled.graph.name or "line digraph")
+    text = _digraph_text(labeled.graph, labeled.label_strings())
+    _write_or_print(text, args.output, labeled.graph.name or "line digraph")
     _info(
         f"L^{args.iterate} of {g.n} vertices / {g.arc_count} arcs: "
         f"{labeled.graph.n} vertices, {labeled.graph.arc_count} arcs"
@@ -279,12 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     g, labels = read_digraph(args.input)
-    text = to_dot(g, labels=labels)
-    if args.output is None:
-        print(text, end="")
-    else:
-        _write_file(args.output, text)
-        _info(f"wrote DOT to {args.output}")
+    _write_or_print(to_dot(g, labels=labels), args.output, "DOT")
     return 0
 
 

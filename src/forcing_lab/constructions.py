@@ -6,7 +6,8 @@ its own output with the propagation engine before returning it.  A failed
 verification raises ``AssertionError``: under the documented hypotheses
 the constructions are proven to work, so a failure is an internal bug,
 never a property of the input.  Hypothesis violations raise
-:class:`DomainError` instead.
+:class:`DomainError` instead.  A perfect matching that tries more than
+``_MATCHING_HEADS`` heads raises :class:`ResourceLimitError`.
 
 All tie-breaks (choice of excluded out-neighbor, choice of in-neighbor,
 matching augmentation order) resolve to the least vertex id, making every
@@ -23,9 +24,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .digraph import Digraph, check_nonempty_vertex_set
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .lines import LineLabeledDigraph, _dashed, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
+
+# Heads one perfect matching may try past its first step: about two
+# seconds of search (2-core x86_64, Python 3.11.7).  The largest family
+# call tries 294,912 (GB(4, 2^17)'s first factor) and a random 3-regular
+# digraph of order 8192 1.3*10^6, while the chain of loops with arcs
+# (u, u - 1), (u, u) tries about n^2 / 2, past the bound from order 2830.
+_MATCHING_HEADS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -121,10 +129,12 @@ def _perfect_matching(neighbors: Sequence[Sequence[int]]) -> list[int] | None:
 
     The depth-first search keeps an explicit stack of tails, each with the
     index of the head it is trying, so a path through every vertex needs
-    no recursion.
+    no recursion.  Past ``_MATCHING_HEADS`` heads tried it raises
+    :class:`ResourceLimitError`.
     """
     n = len(neighbors)
     match_head = [-1] * n
+    tried = 0
     visited = [-1] * n  # visited[v] == root: head v seen while augmenting root
     for root in range(n):
         row = neighbors[root]
@@ -147,6 +157,11 @@ def _perfect_matching(neighbors: Sequence[Sequence[int]]) -> list[int] | None:
                 if positions:
                     positions[-1] += 1
                 continue
+            tried += 1
+            if tried > _MATCHING_HEADS:
+                raise ResourceLimitError(
+                    f"perfect matching gave up after {_MATCHING_HEADS} heads tried"
+                )
             v = row[i]
             visited[v] = root
             positions[-1] = i

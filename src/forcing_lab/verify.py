@@ -62,19 +62,21 @@ class CheckResult:
     details: str
 
 
-def _check(label: str, passed: bool, details: str = "") -> CheckResult:
-    return CheckResult(label=label, passed=bool(passed), details=details)
+def _tally(label: str, outcomes: list[bool], details: str) -> CheckResult:
+    """A check over instances, one outcome each: it passes when there is
+    at least one instance and every outcome holds, and its details lead
+    with the count that held."""
+    held, total = sum(outcomes), len(outcomes)
+    return CheckResult(label, 0 < held == total, f"{held}/{total} {details}")
 
 
 def check_line_zf_formula() -> list[CheckResult]:
     """Z(L(G)) = |A(G)| - |V(G)| on seeded random digraphs with minimum
     out-degree 2 and minimum in-degree 1, and the constructed witness has
     exactly that size."""
-    count = 100
     rng = Random(20260823)
-    agree = 0
-    witness_ok = 0
-    for i in range(count):
+    agree, witness_ok = [], []
+    for i in range(100):
         n = 4 + i % 3
         g = random_digraph_min_degrees(
             rng,
@@ -85,22 +87,21 @@ def check_line_zf_formula() -> list[CheckResult]:
             allow_loops=(i % 4 == 0),
         )
         expected = g.arc_count - g.n
-        brute = min_zero_forcing(line_digraph(g).graph)
-        if brute.number == expected:
-            agree += 1
+        agree.append(min_zero_forcing(line_digraph(g).graph).number == expected)
         witness = construct_zfs_line(g)
-        if len(witness.vertices) == expected and witness.trace.covers_all:
-            witness_ok += 1
+        witness_ok.append(
+            len(witness.vertices) == expected and witness.trace.covers_all
+        )
     return [
-        _check(
+        _tally(
             "brute-force Z(L(G)) equals |A(G)|-|V(G)|",
-            agree == count,
-            f"{agree}/{count} seeded digraphs agree",
+            agree,
+            "seeded digraphs agree",
         ),
-        _check(
+        _tally(
             "constructed line forcing set is verified and minimum-sized",
-            witness_ok == count,
-            f"{witness_ok}/{count} witnesses verified",
+            witness_ok,
+            "witnesses verified",
         ),
     ]
 
@@ -120,14 +121,14 @@ def check_de_bruijn_suite() -> list[CheckResult]:
         if (d, big_d) == (2, 3):
             b23, z23 = g, z
         results.append(
-            _check(
+            CheckResult(
                 f"Z(B({d},{big_d})) == {z_expected}",
                 z == z_expected,
                 f"brute force found {z}",
             )
         )
         results.append(
-            _check(
+            CheckResult(
                 f"power domination number of B({d},{big_d}) == {gp_expected}",
                 gp == gp_expected,
                 f"brute force found {gp}",
@@ -135,7 +136,7 @@ def check_de_bruijn_suite() -> list[CheckResult]:
         )
     rank = adjacency_rank(b23)
     results.append(
-        _check(
+        CheckResult(
             "mr(B(2,3)) == 4 and max nullity == 4 by exact rank",
             rank.nullity == z23 == 4 and b23.n - rank.nullity == 4,
             f"adjacency rank {rank.rank} of order {b23.n} by {rank.method}",
@@ -154,7 +155,7 @@ def check_kautz_suite() -> list[CheckResult]:
     twin_bound = twin_forcing_lower_bound(k33)
     zf_on_k33 = is_zero_forcing_set(k33, zf_witness.vertices)
     results = [
-        _check(
+        CheckResult(
             "Z(K(3,3)) == 24 by the in-twin bound and a verified witness",
             twin_bound == 24 and len(zf_witness.vertices) == 24 and zf_on_k33,
             f"in-twin lower bound {twin_bound}; the witness of "
@@ -162,7 +163,7 @@ def check_kautz_suite() -> list[CheckResult]:
             f"{'is' if zf_on_k33 else 'is NOT'} zero forcing on K(3,3) "
             "with the same vertex ids",
         ),
-        _check(
+        CheckResult(
             "L(K(3,2)) isomorphic to K(3,3)",
             zf_witness.line.graph == k33,
             "line operator reproduces the family",
@@ -170,7 +171,7 @@ def check_kautz_suite() -> list[CheckResult]:
     ]
     rank = adjacency_rank(k33)
     results.append(
-        _check(
+        CheckResult(
             "mr(K(3,3)) == 12 by exact rank",
             rank.rank == 12 and k33.n == 36,
             f"rank {rank.rank}, nullity {rank.nullity} by {rank.method}",
@@ -181,7 +182,7 @@ def check_kautz_suite() -> list[CheckResult]:
     max_out = k33.degrees().max_out
     lower = -(-twin_bound // max_out)
     results.append(
-        _check(
+        CheckResult(
             "power domination number of K(3,3) == 8",
             len(witness.vertices) == 8 and witness.line.graph == k33 and lower == 8,
             f"constructed set of {len(witness.vertices)} on L^2 of the "
@@ -205,17 +206,17 @@ def check_generalized_families() -> list[CheckResult]:
     )
     z = min_zero_forcing(gen_de_bruijn(2, 12)).number
     return [
-        _check(
+        CheckResult(
             "GB(2,6) isomorphic to L(GB(2,3))",
             gb_iso is not None,
             "generalized de Bruijn line identity",
         ),
-        _check(
+        CheckResult(
             "GK(2,6) isomorphic to L(GK(2,3))",
             gk_iso is not None,
             "generalized Kautz line identity",
         ),
-        _check(
+        CheckResult(
             "Z(GB(2,12)) == 6 == (d-1)d^(m-1)n at d=2, m=2, n=3",
             z == 6,
             f"brute force found {z}",
@@ -235,18 +236,18 @@ def check_wrapped_butterfly() -> list[CheckResult]:
     claimed = 2 * (2 - 1)
     agreement = "agrees with" if gp == claimed else "DISAGREES with"
     return [
-        _check(
+        CheckResult(
             "WB(2,2) isomorphic to L(K_2 (x) C_2)",
             iso is not None,
             "conjunction line identity",
         ),
-        _check("Z(WB(2,2)) == 4", z == 4, f"brute force found {z}"),
-        _check(
+        CheckResult("Z(WB(2,2)) == 4", z == 4, f"brute force found {z}"),
+        CheckResult(
             "mr(WB(2,2)) == 4 by exact rank",
             rank.rank == 4,
             f"rank {rank.rank}, nullity {rank.nullity} by {rank.method}",
         ),
-        _check(
+        CheckResult(
             "power domination number of WB(2,2) == 2(d-1) = 2",
             gp == claimed,
             f"brute force found {gp}, which {agreement} the claimed 2(d-1) = {claimed}",
@@ -256,25 +257,23 @@ def check_wrapped_butterfly() -> list[CheckResult]:
 
 def check_gimbert_rank() -> list[CheckResult]:
     """Adjacency rank of L(G) equals |V(L(G))|/d for random d-regular G."""
-    count = 20
     rng = Random(1291)
-    ok = 0
+    outcomes = []
     by_sandwich = 0
-    for i in range(count):
+    for i in range(20):
         d = 2 + i % 2
         n = d + 1 + i % 3
         g = random_regular_digraph(rng, n, d)
         lg = line_digraph(g).graph
         report = adjacency_rank(lg)
         by_sandwich += report.method == "sandwich"
-        if report.rank * d == lg.n:
-            ok += 1
+        outcomes.append(report.rank * d == lg.n)
     return [
-        _check(
+        _tally(
             "rank of the line-digraph adjacency equals order/degree",
-            ok == count,
-            f"{ok}/{count} random regular digraphs; {by_sandwich} ranks by "
-            f"sandwich, {count - by_sandwich} by bareiss",
+            outcomes,
+            f"random regular digraphs; {by_sandwich} ranks by sandwich, "
+            f"{len(outcomes) - by_sandwich} by bareiss",
         )
     ]
 
@@ -285,23 +284,19 @@ def check_nullity_collapse() -> list[CheckResult]:
     the 27-vertex iterate is slow to scan and the 36-vertex scans exhaust
     the 5*10^6-subset budget (the same identity is covered at every
     smaller size)."""
-    checked = 0
-    ok = 0
+    outcomes = []
     for d, orders, depths in [(2, (2, 3, 4), (1, 2)), (3, (3, 4), (1,))]:
         for n in orders:
             for g in regular_digraphs_up_to_iso(n, d):
                 for k in depths:
                     lk = iterated_line(g, k).graph
                     nullity = adjacency_rank(lk).nullity
-                    z = min_zero_forcing(lk).number
-                    checked += 1
-                    if nullity == z:
-                        ok += 1
+                    outcomes.append(nullity == min_zero_forcing(lk).number)
     return [
-        _check(
+        _tally(
             "adjacency nullity of iterates equals brute-force zero forcing",
-            ok == checked and checked > 0,
-            f"{ok}/{checked} (d,order,depth) instances; 3-regular depth-2 "
+            outcomes,
+            "(d,order,depth) instances; 3-regular depth-2 "
             "skipped: Z of the 27-vertex iterate is slow to scan and the "
             "36-vertex scans exhaust the 5*10^6-subset budget",
         )
@@ -310,10 +305,9 @@ def check_nullity_collapse() -> list[CheckResult]:
 
 def check_pd_zf_bridge() -> list[CheckResult]:
     """S power dominates G exactly when N+[S] is a zero forcing set."""
-    count = 200
     rng = Random(5417)
-    ok = 0
-    for i in range(count):
+    outcomes = []
+    for i in range(200):
         n = rng.randrange(2, 9)
         g = random_digraph(
             rng,
@@ -323,85 +317,68 @@ def check_pd_zf_bridge() -> list[CheckResult]:
         )
         size = rng.randrange(1, n + 1)
         s = frozenset(rng.sample(range(n), size))
-        if is_power_dominating_set(g, s) == is_zero_forcing_set(
-            g, g.out_neighborhood_of_set(s)
-        ):
-            ok += 1
+        outcomes.append(
+            is_power_dominating_set(g, s)
+            == is_zero_forcing_set(g, g.out_neighborhood_of_set(s))
+        )
     return [
-        _check(
+        _tally(
             "power domination of S == zero forcing of N+[S]",
-            ok == count,
-            f"{ok}/{count} random (G,S) pairs, with and without loops",
+            outcomes,
+            "random (G,S) pairs, with and without loops",
         )
     ]
 
 
 def check_cycle_factorization() -> list[CheckResult]:
     """d-regular digraphs split into exactly d arc-disjoint 1-factors."""
-    count = 20
     rng = Random(3301)
-    ok = 0
-    for i in range(count):
+    outcomes = []
+    for i in range(20):
         d = 2 + i % 2
         n = d + 1 + i % 4
         g = random_regular_digraph(rng, n, d)
-        factorization = cycle_factorization(g)
-        covered: set[tuple[int, int]] = set()
-        valid = len(factorization.factors) == d
-        for factor in factorization.factors:
-            arcs = factor.arcs()
-            valid = valid and not (covered & arcs)
-            valid = valid and sorted(factor.f) == list(range(n))
-            valid = valid and all(arc in g.arcs for arc in arcs)
-            covered |= arcs
-        valid = valid and covered == g.arcs
-        if valid:
-            ok += 1
+        factors = cycle_factorization(g).factors
+        factor_arcs = sorted(arc for factor in factors for arc in factor.arcs())
+        outcomes.append(
+            len(factors) == d
+            and all(sorted(factor.f) == list(range(n)) for factor in factors)
+            and factor_arcs == sorted(g.arcs)
+        )
     return [
-        _check(
+        _tally(
             "cycle factorization partitions the arcs into d valid factors",
-            ok == count,
-            f"{ok}/{count} random regular digraphs",
+            outcomes,
+            "random regular digraphs",
         )
     ]
 
 
-def _sandwich_instances() -> list[tuple[str, Digraph]]:
+def _sandwich_instances() -> list[Digraph]:
     """Line digraphs on which both brute-force values are computed."""
-    instances: list[tuple[str, Digraph]] = [
-        ("B(2,2)", de_bruijn(2, 2)),
-        ("B(2,3)", de_bruijn(2, 3)),
-        ("B(3,2)", de_bruijn(3, 2)),
-        ("GB(2,12)", gen_de_bruijn(2, 12)),
-        ("WB(2,2)", wrapped_butterfly(2, 2)),
-    ]
+    instances = [de_bruijn(2, 2), de_bruijn(2, 3), de_bruijn(3, 2)]
+    instances += [gen_de_bruijn(2, 12), wrapped_butterfly(2, 2)]
     for n in (2, 3, 4):
-        for idx, g in enumerate(regular_digraphs_up_to_iso(n, 2)):
-            instances.append((f"L(2-regular #{n}.{idx})", line_digraph(g).graph))
+        for g in regular_digraphs_up_to_iso(n, 2):
+            instances.append(line_digraph(g).graph)
             if n <= 3:
-                instances.append(
-                    (f"L^2(2-regular #{n}.{idx})", iterated_line(g, 2).graph)
-                )
+                instances.append(iterated_line(g, 2).graph)
     return instances
 
 
 def check_sandwich() -> list[CheckResult]:
     """Z >= power domination number >= ceil(Z / max-out-degree) on every
     line digraph where both numbers are brute-forced."""
-    checked = 0
-    ok = 0
-    for name, g in _sandwich_instances():
+    outcomes = []
+    for g in _sandwich_instances():
         z = min_zero_forcing(g).number
         gp = min_power_dominating(g).number
-        max_out = g.degrees().max_out
-        checked += 1
-        if z >= gp >= -(-z // max_out):
-            ok += 1
+        outcomes.append(z >= gp >= -(-z // g.degrees().max_out))
     return [
-        _check(
+        _tally(
             "sandwich Z >= gamma >= ceil(Z/max-out) on brute-forced line digraphs",
-            ok == checked and checked > 0,
-            f"{ok}/{checked} instances",
+            outcomes,
+            "instances",
         )
     ]
 
@@ -410,22 +387,19 @@ def check_pd_identity() -> list[CheckResult]:
     """Brute-force power domination of L^2(G) equals brute-force zero
     forcing of L(G) for regular G; the 3-regular order-4 case is skipped,
     since gamma_P of each 36-vertex L^2 is slow to scan."""
-    checked = 0
-    ok = 0
+    outcomes = []
     for d, orders in [(2, (2, 3, 4)), (3, (3,))]:
         for n in orders:
             for g in regular_digraphs_up_to_iso(n, d):
                 z_line = min_zero_forcing(line_digraph(g).graph).number
                 gp_line2 = min_power_dominating(iterated_line(g, 2).graph).number
-                checked += 1
-                if z_line == gp_line2:
-                    ok += 1
+                outcomes.append(z_line == gp_line2)
     return [
-        _check(
+        _tally(
             "power domination of the square iterate equals zero forcing "
             "of the line digraph",
-            ok == checked and checked > 0,
-            f"{ok}/{checked} regular classes; 3-regular order-4 skipped: "
+            outcomes,
+            "regular classes; 3-regular order-4 skipped: "
             "gamma_P of each 36-vertex iterate is slow to scan",
         )
     ]

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 import forcing_lab
-from forcing_lab import cli, iso
+from forcing_lab import cli, iso, verify
 from forcing_lab.cli import main
 from forcing_lab.digraph import Digraph
 from forcing_lab.io import MAX_FILE_BYTES, read_digraph
@@ -102,6 +102,14 @@ def test_set_rejects_unknown_label(capsys, tmp_path):
     path = _gen(capsys, tmp_path, "b.json", "gen", "cycle", "--n", "4")
     code, _, err = _run(capsys, "zf", "check", path, "--set", "0-1")
     assert code == 2 and "no labels" in err
+
+
+def test_set_refuses_a_token_matching_no_label(capsys, tmp_path):
+    path = tmp_path / "labelled.json"
+    path.write_text('{"n": 2, "arcs": [[0, 1], [1, 0]], "labels": ["a", "b"]}')
+    code, out, err = _run(capsys, "zf", "closure", str(path), "--set", "a,c")
+    assert (code, out) == (2, "")
+    assert err == "error: --set token 'c' matches no label\n"
 
 
 def test_set_on_repeated_labels_exits_2(capsys, tmp_path):
@@ -240,6 +248,15 @@ def test_factor_commands_on_a_long_chain_of_loops(capsys, tmp_path):
     assert code == 0 and doc["degree"] == 2
 
 
+def test_factor_exits_3_past_the_matching_head_bound(capsys, tmp_path):
+    n = 4000
+    arcs = [(0, 0)] + [a for u in range(1, n) for a in ((u, u - 1), (u, u))]
+    path = _write_arcs(tmp_path, "descending.json", n, arcs)
+    code, out, err = _run(capsys, "factor", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: perfect matching gave up after ")
+
+
 def test_no_good_factor_above_ten_vertices(capsys, tmp_path):
     # 0 and 1 form an in-degree-one 2-cycle, so no 1-factor is good;
     # every out-degree is 2 and vertices 2..11 carry loops
@@ -290,6 +307,15 @@ def test_verify_suite(capsys):
     assert err.count("PASS") >= 7
 
 
+def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "regular_digraphs_up_to_iso", lambda n, d: [])
+    code, doc, err = _run_json(capsys, "verify", "nullity-collapse")
+    assert code == 1 and doc["failed"] >= 1
+    label = "adjacency nullity of iterates equals brute-force zero forcing"
+    assert f"\nFAIL {label}: 0/0 " in "\n" + err
+    assert err.endswith("0/1 checks passed\n")
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = _run(capsys, "verify", "everything-else")
     assert code == 2 and "unknown suite" in err
@@ -300,6 +326,11 @@ def test_export_dot(capsys, tmp_path):
     code, out, _ = _run(capsys, "export-dot", path)
     assert code == 0
     assert "0 -> 1;" in out
+    dot = str(tmp_path / "c.dot")
+    code, written, err = _run(capsys, "export-dot", path, "-o", dot)
+    assert (code, written) == (0, "")
+    assert err == f"wrote DOT to {dot}\n"
+    assert open(dot).read() == out
 
 
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
@@ -470,6 +501,21 @@ def test_stdout_closed_early_exits_141_with_nothing_on_stderr():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
     ) as proc:
         assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_dot_to_a_closed_stdout_exits_141(capsys, tmp_path):
+    """The DOT text, about 130 KB, outgrows the pipe as the document does
+    above."""
+    path = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "12")
+    with subprocess.Popen(
+        [sys.executable, "-m", "forcing_lab", "export-dot", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    ) as proc:
+        assert proc.stdout.read(1) == b"d"
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 141

@@ -25,12 +25,13 @@ from forcing_lab.corpus import (
 )
 from forcing_lab.critical import twin_forcing_lower_bound
 from forcing_lab.digraph import MAX_ORDER, Digraph
-from forcing_lab.errors import DomainError
+from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.families import (
     complete_with_loops,
     complete_without_loops,
     cycle,
     de_bruijn,
+    gen_de_bruijn,
 )
 from forcing_lab.linalg import adjacency_rank
 from forcing_lab.lines import iterated_line
@@ -121,6 +122,8 @@ def test_one_factor_validation():
     g = complete_with_loops(3)
     with pytest.raises(DomainError):
         OneFactor(g, (0, 0, 1))  # not a permutation
+    with pytest.raises(DomainError, match="^factor permutation length must equal"):
+        OneFactor(g, (0, 1))
     h = cycle(3)
     with pytest.raises(DomainError):
         OneFactor(h, (1, 2, 0))  # arcs (1,0),(2,1),(0,2) missing from C3
@@ -218,6 +221,26 @@ def test_factors_of_a_long_chain_of_loops():
     ]
 
 
+def _descending_chain(n: int) -> Digraph:
+    """A loop at every vertex plus the arcs ``u -> u - 1``.  Root ``u``
+    finds head ``u - 1`` taken by its loop and augments down to vertex 0
+    before it takes its own loop: about ``n^2 / 2`` heads in all."""
+    return Digraph(n, [(0, 0)] + [a for u in range(1, n) for a in ((u, u - 1), (u, u))])
+
+
+def test_matching_gives_up_past_its_head_bound():
+    assert one_factor(_descending_chain(1000)).f == tuple(range(1000))
+    bound = constructions._MATCHING_HEADS
+    message = f"^perfect matching gave up after {bound} heads tried$"
+    with pytest.raises(ResourceLimitError, match=message):
+        one_factor(_descending_chain(4000))
+
+
+def test_largest_family_factorization_stays_under_the_head_bound():
+    g = gen_de_bruijn(4, 2**17)
+    assert len(cycle_factorization(g).factors) == 4
+
+
 def test_cycle_factorization_frozen_complete_case():
     factorization = cycle_factorization(complete_with_loops(3))
     assert [factor.f for factor in factorization.factors] == [
@@ -265,6 +288,8 @@ def test_factorization_record_validation():
     factor = OneFactor(g, (0, 1))
     with pytest.raises(DomainError):
         CycleFactorization(g, (factor,))  # one factor cannot cover degree 2
+    with pytest.raises(DomainError, match="^cycle factorization requires a regular"):
+        CycleFactorization(Digraph(3, [(0, 1), (1, 2)]), ())
 
 
 def test_factorization_record_rejects_overlap_and_foreign_hosts():

@@ -250,6 +250,9 @@ def test_neighborhood_rejects_bad_vertex():
         g.out_neighborhood(2)
     with pytest.raises(DomainError):
         g.out_neighborhood_of_set({0, 5})
+    for v in ("0", 1.0, True):
+        with pytest.raises(DomainError, match=f"^vertex id must be an int, got {v!r}$"):
+            g.out_neighborhood(v)
 
 
 def test_degree_summary():

@@ -117,6 +117,33 @@ def test_repeated_label_rejected():
     assert digraph_from_json_dict(doc)[1] == ["a", "b", "c"]
 
 
+_NOT_STRINGS = "key 'labels' must be a list of strings"
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ({"n": 2}, "digraph document missing key 'arcs'"),
+        ({"n": 0, "arcs": []}, "key 'n' must be a positive integer"),
+        ({"n": True, "arcs": []}, "key 'n' must be a positive integer"),
+        ({"n": "2", "arcs": []}, "key 'n' must be a positive integer"),
+        ({"n": 2, "arcs": [], "name": 7}, "key 'name' must be a string"),
+        ({"n": 2, "arcs": [], "labels": "ab"}, _NOT_STRINGS),
+        ({"n": 2, "arcs": [], "labels": ["a", 1]}, _NOT_STRINGS),
+    ],
+)
+def test_document_refusals_name_the_key(doc, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        digraph_from_json_dict(doc)
+
+
+def test_writers_refuse_a_label_count_other_than_the_order():
+    g = _sample()
+    for write in (digraph_to_json_dict, to_dot):
+        with pytest.raises(DomainError, match="^expected 3 labels, got 2$"):
+            write(g, labels=["a", "b"])
+
+
 def test_non_object_document_rejected():
     with pytest.raises(DomainError):
         digraph_from_json_dict([1, 2])

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from forcing_lab import verify
 from forcing_lab.errors import DomainError
 from forcing_lab.verify import SUITES, CheckResult, run_suite
 
@@ -38,3 +41,27 @@ def test_checks_carry_labels_and_details():
     for result in run_suite("de-bruijn"):
         assert result.label and isinstance(result.details, str)
 
+
+@pytest.mark.parametrize("suite", ["nullity-collapse", "pd-identity"])
+def test_a_check_left_with_no_instance_fails(monkeypatch, suite):
+    monkeypatch.setattr(verify, "regular_digraphs_up_to_iso", lambda n, d: [])
+    [result] = run_suite(suite)
+    assert not result.passed
+    assert result.details.startswith("0/0 ")
+
+
+@pytest.mark.parametrize("suite", ["nullity-collapse", "pd-identity"])
+def test_one_disagreeing_instance_fails_its_check(monkeypatch, suite):
+    real = verify.min_zero_forcing
+    calls = []
+
+    def one_too_high_once(g):
+        result = real(g)
+        calls.append(g)
+        return replace(result, number=result.number + 1) if len(calls) == 1 else result
+
+    monkeypatch.setattr(verify, "min_zero_forcing", one_too_high_once)
+    [result] = run_suite(suite)
+    k = len(calls)
+    assert k > 1 and not result.passed
+    assert result.details.startswith(f"{k - 1}/{k} ")
