@@ -42,6 +42,7 @@ PROPAGATION_TESTS = "tests/test_propagation.py"
 MEMO_ONLY = "tests/test_solvers.py::test_sibling_rule_keeps_the_answers_at_orders_11_to_20"
 VERIFY_SCANS = "tests/test_solvers.py::test_sibling_rule_keeps_the_answers_on_the_verify_iterates"
 WORK_COUNTS = "tests/test_solvers.py::test_subsets_tested_counts_every_closure_at_every_size"
+GOLDEN_STDOUT = "tests/test_cli.py::test_records_print_the_golden_stdout"
 
 MUTANTS = [
     # -- the line operator's hand-over ----------------------------------
@@ -115,6 +116,13 @@ MUTANTS = [
         "return self.n == other.n and self._out == other._out",
         "return self.n == other.n and self.arc_count == other.arc_count",
         ARC_VIEWS,
+    ),
+    Mutant(
+        "digraph: hashing builds the arc set",
+        DIGRAPH,
+        "return hash((self.n, self._out))",
+        "return hash((self.n, self.arcs))",
+        "tests/test_digraph.py::test_handed_over_and_constructed_digraphs_hash_equal",
     ),
     Mutant(
         "digraph: no leftover-arc check",
@@ -294,13 +302,27 @@ MUTANTS = [
         "0 < held >= total - 1",
         "tests/test_verify.py::test_one_disagreeing_instance_fails_its_check",
     ),
+    Mutant(
+        "verify: the line identity passes on no isomorphism",
+        VERIFY,
+        "return CheckResult(label, iso is not None, details)",
+        "return CheckResult(label, iso is None, details)",
+        GOLDEN_STDOUT,
+    ),
+    Mutant(
+        "verify: the brute-forced comparison inverted",
+        VERIFY,
+        "return CheckResult(label, found == claimed,",
+        "return CheckResult(label, found != claimed,",
+        GOLDEN_STDOUT,
+    ),
     # -- the command line ---------------------------------------------------
     Mutant(
         "cli: a frozenset encoded in iteration order",
         CLI,
         "return sorted(value)",
         "return list(value)",
-        "tests/test_cli.py::test_records_print_the_golden_stdout",
+        GOLDEN_STDOUT,
     ),
     Mutant(
         "cli: a closed stdout reported as an internal error",
@@ -308,6 +330,13 @@ MUTANTS = [
         "return 141",
         "return 4",
         "tests/test_cli.py::test_stdout_closed_early_exits_141_with_nothing_on_stderr",
+    ),
+    Mutant(
+        "cli: a library warning left to the default printer",
+        CLI,
+        "warnings.showwarning = _show_warning",
+        "warnings.simplefilter('default')",
+        "tests/test_cli.py::test_library_warning_is_one_stderr_line",
     ),
     # -- families, corpus, oracles ----------------------------------------
     Mutant(
@@ -344,6 +373,28 @@ MUTANTS = [
         "for _ in range(4 * d * n):",
         "for _ in range(0):",
         "tests/test_corpus.py::test_random_regular_digraph_reaches_every_labelled_digraph",
+    ),
+    Mutant(
+        "corpus: random regular digraphs drawn past the order bound",
+        "forcing_lab/corpus.py",
+        "if n > MAX_ORDER:",
+        "if False:",
+        "tests/test_corpus.py::test_random_regular_digraph_refuses_before_its_first_draw",
+    ),
+    Mutant(
+        "corpus: min-degree candidates listed past the arc bound",
+        "forcing_lab/corpus.py",
+        "if n * n > MAX_ARCS:",
+        "if False:",
+        "tests/test_corpus.py::test_min_degree_generator_refuses_before_its_first_draw",
+    ),
+    Mutant(
+        "corpus: the candidate row bound of all_regular_digraphs dropped",
+        "forcing_lab/corpus.py",
+        "if count > MAX_ARCS:",
+        "if False:",
+        "tests/test_corpus.py"
+        "::test_exhaustive_regular_refuses_too_many_rows_before_listing_them",
     ),
     # -- dense matrices and their rank -----------------------------------
     Mutant(

@@ -33,7 +33,7 @@ sys.path.insert(0, str(HERE))
 from entries import MUTANTS, Mutant  # noqa: E402
 
 TIMEOUT_S = 60
-JOBS = 2  # the whole list runs in about 75 s on two cores
+JOBS = 2  # the whole list runs in about 90 s on two cores
 
 
 def _pytest(src: Path, tests: list[str]) -> tuple[int, str]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One JSON document goes to stdout; human-readable summaries go to stderr,
-so pipelines can consume the machine output without scraping prose.
+so pipelines can consume the machine output without scraping prose.  A
+library warning goes to stderr as one ``warning:`` line when it is raised.
 Records are encoded in ``_emit``: a dataclass as its fields in order, a
 frozenset as its sorted list.
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, is_dataclass
 from typing import Callable, Sequence
 
@@ -45,6 +47,11 @@ from .verify import run_suite
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _show_warning(message: Warning | str, *_: object) -> None:
+    """``warnings.showwarning`` inside ``main``: one stderr line per warning."""
+    _info(f"warning: {message}")
 
 
 def _encode(value: object) -> object:
@@ -361,7 +368,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.handler(args)
+        # the caller's warnings state comes back on return: perfbench calls
+        # main in-process
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            code = args.handler(args)
         sys.stdout.flush()  # a closed stdout is found here, not at exit
         return code
     except DomainError as exc:

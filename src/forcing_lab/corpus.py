@@ -4,16 +4,24 @@ exhaustive enumeration of small regular digraphs.
 Everything here is deterministic given the caller-supplied
 ``random.Random`` instance or explicit parameters, so verification suites
 produce identical corpora on every run.
+
+No generator allocates past the ``digraph`` bounds: ``random_digraph``
+hands ``Digraph`` its tosses as a lazy stream, which ``Digraph`` stops
+reading one arc past ``MAX_ARCS``, and the others refuse, with
+:class:`ResourceLimitError` and before their first draw, a request whose
+working lists could pass ``MAX_ARCS`` entries or whose digraph would pass
+``MAX_ORDER`` vertices.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from random import Random
 from typing import Iterator
 
-from .digraph import Digraph
-from .errors import DomainError
+from .digraph import MAX_ARCS, MAX_ORDER, Digraph
+from .errors import DomainError, ResourceLimitError
 from .iso import are_isomorphic
 
 # Resampling budget of the connectivity rejection in random_digraph_min_degrees.
@@ -28,12 +36,12 @@ def random_digraph(
     loop_probability: float = 0.15,
 ) -> Digraph:
     """An unconstrained random digraph; every ordered pair tossed once."""
-    arcs = []
-    for u in range(n):
-        for v in range(n):
-            p = loop_probability if u == v else arc_probability
-            if rng.random() < p:
-                arcs.append((u, v))
+    arcs = (
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if rng.random() < (loop_probability if u == v else arc_probability)
+    )
     return Digraph(n, arcs)
 
 
@@ -52,12 +60,17 @@ def random_digraph_min_degrees(
     of ``min_in`` in-arcs then receive patch arcs, and ``extra_arcs``
     further random arcs are sprinkled on top.  Weak connectivity is
     enforced by resampling.  A ``min_out`` or ``min_in`` above the ``n``
-    vertices (``n - 1`` without loops) is refused before any draw.
+    vertices (``n - 1`` without loops) is refused before any draw, and so
+    is an order whose ``n * n`` candidate arcs pass ``MAX_ARCS``.
     """
     if min_out > (n if allow_loops else n - 1):
         raise DomainError("min_out larger than the number of available heads")
     if min_in > (n if allow_loops else n - 1):
         raise DomainError("min_in larger than the number of available tails")
+    if n * n > MAX_ARCS:
+        raise ResourceLimitError(
+            f"order {n} has {n * n} candidate arcs, above the limit of {MAX_ARCS}"
+        )
     for _ in range(_MIN_DEGREE_ATTEMPTS):
         arcs: set[tuple[int, int]] = set()
         for u in range(n):
@@ -102,10 +115,15 @@ def random_regular_digraph(rng: Random, n: int, d: int) -> Digraph:
     by ``(a, e), (c, b)`` when neither new pair is an arc yet.  An
     interchange keeps every degree, and by Ryser's theorem interchanges
     connect all 0/1 matrices with the same row and column sums, so every
-    ``d``-regular digraph can be reached.
+    ``d``-regular digraph can be reached.  An order past ``MAX_ORDER`` or
+    ``n * d`` arcs past ``MAX_ARCS`` are refused before the first draw.
     """
     if d > n:
         raise DomainError(f"no {d}-regular digraph on {n} vertices")
+    if n > MAX_ORDER:
+        raise ResourceLimitError(f"order {n} is above the limit of {MAX_ORDER}")
+    if n * d > MAX_ARCS:
+        raise ResourceLimitError(f"{n * d} arcs are above the limit of {MAX_ARCS}")
     pi = rng.sample(range(n), n)
     arcs = [(x, (pi[x] + t) % n) for x in range(n) for t in range(d)]
     heads = [{(pi[x] + t) % n for t in range(d)} for x in range(n)]
@@ -127,9 +145,15 @@ def all_regular_digraphs(n: int, d: int) -> Iterator[Digraph]:
     """Every ``d``-regular digraph on ``n`` labeled vertices, loops
     permitted, in lexicographic order of adjacency rows; the depth-first
     search over rows keeps an explicit stack, so no order meets the recursion
-    limit."""
+    limit.  More than ``MAX_ARCS`` candidate rows are refused before they
+    are listed."""
     if d > n:
         return
+    count = comb(n, d)
+    if count > MAX_ARCS:
+        raise ResourceLimitError(
+            f"{count} candidate rows are above the limit of {MAX_ARCS}"
+        )
     rows = list(itertools.combinations(range(n), d))
     masks = [sum(1 << v for v in row) for row in rows]
     in_degree = [0] * n

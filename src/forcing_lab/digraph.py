@@ -11,9 +11,10 @@ heads of the arcs out of ``u`` and ``_in[v]`` the tails of the arcs into
 tuple of ints the first time it examines it, and the empty tuple is one
 shared object, so the store costs the collector little and costs nothing
 per vertex of degree zero.  ``arc_count`` is the sum of the out-degrees,
-equality and ``arcs_sorted`` read the out-tuples in order, and ``arcs``,
-the frozenset of the ``(u, v)`` pairs, is built from them on first read
-and kept.  The neighborhood queries return frozensets made on each call.
+equality, hashing and ``arcs_sorted`` read the out-tuples in order, and
+``arcs``, the frozenset of the ``(u, v)`` pairs, is built from them on
+first read and kept.  The neighborhood queries return frozensets made on
+each call.
 
 The public constructor is the one place arcs are checked, in one pass:
 the first non-pair, endpoint outside ``0 .. n-1`` (bools included) or
@@ -166,7 +167,7 @@ class Digraph:
         return self.n == other.n and self._out == other._out
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self._out))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 from .constructions import (
     construct_pds_L2,
@@ -70,6 +70,27 @@ def _tally(label: str, outcomes: list[bool], details: str) -> CheckResult:
     return CheckResult(label, 0 < held == total, f"{held}/{total} {details}")
 
 
+def _brute_forced(label: str, found: int, claimed: int) -> CheckResult:
+    """A brute-forced value against the claimed one."""
+    return CheckResult(label, found == claimed, f"brute force found {found}")
+
+
+def _exact_rank(label: str, g: Digraph, rank: int, nullity: int) -> CheckResult:
+    """The claimed rank and nullity of the adjacency of ``g``, exactly."""
+    report = adjacency_rank(g)
+    return CheckResult(
+        label,
+        (report.rank, report.nullity) == (rank, nullity),
+        f"rank {report.rank}, nullity {report.nullity} by {report.method}",
+    )
+
+
+def _line_identity(label: str, g: Digraph, base: Digraph, details: str) -> CheckResult:
+    """``g`` is isomorphic to the line digraph of ``base``."""
+    iso = are_isomorphic(g, line_digraph(base).graph)
+    return CheckResult(label, iso is not None, details)
+
+
 def check_line_zf_formula() -> list[CheckResult]:
     """Z(L(G)) = |A(G)| - |V(G)| on seeded random digraphs with minimum
     out-degree 2 and minimum in-degree 1, and the constructed witness has
@@ -87,8 +108,8 @@ def check_line_zf_formula() -> list[CheckResult]:
             allow_loops=(i % 4 == 0),
         )
         expected = g.arc_count - g.n
-        agree.append(min_zero_forcing(line_digraph(g).graph).number == expected)
         witness = construct_zfs_line(g)
+        agree.append(min_zero_forcing(witness.line.graph).number == expected)
         witness_ok.append(
             len(witness.vertices) == expected and witness.trace.covers_all
         )
@@ -108,38 +129,23 @@ def check_line_zf_formula() -> list[CheckResult]:
 
 def check_de_bruijn_suite() -> list[CheckResult]:
     """Brute-force and exact-rank values on B(2,2), B(2,3), B(3,2); M of
-    B(2,3) is pinned between its adjacency nullity and its Z."""
+    B(2,3) is pinned between its adjacency nullity and the brute-forced Z
+    checked before it."""
     results = []
-    for d, big_d, z_expected, gp_expected in [
-        (2, 2, 2, 1),
-        (2, 3, 4, 2),
-        (3, 2, 6, 2),
-    ]:
+    for d, big_d, z_expected, gp_expected in [(2, 2, 2, 1), (2, 3, 4, 2), (3, 2, 6, 2)]:
         g = de_bruijn(d, big_d)
         z = min_zero_forcing(g).number
         gp = min_power_dominating(g).number
-        if (d, big_d) == (2, 3):
-            b23, z23 = g, z
-        results.append(
-            CheckResult(
-                f"Z(B({d},{big_d})) == {z_expected}",
-                z == z_expected,
-                f"brute force found {z}",
-            )
-        )
-        results.append(
-            CheckResult(
-                f"power domination number of B({d},{big_d}) == {gp_expected}",
-                gp == gp_expected,
-                f"brute force found {gp}",
-            )
-        )
-    rank = adjacency_rank(b23)
+        results.append(_brute_forced(f"Z({g.name}) == {z_expected}", z, z_expected))
+        label = f"power domination number of {g.name} == {gp_expected}"
+        results.append(_brute_forced(label, gp, gp_expected))
+    rank = adjacency_rank(de_bruijn(2, 3))
     results.append(
         CheckResult(
             "mr(B(2,3)) == 4 and max nullity == 4 by exact rank",
-            rank.nullity == z23 == 4 and b23.n - rank.nullity == 4,
-            f"adjacency rank {rank.rank} of order {b23.n} by {rank.method}",
+            rank.rank == rank.nullity == 4,
+            f"adjacency rank {rank.rank} of order {rank.rank + rank.nullity} "
+            f"by {rank.method}",
         )
     )
     return results
@@ -153,8 +159,13 @@ def check_kautz_suite() -> list[CheckResult]:
     k33 = kautz(3, 3)
     zf_witness = construct_zfs_line(kautz(3, 2))
     twin_bound = twin_forcing_lower_bound(k33)
-    zf_on_k33 = is_zero_forcing_set(k33, zf_witness.vertices)
-    results = [
+    # Verified on its own L(K(3,2)), the witness is zero forcing on an equal K(3,3).
+    is_k33 = zf_witness.line.graph == k33
+    zf_on_k33 = zf_witness.trace.covers_all and is_k33
+    witness = construct_pds_L2(complete_without_loops(4))
+    max_out = k33.degrees().max_out
+    lower = -(-twin_bound // max_out)
+    return [
         CheckResult(
             "Z(K(3,3)) == 24 by the in-twin bound and a verified witness",
             twin_bound == 24 and len(zf_witness.vertices) == 24 and zf_on_k33,
@@ -165,23 +176,10 @@ def check_kautz_suite() -> list[CheckResult]:
         ),
         CheckResult(
             "L(K(3,2)) isomorphic to K(3,3)",
-            zf_witness.line.graph == k33,
+            is_k33,
             "line operator reproduces the family",
         ),
-    ]
-    rank = adjacency_rank(k33)
-    results.append(
-        CheckResult(
-            "mr(K(3,3)) == 12 by exact rank",
-            rank.rank == 12 and k33.n == 36,
-            f"rank {rank.rank}, nullity {rank.nullity} by {rank.method}",
-        )
-    )
-    base = complete_without_loops(4)
-    witness = construct_pds_L2(base)
-    max_out = k33.degrees().max_out
-    lower = -(-twin_bound // max_out)
-    results.append(
+        _exact_rank("mr(K(3,3)) == 12 by exact rank", k33, 12, 24),
         CheckResult(
             "power domination number of K(3,3) == 8",
             len(witness.vertices) == 8 and witness.line.graph == k33 and lower == 8,
@@ -190,36 +188,30 @@ def check_kautz_suite() -> list[CheckResult]:
             f"bound ceil({twin_bound}/{max_out}) = {lower}: the in-twin "
             f"bound through ceil(Z / max out-degree), an inequality the "
             f"sandwich suite brute-forces but that is not proven here",
-        )
-    )
-    return results
+        ),
+    ]
 
 
 def check_generalized_families() -> list[CheckResult]:
     """Line-operator identities of the generalized families plus one
     brute-forced zero forcing value."""
-    gb_iso = are_isomorphic(
-        gen_de_bruijn(2, 6), line_digraph(gen_de_bruijn(2, 3)).graph
-    )
-    gk_iso = are_isomorphic(
-        gen_kautz(2, 6), line_digraph(gen_kautz(2, 3)).graph
-    )
-    z = min_zero_forcing(gen_de_bruijn(2, 12)).number
     return [
-        CheckResult(
+        _line_identity(
             "GB(2,6) isomorphic to L(GB(2,3))",
-            gb_iso is not None,
+            gen_de_bruijn(2, 6),
+            gen_de_bruijn(2, 3),
             "generalized de Bruijn line identity",
         ),
-        CheckResult(
+        _line_identity(
             "GK(2,6) isomorphic to L(GK(2,3))",
-            gk_iso is not None,
+            gen_kautz(2, 6),
+            gen_kautz(2, 3),
             "generalized Kautz line identity",
         ),
-        CheckResult(
+        _brute_forced(
             "Z(GB(2,12)) == 6 == (d-1)d^(m-1)n at d=2, m=2, n=3",
-            z == 6,
-            f"brute force found {z}",
+            min_zero_forcing(gen_de_bruijn(2, 12)).number,
+            6,
         ),
     ]
 
@@ -228,25 +220,18 @@ def check_wrapped_butterfly() -> list[CheckResult]:
     """WB(2,2): line identity, brute-force zero forcing, exact rank, and
     brute-force power domination against the claimed 2(d-1)."""
     wb = wrapped_butterfly(2, 2)
-    base = conjunction(complete_with_loops(2), cycle(2))
-    iso = are_isomorphic(wb, line_digraph(base).graph)
-    z = min_zero_forcing(wb).number
-    rank = adjacency_rank(wb)
     gp = min_power_dominating(wb).number
     claimed = 2 * (2 - 1)
     agreement = "agrees with" if gp == claimed else "DISAGREES with"
     return [
-        CheckResult(
+        _line_identity(
             "WB(2,2) isomorphic to L(K_2 (x) C_2)",
-            iso is not None,
+            wb,
+            conjunction(complete_with_loops(2), cycle(2)),
             "conjunction line identity",
         ),
-        CheckResult("Z(WB(2,2)) == 4", z == 4, f"brute force found {z}"),
-        CheckResult(
-            "mr(WB(2,2)) == 4 by exact rank",
-            rank.rank == 4,
-            f"rank {rank.rank}, nullity {rank.nullity} by {rank.method}",
-        ),
+        _brute_forced("Z(WB(2,2)) == 4", min_zero_forcing(wb).number, 4),
+        _exact_rank("mr(WB(2,2)) == 4 by exact rank", wb, 4, 4),
         CheckResult(
             "power domination number of WB(2,2) == 2(d-1) = 2",
             gp == claimed,
@@ -278,20 +263,28 @@ def check_gimbert_rank() -> list[CheckResult]:
     ]
 
 
+def _iterates(
+    grid: list[tuple[int, tuple[int, ...], tuple[int, ...]]],
+) -> Iterator[Digraph]:
+    """``L^k(G)`` for each ``(d, orders, depths)`` of ``grid``: every class
+    ``G`` of ``d``-regular digraphs of each order, at each depth."""
+    for d, orders, depths in grid:
+        for n in orders:
+            for g in regular_digraphs_up_to_iso(n, d):
+                for k in depths:
+                    yield iterated_line(g, k).graph
+
+
 def check_nullity_collapse() -> list[CheckResult]:
     """Adjacency nullity of L^k(G) equals brute-force Z(L^k(G)) over the
     regular classes; the 3-regular depth-2 sizes are skipped, since Z of
     the 27-vertex iterate is slow to scan and the 36-vertex scans exhaust
     the 5*10^6-subset budget (the same identity is covered at every
     smaller size)."""
-    outcomes = []
-    for d, orders, depths in [(2, (2, 3, 4), (1, 2)), (3, (3, 4), (1,))]:
-        for n in orders:
-            for g in regular_digraphs_up_to_iso(n, d):
-                for k in depths:
-                    lk = iterated_line(g, k).graph
-                    nullity = adjacency_rank(lk).nullity
-                    outcomes.append(nullity == min_zero_forcing(lk).number)
+    outcomes = [
+        adjacency_rank(lk).nullity == min_zero_forcing(lk).number
+        for lk in _iterates([(2, (2, 3, 4), (1, 2)), (3, (3, 4), (1,))])
+    ]
     return [
         _tally(
             "adjacency nullity of iterates equals brute-force zero forcing",
@@ -358,12 +351,7 @@ def _sandwich_instances() -> list[Digraph]:
     """Line digraphs on which both brute-force values are computed."""
     instances = [de_bruijn(2, 2), de_bruijn(2, 3), de_bruijn(3, 2)]
     instances += [gen_de_bruijn(2, 12), wrapped_butterfly(2, 2)]
-    for n in (2, 3, 4):
-        for g in regular_digraphs_up_to_iso(n, 2):
-            instances.append(line_digraph(g).graph)
-            if n <= 3:
-                instances.append(iterated_line(g, 2).graph)
-    return instances
+    return instances + list(_iterates([(2, (2, 3), (1, 2)), (2, (4,), (1,))]))
 
 
 def check_sandwich() -> list[CheckResult]:
@@ -391,8 +379,10 @@ def check_pd_identity() -> list[CheckResult]:
     for d, orders in [(2, (2, 3, 4)), (3, (3,))]:
         for n in orders:
             for g in regular_digraphs_up_to_iso(n, d):
-                z_line = min_zero_forcing(line_digraph(g).graph).number
-                gp_line2 = min_power_dominating(iterated_line(g, 2).graph).number
+                # L(L(g)) has the ids of iterated_line(g, 2) (``lines``).
+                line = line_digraph(g).graph
+                z_line = min_zero_forcing(line).number
+                gp_line2 = min_power_dominating(line_digraph(line).graph).number
                 outcomes.append(z_line == gp_line2)
     return [
         _tally(

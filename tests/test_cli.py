@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from random import Random
 
@@ -48,6 +49,19 @@ def test_gen_to_file_round_trips(capsys, tmp_path):
     path = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "2")
     doc = json.loads(open(path).read())
     assert doc["n"] == 4
+
+
+def test_library_warning_is_one_stderr_line(capsys):
+    showwarning, filters = warnings.showwarning, list(warnings.filters)
+    code, out, err = _run(capsys, "gen", "kautz", "--d", "2", "--D", "2")
+    assert code == 0 and json.loads(out)["name"] == "K(2,2)"
+    assert err == (
+        "warning: kautz with d = 2 is outside the range the closed-form "
+        "results were stated for; the digraph itself is fine\n"
+        "K(2,2): 6 vertices, 12 arcs\n"
+    )
+    # main leaves the caller's warnings state as it found it
+    assert warnings.showwarning is showwarning and warnings.filters == filters
 
 
 def test_gen_rejects_unknown_family(capsys):
@@ -582,6 +596,7 @@ GOLDEN_COMMANDS = {
     "factor-cycles": ("factor", "{k3}", "--cycles"),
     "iso": ("iso", "{paths}", "{mirror}"),
     "verify-de-bruijn": ("verify", "de-bruijn"),
+    "verify-all": ("verify", "all"),
 }
 
 
@@ -593,6 +608,12 @@ def test_records_print_the_golden_stdout(capsys, tmp_path, name):
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_encoder_refuses_an_unknown_type():
+    assert cli._encode(frozenset({3, 1})) == [1, 3]
+    with pytest.raises(TypeError, match="^Object of type complex is not JSON"):
+        cli._encode(1j)
 
 
 def test_golden_witness_does_not_iterate_in_ascending_order():

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import time
 from itertools import combinations, product
+from math import comb
 from random import Random
 
 import pytest
 
+from forcing_lab import corpus
 from forcing_lab.corpus import (
     all_regular_digraphs,
     random_digraph,
@@ -13,6 +15,7 @@ from forcing_lab.corpus import (
     random_regular_digraph,
     regular_digraphs_up_to_iso,
 )
+from forcing_lab.digraph import MAX_ARCS, Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.iso import are_isomorphic
 
@@ -26,6 +29,71 @@ def test_random_digraph_deterministic_per_seed():
 def test_random_digraph_respects_loop_flag():
     g = random_digraph(Random(9), 8, arc_probability=0.5, loop_probability=0.0)
     assert not g.has_loops
+
+
+def _listed_random_digraph(rng, n, arc_probability, loop_probability):
+    """The tosses of ``random_digraph``, listed before the digraph is built."""
+    arcs = []
+    for u in range(n):
+        for v in range(n):
+            p = loop_probability if u == v else arc_probability
+            if rng.random() < p:
+                arcs.append((u, v))
+    return Digraph(n, arcs)
+
+
+@pytest.mark.parametrize("loop_probability", [0.0, 0.15, 0.6])
+def test_random_digraph_matches_a_listed_reference(loop_probability):
+    for seed in range(40):
+        n = 1 + seed % 9
+        p = seed / 40
+        a, b = Random(seed), Random(seed)
+        g = random_digraph(a, n, arc_probability=p, loop_probability=loop_probability)
+        assert g == _listed_random_digraph(b, n, p, loop_probability)
+        assert a.getstate() == b.getstate()
+
+
+def test_random_digraph_reads_one_arc_past_the_bound():
+    # every toss an arc: the refusal comes after MAX_ARCS + 1 of them, long
+    # before the 10**6 pairs of order 1000 are tossed
+    rng, reference = Random(1), Random(1)
+    with pytest.raises(ResourceLimitError, match="^arc count above the limit"):
+        random_digraph(rng, 1000, arc_probability=1.0, loop_probability=1.0)
+    for _ in range(MAX_ARCS + 1):
+        reference.random()
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize(
+    ("n", "d", "message"),
+    [
+        (200000, 1, "^order 200000 is above the limit of 131072$"),
+        (65537, 8, "^524296 arcs are above the limit of 524288$"),
+    ],
+)
+def test_random_regular_digraph_refuses_before_its_first_draw(n, d, message):
+    rng = Random(1)
+    state = rng.getstate()
+    with pytest.raises(ResourceLimitError, match=message):
+        random_regular_digraph(rng, n, d)
+    assert rng.getstate() == state
+
+
+def test_min_degree_generator_refuses_before_its_first_draw():
+    rng = Random(1)
+    state = rng.getstate()
+    with pytest.raises(ResourceLimitError, match="^order 725 has 525625 candidate"):
+        random_digraph_min_degrees(rng, 725)
+    assert rng.getstate() == state
+    # 724 * 724 = 524176 candidate arcs: inside the bound
+    assert random_digraph_min_degrees(rng, 724).n == 724
+
+
+def test_min_degree_generator_gives_up_after_its_attempts(monkeypatch):
+    monkeypatch.setattr(corpus, "_MIN_DEGREE_ATTEMPTS", 1)
+    # the first sample of this seed is not weakly connected
+    with pytest.raises(DomainError, match="^could not sample .* in 1 tries$"):
+        random_digraph_min_degrees(Random(0), 6, min_out=1, min_in=1)
 
 
 def test_min_degree_generator_meets_degrees():
@@ -107,6 +175,17 @@ def test_exhaustive_regular_matches_row_product(n, d):
         if all(sum(v in row for row in rows) == d for v in range(n))
     ]
     assert [g.arcs_sorted for g in all_regular_digraphs(n, d)] == expected
+
+
+def test_exhaustive_regular_with_degree_above_order_yields_nothing():
+    assert list(all_regular_digraphs(3, 4)) == []
+
+
+def test_exhaustive_regular_refuses_too_many_rows_before_listing_them():
+    # C(21, 10) = 352716 rows are inside the bound, C(22, 11) = 705432 not
+    assert comb(21, 10) <= MAX_ARCS < comb(22, 11)
+    with pytest.raises(ResourceLimitError, match="^705432 candidate rows are above"):
+        next(all_regular_digraphs(22, 11))
 
 
 def test_exhaustive_regular_at_order_1200():

@@ -5,7 +5,6 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from forcing_lab.critical import (
     in_twin_classes,
@@ -25,6 +24,8 @@ from forcing_lab.families import (
 from forcing_lab.lines import iterated_line, line_digraph
 from forcing_lab.solvers import min_zero_forcing
 
+from strategies import digraph_with_set
+
 
 def _naive_critical(g: Digraph, w: frozenset[int]) -> bool:
     return all(
@@ -34,32 +35,6 @@ def _naive_critical(g: Digraph, w: frozenset[int]) -> bool:
 
 def _naive_strongly_critical(g: Digraph, w: frozenset[int]) -> bool:
     return all(len(g.out_neighborhood(v) & w) != 1 for v in range(g.n))
-
-
-def _random_digraphs() -> st.SearchStrategy[Digraph]:
-    def build(n: int, picks: list[bool]) -> Digraph:
-        pairs = [(u, v) for u in range(n) for v in range(n)]
-        arcs = [pair for pair, keep in zip(pairs, picks) if keep]
-        return Digraph(n, arcs)
-
-    return st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.builds(
-            build,
-            st.just(n),
-            st.lists(st.booleans(), min_size=n * n, max_size=n * n),
-        )
-    )
-
-
-def _digraph_with_set() -> st.SearchStrategy[tuple[Digraph, frozenset[int]]]:
-    return _random_digraphs().flatmap(
-        lambda g: st.tuples(
-            st.just(g),
-            st.sets(
-                st.integers(min_value=0, max_value=g.n - 1), min_size=1
-            ).map(frozenset),
-        )
-    )
 
 
 def test_critical_but_not_strongly():
@@ -82,7 +57,7 @@ def test_empty_set_rejected():
 
 
 @settings(max_examples=80, deadline=None)
-@given(_digraph_with_set())
+@given(digraph_with_set(6))
 def test_predicates_match_definition(pair):
     g, w = pair
     assert is_critical(g, w) == _naive_critical(g, w)

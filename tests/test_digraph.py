@@ -12,7 +12,7 @@ from forcing_lab.constructions import construct_pds_L
 from forcing_lab.critical import is_critical, is_strongly_critical
 from forcing_lab.digraph import MAX_ARCS, MAX_ORDER, Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
-from forcing_lab.families import complete_with_loops
+from forcing_lab.families import complete_with_loops, de_bruijn
 from forcing_lab.lines import iterated_line, line_digraph
 from forcing_lab.propagation import pd_closure, zf_closure
 
@@ -193,7 +193,7 @@ def test_constructor_state_from_one_pass():
     assert g.arcs == frozenset({(0, 1), (0, 2), (1, 1), (2, 0)})
     assert [g.out_neighborhood(v) for v in range(3)] == [{1, 2}, {1}, {0}]
     assert [g.in_neighborhood(v) for v in range(3)] == [{2}, {0, 1}, {0}]
-    assert hash(g) == hash((3, g.arcs))
+    assert hash(g) == hash((3, ((1, 2), (1,), (0,))))
 
 
 def test_arc_views_agree_with_a_plain_set():
@@ -209,13 +209,14 @@ def test_arc_views_agree_with_a_plain_set():
         rng.shuffle(arcs)
         g = Digraph(n, arcs)
         h = Digraph(n, iter(sorted(wanted, reverse=True)))
-        # equality reads the out-tuples, never the arc set
-        assert g == h and g._arcs is None and h._arcs is None
+        out = tuple(tuple(sorted(v for x, v in wanted if x == u)) for u in range(n))
+        # equality and hashing read the out-tuples, never the arc set
+        assert g == h and hash(g) == hash(h) == hash((n, out))
+        assert g._arcs is None and h._arcs is None
         assert g.arc_count == len(wanted)
         assert repr(g) == f"<Digraph n={n} arcs={len(wanted)}>"
         assert g.arcs_sorted == tuple(sorted(wanted))
         assert g.arcs == wanted and g.arcs is g.arcs
-        assert hash(g) == hash(h) == hash((n, frozenset(wanted)))
         assert g != Digraph(n + 1, arcs)
         dropped = rng.choice(arcs) if arcs else None
         fewer = [arc for arc in arcs if arc != dropped]
@@ -282,6 +283,19 @@ def test_name_not_part_of_equality():
     a = Digraph(2, [(0, 1)], name="a")
     b = Digraph(2, [(0, 1)], name="b")
     assert a == b and hash(a) == hash(b)
+
+
+def test_equality_with_a_non_digraph_is_not_implemented():
+    g = Digraph(2, [(0, 1)])
+    assert g.__eq__((2, ((1,), ()))) is NotImplemented
+    assert g != (2, ((1,), ())) and g != "B(2,3)"
+
+
+def test_handed_over_and_constructed_digraphs_hash_equal():
+    handed_over = iterated_line(complete_with_loops(2), 2).graph
+    constructed = de_bruijn(2, 3)
+    assert handed_over == constructed and hash(handed_over) == hash(constructed)
+    assert handed_over._arcs is None and constructed._arcs is None
 
 
 def test_weak_components_against_networkx():

@@ -23,6 +23,8 @@ from forcing_lab.families import (
 from forcing_lab.iso import are_isomorphic
 from forcing_lab.lines import iterated_line, line_digraph
 
+from strategies import random_digraphs
+
 
 def _apply(g: Digraph, phi: list[int]) -> Digraph:
     return Digraph(g.n, [(phi[u], phi[v]) for u, v in g.arcs])
@@ -82,21 +84,6 @@ def _same_refinement(g: Digraph, h: Digraph) -> bool:
         return True
     assert classes(got) == classes(expected)
     return False
-
-
-def _random_digraphs() -> st.SearchStrategy[Digraph]:
-    def build(n: int, picks: list[bool]) -> Digraph:
-        pairs = [(u, v) for u in range(n) for v in range(n)]
-        arcs = [pair for pair, keep in zip(pairs, picks) if keep]
-        return Digraph(n, arcs)
-
-    return st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.builds(
-            build,
-            st.just(n),
-            st.lists(st.booleans(), min_size=n * n, max_size=n * n),
-        )
-    )
 
 
 def test_identity_mapping_is_lex_least():
@@ -265,7 +252,7 @@ def test_medium_kautz_instance():
 
 
 @settings(max_examples=40, deadline=None)
-@given(_random_digraphs(), st.randoms(use_true_random=False))
+@given(random_digraphs(6), st.randoms(use_true_random=False))
 def test_random_relabelling_found(g: Digraph, rng):
     phi = list(range(g.n))
     rng.shuffle(phi)
@@ -276,7 +263,7 @@ def test_random_relabelling_found(g: Digraph, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_random_digraphs())
+@given(random_digraphs(6))
 def test_arc_flip_breaks_isomorphism_or_not_reported_wrongly(g: Digraph):
     # removing one arc from a digraph with arcs can never stay isomorphic
     if g.arc_count == 0:

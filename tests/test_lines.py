@@ -6,7 +6,6 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from forcing_lab.corpus import random_digraph
 from forcing_lab.digraph import Digraph
@@ -16,20 +15,7 @@ from forcing_lab.iso import are_isomorphic
 from forcing_lab import lines
 from forcing_lab.lines import iterated_line, line_digraph
 
-
-def _random_digraphs() -> st.SearchStrategy[Digraph]:
-    def build(n: int, picks: list[bool]) -> Digraph:
-        pairs = [(u, v) for u in range(n) for v in range(n)]
-        arcs = [pair for pair, keep in zip(pairs, picks) if keep]
-        return Digraph(n, arcs)
-
-    return st.integers(min_value=1, max_value=5).flatmap(
-        lambda n: st.builds(
-            build,
-            st.just(n),
-            st.lists(st.booleans(), min_size=n * n, max_size=n * n),
-        )
-    )
+from strategies import random_digraphs
 
 
 def test_line_vertices_are_sorted_arcs():
@@ -62,7 +48,7 @@ def test_line_arc_count_formula():
 
 
 @settings(max_examples=50, deadline=None)
-@given(_random_digraphs())
+@given(random_digraphs(5))
 def test_line_arc_count_formula_random(g: Digraph):
     if g.arc_count == 0:
         return

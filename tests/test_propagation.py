@@ -6,7 +6,6 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from forcing_lab.digraph import Digraph
 from forcing_lab.errors import DomainError
@@ -20,6 +19,8 @@ from forcing_lab.propagation import (
     pd_closure,
     zf_closure,
 )
+
+from strategies import digraph_with_set
 
 
 def _naive_rounds(
@@ -89,32 +90,6 @@ def _replay(g: Digraph, trace: PropagationTrace) -> None:
     assert [set(block) for block in trace.rounds] == expected_rounds
     assert trace.final == expected_final
     assert trace.covers_all == (len(colored) == g.n)
-
-
-def _random_digraphs() -> st.SearchStrategy[Digraph]:
-    def build(n: int, picks: list[bool]) -> Digraph:
-        pairs = [(u, v) for u in range(n) for v in range(n)]
-        arcs = [pair for pair, keep in zip(pairs, picks) if keep]
-        return Digraph(n, arcs)
-
-    return st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.builds(
-            build,
-            st.just(n),
-            st.lists(st.booleans(), min_size=n * n, max_size=n * n),
-        )
-    )
-
-
-def _digraph_with_set() -> st.SearchStrategy[tuple[Digraph, frozenset[int]]]:
-    return _random_digraphs().flatmap(
-        lambda g: st.tuples(
-            st.just(g),
-            st.sets(
-                st.integers(min_value=0, max_value=g.n - 1), min_size=1
-            ).map(frozenset),
-        )
-    )
 
 
 def test_frozen_de_bruijn_trace():
@@ -262,7 +237,7 @@ def test_trace_json_shape():
 
 
 @settings(max_examples=100, deadline=None)
-@given(_digraph_with_set())
+@given(digraph_with_set(6))
 def test_closure_matches_naive_oracle(pair):
     g, s = pair
     _, final = _naive_rounds(g, set(s), MODE_ZERO_FORCING)
@@ -270,7 +245,7 @@ def test_closure_matches_naive_oracle(pair):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_digraph_with_set())
+@given(digraph_with_set(6))
 def test_certificates_replay(pair):
     g, s = pair
     _replay(g, zf_closure(g, s))
@@ -278,7 +253,7 @@ def test_certificates_replay(pair):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_digraph_with_set())
+@given(digraph_with_set(6))
 def test_pd_equals_zf_of_closed_neighborhood(pair):
     g, s = pair
     closed = g.out_neighborhood_of_set(s)
@@ -289,7 +264,7 @@ def test_pd_equals_zf_of_closed_neighborhood(pair):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_digraph_with_set())
+@given(digraph_with_set(6))
 def test_forcing_sets_are_monotone(pair):
     g, s = pair
     if not is_zero_forcing_set(g, s):
