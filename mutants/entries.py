@@ -231,13 +231,6 @@ MUTANTS = [
         "tests/test_constructions.py",
     ),
     Mutant(
-        "constructions: witness labels unsorted",
-        CONSTRUCTIONS,
-        "for v in sorted(self.vertices)]",
-        "for v in self.vertices]",
-        "tests/test_constructions.py",
-    ),
-    Mutant(
         "constructions: OneFactor checks its arcs on host.arcs",
         CONSTRUCTIONS,
         "if u not in self.host._in[v]:",
@@ -337,6 +330,27 @@ MUTANTS = [
         "warnings.showwarning = _show_warning",
         "warnings.simplefilter('default')",
         "tests/test_cli.py::test_library_warning_is_one_stderr_line",
+    ),
+    Mutant(
+        "cli: witness labels unsorted",
+        CLI,
+        "for v in sorted(witness.vertices)]",
+        "for v in witness.vertices]",
+        "tests/test_cli.py::test_line_witness_json_shape",
+    ),
+    Mutant(
+        "cli: the trace record emits initial as final",
+        CLI,
+        "return {field: getattr(trace, field) for field in fields}",
+        'return {f: getattr(trace, "initial" if f == "final" else f) for f in fields}',
+        "tests/test_cli.py::test_trace_json_shape",
+    ),
+    Mutant(
+        "cli: gen accepts a superset of the family's parameters",
+        CLI,
+        "if given != set(wanted):",
+        "if not given >= set(wanted):",
+        "tests/test_cli.py::test_gen_rejects_wrong_parameters",
     ),
     # -- families, corpus, oracles ----------------------------------------
     Mutant(

@@ -8,7 +8,6 @@ individual modules for the full API.
 from .digraph import DegreeSummary, Digraph
 from .errors import DomainError, ResourceLimitError
 from .families import (
-    FamilySpec,
     complete_with_loops,
     complete_without_loops,
     conjunction,
@@ -63,7 +62,6 @@ __all__ = [
     "Digraph",
     "DomainError",
     "ResourceLimitError",
-    "FamilySpec",
     "complete_with_loops",
     "complete_without_loops",
     "conjunction",

@@ -3,8 +3,9 @@
 One JSON document goes to stdout; human-readable summaries go to stderr,
 so pipelines can consume the machine output without scraping prose.  A
 library warning goes to stderr as one ``warning:`` line when it is raised.
-Records are encoded in ``_emit``: a dataclass as its fields in order, a
-frozenset as its sorted list.
+Every stdout record is built here, and the digraph document of ``io`` is
+the one format outside this module.  ``_emit`` encodes a dataclass as its
+fields in order and a frozenset as its sorted list.
 
 Exit codes: 0 success, 1 a checked property does not hold (a set fails
 to force, digraphs are not isomorphic, a verification suite has a
@@ -35,7 +36,7 @@ from .constructions import (
 )
 from .digraph import Digraph
 from .errors import DomainError, ResourceLimitError
-from .families import FAMILIES, FamilySpec
+from .families import FAMILIES
 from .io import digraph_to_json_dict, read_digraph, to_dot
 from .iso import are_isomorphic
 from .linalg import adjacency_rank, mr_and_max_nullity_regular_line
@@ -61,6 +62,27 @@ def _encode(value: object) -> object:
     if is_dataclass(value):
         return asdict(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dashed(walk: tuple[int, ...]) -> str:
+    """A walk label as written, e.g. ``'3-0-1'``."""
+    return "-".join(map(str, walk))
+
+
+def _trace_record(trace: PropagationTrace) -> dict[str, object]:
+    fields = ("mode", "initial", "rounds", "certificate", "final", "covers_all")
+    return {field: getattr(trace, field) for field in fields}
+
+
+def _witness_record(witness: LineWitness) -> dict[str, object]:
+    walks = witness.line.labels
+    return {
+        "line_order": witness.line.graph.n,
+        "size": len(witness.vertices),
+        "witness": witness.vertices,
+        "witness_labels": [_dashed(walks[v]) for v in sorted(witness.vertices)],
+        "mode": witness.trace.mode,
+    }
 
 
 def _emit(document: object) -> None:
@@ -119,7 +141,14 @@ def _parse_vertex_set(raw: str, labels: list[str] | None) -> frozenset[int]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = FamilySpec(args.family, d=args.d, D=args.D, n=args.n).build()
+    generator, wanted = FAMILIES[args.family]
+    given = {p for p in ("d", "D", "n") if getattr(args, p) is not None}
+    if given != set(wanted):
+        raise DomainError(
+            f"family {args.family!r} takes parameters "
+            f"{'/'.join('--' + p for p in wanted)}"
+        )
+    g = generator(*(getattr(args, p) for p in wanted))
     _write_or_print(_digraph_text(g), args.output, g.name or "digraph")
     _info(f"{g.name}: {g.n} vertices, {g.arc_count} arcs")
     return 0
@@ -128,7 +157,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_line(args: argparse.Namespace) -> int:
     g, _ = read_digraph(args.input)
     labeled = iterated_line(g, args.iterate)
-    text = _digraph_text(labeled.graph, labeled.label_strings())
+    text = _digraph_text(labeled.graph, list(map(_dashed, labeled.labels)))
     _write_or_print(text, args.output, labeled.graph.name or "line digraph")
     _info(
         f"L^{args.iterate} of {g.n} vertices / {g.arc_count} arcs: "
@@ -163,7 +192,7 @@ def _cmd_closure(
         raise DomainError(f"{args.command} {args.action} needs --set")
     s = _parse_vertex_set(args.set, labels)
     trace = closure(g, s)
-    _emit(trace.to_json_dict())
+    _emit(_trace_record(trace))
     if args.action == "closure":
         _info(
             closure_note.format(
@@ -179,7 +208,7 @@ def _cmd_closure(
 
 
 def _emit_witness(witness: LineWitness, what: str, where: str) -> int:
-    _emit(witness.to_json_dict())
+    _emit(_witness_record(witness))
     _info(
         f"{what} of size {len(witness.vertices)} on the "
         f"{witness.line.graph.n}-vertex {where}"

@@ -15,7 +15,8 @@ witness reproducible.
 
 A line-digraph witness makes one choice per base vertex, then takes each
 id ``i`` of the iterate whose walk ``labels[i]`` fits it: witness ids are
-label positions (see ``lines``), and no walk is ever looked up.
+label positions (see ``lines``), and no walk is ever looked up.  The CLI
+prints a witness with its walks, read from ``line.labels``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .digraph import Digraph, check_nonempty_vertex_set
 from .errors import DomainError, ResourceLimitError
-from .lines import LineLabeledDigraph, _dashed, iterated_line, line_digraph
+from .lines import LineLabeledDigraph, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
 
 # Heads one perfect matching may try past its first step: about two
@@ -223,19 +224,6 @@ class LineWitness:
     line: LineLabeledDigraph
     vertices: frozenset[int]
     trace: PropagationTrace
-
-    def labels(self) -> list[str]:
-        walks = self.line.labels
-        return [_dashed(walks[v]) for v in sorted(self.vertices)]
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "line_order": self.line.graph.n,
-            "size": len(self.vertices),
-            "witness": sorted(self.vertices),
-            "witness_labels": self.labels(),
-            "mode": self.trace.mode,
-        }
 
 
 def _require_degrees(g: Digraph, min_out: int, min_in: int) -> None:

@@ -24,13 +24,13 @@ the size limits there refuse an oversize family before it is built; only
 * ``complete_with_loops(d)``, ``complete_without_loops(m)``, ``cycle(n)``.
 
 ``conjunction`` is the tensor-style product whose arcs are exactly the
-pairs of arcs of the factors.
+pairs of arcs of the factors.  ``FAMILIES`` names each family for
+``forcing-lab gen``, which checks the parameters given against it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .digraph import MAX_ORDER, Digraph
 from .errors import DomainError, ResourceLimitError
@@ -153,30 +153,3 @@ FAMILIES = {
 }
 """Each family tag with its generator and the names of its parameters, in
 the generator's argument order."""
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family tag plus its numeric parameters, ready to build."""
-
-    family: str
-    d: int | None = None
-    D: int | None = None
-    n: int | None = None
-
-    def build(self) -> Digraph:
-        if self.family not in FAMILIES:
-            known = ", ".join(sorted(FAMILIES))
-            raise DomainError(f"unknown family {self.family!r} (known: {known})")
-        builder, wanted = FAMILIES[self.family]
-        given = {
-            key: value
-            for key, value in (("d", self.d), ("D", self.D), ("n", self.n))
-            if value is not None
-        }
-        if set(given) != set(wanted):
-            raise DomainError(
-                f"family {self.family!r} takes parameters "
-                f"{'/'.join('--' + p for p in wanted)}"
-            )
-        return builder(*(given[p] for p in wanted))

@@ -32,7 +32,7 @@ with no Python work per arc.
 
 This proves the labels, so they are not checked again; the test
 ``test_iterated_line_matches_the_walk_dict_reference`` compares them with
-walks looked up in a dictionary.
+walks looked up in a dictionary.  The CLI writes a label as ``3-0-1``.
 
 Each level's order, ``start[-1]``, is known before its walks or ids
 exist, and one above ``digraph.MAX_ORDER`` is refused with
@@ -70,14 +70,6 @@ class LineLabeledDigraph:
 
     graph: Digraph
     labels: tuple[tuple[int, ...], ...]
-
-    def label_strings(self) -> list[str]:
-        """Walks as dash-joined strings, e.g. ``'3-0-1'``."""
-        return list(map(_dashed, self.labels))
-
-
-def _dashed(walk: tuple[int, ...]) -> str:
-    return "-".join(map(str, walk))
 
 
 def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:

@@ -71,16 +71,6 @@ class PropagationTrace:
     def final(self) -> frozenset[int]:
         return self.initial.union(v for _, v, _ in self.certificate)
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "mode": self.mode,
-            "initial": sorted(self.initial),
-            "rounds": [sorted(block) for block in self.rounds],
-            "certificate": [[u, v, r] for u, v, r in self.certificate],
-            "final": sorted(self.final),
-            "covers_all": self.covers_all,
-        }
-
 
 def _run(g: Digraph, mode: str, s: Iterable[int]) -> PropagationTrace:
     initial = check_nonempty_vertex_set(g, s, "starting set")

@@ -14,8 +14,20 @@ import pytest
 import forcing_lab
 from forcing_lab import cli, iso, verify
 from forcing_lab.cli import main
+from forcing_lab.constructions import construct_pds_L2
+from forcing_lab.corpus import random_digraph_min_degrees
 from forcing_lab.digraph import Digraph
-from forcing_lab.io import MAX_FILE_BYTES, read_digraph
+from forcing_lab.families import (
+    complete_with_loops,
+    complete_without_loops,
+    cycle,
+    de_bruijn,
+    gen_de_bruijn,
+    gen_kautz,
+    kautz,
+    wrapped_butterfly,
+)
+from forcing_lab.io import MAX_FILE_BYTES, digraph_to_json_dict, read_digraph
 from forcing_lab.solvers import min_zero_forcing
 
 
@@ -64,15 +76,43 @@ def test_library_warning_is_one_stderr_line(capsys):
     assert warnings.showwarning is showwarning and warnings.filters == filters
 
 
+def test_gen_builds_each_family(capsys):
+    cases = [
+        (("de-bruijn", "--d", "2", "--D", "2"), de_bruijn(2, 2)),
+        (("kautz", "--d", "3", "--D", "2"), kautz(3, 2)),
+        (("gen-de-bruijn", "--d", "2", "--n", "6"), gen_de_bruijn(2, 6)),
+        (("gen-kautz", "--d", "2", "--n", "6"), gen_kautz(2, 6)),
+        (("wrapped-butterfly", "--d", "2", "--n", "2"), wrapped_butterfly(2, 2)),
+        (("complete-loops", "--d", "3"), complete_with_loops(3)),
+        (("complete-noloops", "--n", "4"), complete_without_loops(4)),
+        (("cycle", "--n", "5"), cycle(5)),
+    ]
+    for argv, expected in cases:
+        code, doc, _ = _run_json(capsys, "gen", *argv)
+        assert code == 0 and doc == digraph_to_json_dict(expected)
+
+
 def test_gen_rejects_unknown_family(capsys):
-    code, _, _ = _run(capsys, "gen", "petersen")
-    assert code == 2
+    for argv in (("petersen",), ("petersen", "--n", "10")):
+        code, out, err = _run(capsys, "gen", *argv)
+        assert (code, out) == (2, "")
+        assert "argument family: invalid choice: 'petersen'" in err
 
 
 def test_gen_rejects_missing_parameter(capsys):
-    code, _, err = _run(capsys, "gen", "de-bruijn", "--d", "2")
-    assert code == 2
-    assert "error" in err
+    code, out, err = _run(capsys, "gen", "de-bruijn", "--d", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: family 'de-bruijn' takes parameters --d/--D\n"
+
+
+def test_gen_rejects_wrong_parameters(capsys):
+    cases = [
+        (("cycle", "--n", "5", "--d", "2"), "'cycle' takes parameters --n"),
+        (("complete-loops", "--n", "3"), "'complete-loops' takes parameters --d"),
+    ]
+    for argv, message in cases:
+        code, out, err = _run(capsys, "gen", *argv)
+        assert (code, out, err) == (2, "", f"error: family {message}\n")
 
 
 def test_zf_min(capsys, tmp_path):
@@ -93,6 +133,32 @@ def test_zf_check_exit_codes(capsys, tmp_path):
     assert bad == 1 and doc["covers_all"] is False
 
 
+def test_trace_json_shape(capsys, tmp_path):
+    c3 = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "3")
+    code, doc, _ = _run_json(capsys, "zf", "closure", c3, "--set", "0")
+    assert code == 0
+    assert doc == {
+        "mode": "zero-forcing",
+        "initial": [0],
+        "rounds": [[1], [2]],
+        "certificate": [[0, 1, 1], [1, 2, 2]],
+        "final": [0, 1, 2],
+        "covers_all": True,
+    }
+    # a domination round that colors nothing is printed as an empty round
+    loops = _write_arcs(tmp_path, "loops.json", 2, [(0, 0), (1, 1)])
+    code, doc, _ = _run_json(capsys, "pd", "closure", loops, "--set", "0")
+    assert code == 0
+    assert doc == {
+        "mode": "power-domination",
+        "initial": [0],
+        "rounds": [[], [1]],
+        "certificate": [[1, 1, 2]],
+        "final": [0, 1],
+        "covers_all": True,
+    }
+
+
 def test_zf_closure_requires_set(capsys, tmp_path):
     path = _gen(capsys, tmp_path, "b.json", "gen", "cycle", "--n", "4")
     code, _, err = _run(capsys, "zf", "closure", path)
@@ -110,6 +176,15 @@ def test_set_accepts_walk_labels(capsys, tmp_path):
     chosen = ",".join(labels[i] for i in (0, 2, 4, 6))
     code, doc, _ = _run_json(capsys, "zf", "check", line, "--set", chosen)
     assert code == 0 and doc["covers_all"] is True
+
+
+def test_line_writes_dashed_walk_labels(capsys, tmp_path):
+    base = _gen(capsys, tmp_path, "b.json", "gen", "de-bruijn", "--d", "2", "--D", "2")
+    code, doc, _ = _run_json(capsys, "line", base)
+    assert code == 0
+    assert doc["labels"] == ["0-0", "0-1", "1-2", "1-3", "2-0", "2-1", "3-2", "3-3"]
+    code, doc, _ = _run_json(capsys, "line", base, "--iterate", "0")
+    assert code == 0 and doc["labels"] == ["0", "1", "2", "3"]
 
 
 def test_set_rejects_unknown_label(capsys, tmp_path):
@@ -165,6 +240,36 @@ def test_zf_construct(capsys, tmp_path):
     cyc = _gen(capsys, tmp_path, "c.json", "gen", "cycle", "--n", "5")
     code, _, err = _run(capsys, "zf", "construct", cyc)
     assert code == 2
+
+
+def test_line_witness_json_shape(capsys, tmp_path):
+    """Each witness lists its ids ascending and, in the same order, the
+    labels that ``line`` writes for them, also where the witness set does
+    not iterate in ascending order (checked on B(2,4))."""
+    rng = Random(71)
+    bases = [random_digraph_min_degrees(rng, 5, min_out=2, min_in=1) for _ in range(5)]
+    paths = [
+        _write_arcs(tmp_path, f"r{i}.json", g.n, g.arcs_sorted)
+        for i, g in enumerate(bases)
+    ]
+    b24 = _gen(capsys, tmp_path, "b24.json", "gen", "de-bruijn", "--d", "2", "--D", "4")
+    k23 = _gen(capsys, tmp_path, "k23.json", "gen", "kautz", "--d", "2", "--D", "3")
+    k32 = _gen(capsys, tmp_path, "k32.json", "gen", "kautz", "--d", "3", "--D", "2")
+    runs = [(("zf", "construct", path), path, "1") for path in paths]
+    runs += [(("pd", "construct-l2", path), path, "2") for path in (b24, k23)]
+    runs += [(("pd", "construct-l", k32, "--set", "0"), k32, "1")]
+    for command, base, k in runs:
+        _, line, _ = _run_json(capsys, "line", base, "--iterate", k)
+        code, doc, _ = _run_json(capsys, *command)
+        assert code == 0
+        assert list(doc) == ["line_order", "size", "witness", "witness_labels", "mode"]
+        assert doc["line_order"] == line["n"] and doc["size"] == len(doc["witness"])
+        assert doc["witness"] == sorted(doc["witness"])
+        assert doc["witness_labels"] == [line["labels"][v] for v in doc["witness"]]
+        mode = "zero-forcing" if command[0] == "zf" else "power-domination"
+        assert doc["mode"] == mode
+    witness = construct_pds_L2(de_bruijn(2, 4)).vertices
+    assert list(witness) != sorted(witness)
 
 
 def test_rank_and_line_depth(capsys, tmp_path):
@@ -586,6 +691,7 @@ def _golden_inputs(capsys, tmp_path) -> dict[str, str]:
         ),
         "k2": _gen(capsys, tmp_path, "k2.json", "gen", "complete-loops", "--d", "2"),
         "k3": _gen(capsys, tmp_path, "k3.json", "gen", "complete-loops", "--d", "3"),
+        "k32": _gen(capsys, tmp_path, "k32.json", "gen", "kautz", "--d", "3", "--D", "2"),
     }
 
 
@@ -597,6 +703,13 @@ GOLDEN_COMMANDS = {
     "iso": ("iso", "{paths}", "{mirror}"),
     "verify-de-bruijn": ("verify", "de-bruijn"),
     "verify-all": ("verify", "all"),
+    "gen-de-bruijn": ("gen", "de-bruijn", "--d", "2", "--D", "3"),
+    "line-iterate-2": ("line", "{k3}", "--iterate", "2"),
+    "zf-closure": ("zf", "closure", "{paths}", "--set", "1,8"),
+    "zf-construct": ("zf", "construct", "{k3}"),
+    "pd-closure": ("pd", "closure", "{paths}", "--set", "1,8"),
+    "pd-construct-l2": ("pd", "construct-l2", "{k3}"),
+    "pd-construct-l": ("pd", "construct-l", "{k32}", "--set", "0"),
 }
 
 

@@ -357,7 +357,8 @@ def test_certificate_of_l16_k2_with_loops_at_max_order():
 def test_construct_zfs_line_frozen_case():
     witness = construct_zfs_line(complete_with_loops(3))
     assert len(witness.vertices) == 6
-    assert witness.labels() == ["0-1", "0-2", "1-1", "1-2", "2-1", "2-2"]
+    walks = [witness.line.labels[v] for v in sorted(witness.vertices)]
+    assert walks == [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
     assert witness.trace.covers_all
 
 
@@ -369,13 +370,9 @@ def test_construct_zfs_line_on_loop_free_complete():
 
 def _assert_selects(witness, walks) -> None:
     """``witness`` holds exactly the vertices labeled ``walks``, found by
-    looking each walk up in a walk -> id dict, and ``labels()`` gives their
-    label strings in id order."""
+    looking each walk up in a walk -> id dict."""
     index = {walk: i for i, walk in enumerate(witness.line.labels)}
-    expected = {index[walk] for walk in walks}
-    assert witness.vertices == expected
-    strings = witness.line.label_strings()
-    assert witness.labels() == [strings[v] for v in sorted(expected)]
+    assert witness.vertices == {index[walk] for walk in walks}
 
 
 def _zfs_walks(g: Digraph) -> list[tuple[int, int]]:
@@ -521,14 +518,6 @@ def test_construct_pds_l_random_regular():
                 _assert_selects(witness, _pds_l_walks(g, s))
                 valid[size] += 1
     assert sorted(valid) == [1, 2, 3] and invalid > 100
-
-
-def test_line_witness_json_shape():
-    doc = construct_zfs_line(complete_with_loops(3)).to_json_dict()
-    assert doc["line_order"] == 9
-    assert doc["size"] == 6
-    assert doc["witness"] == sorted(doc["witness"])
-    assert len(doc["witness_labels"]) == 6
 
 
 def test_witness_shares_its_vertex_set_with_its_trace():

@@ -113,12 +113,6 @@ def test_labels_are_walks():
     assert all(len(word) == 3 for word in lab.labels)
 
 
-def test_label_strings_and_lookup():
-    lab = line_digraph(de_bruijn(2, 2))
-    strings = lab.label_strings()
-    assert strings[0] == "0-0"
-
-
 def test_line_name_tracks_operator():
     lab = line_digraph(de_bruijn(2, 2))
     assert lab.graph.name == "L(B(2,2))"

@@ -168,7 +168,6 @@ def test_pd_keeps_an_empty_domination_round_before_forcing():
     trace = pd_closure(g, {0})
     assert [sorted(block) for block in trace.rounds] == [[], [1]]
     assert trace.certificate == ((1, 1, 2),)
-    assert trace.to_json_dict()["rounds"] == [[], [1]]
     assert trace.covers_all
     _replay(g, trace)
 
@@ -225,15 +224,6 @@ def test_long_chain_closure_certificate(bidirected):
 def test_bad_vertex_rejected():
     with pytest.raises(DomainError):
         zf_closure(cycle(3), {0, 7})
-
-
-def test_trace_json_shape():
-    doc = zf_closure(cycle(3), {0}).to_json_dict()
-    assert doc["mode"] == MODE_ZERO_FORCING
-    assert doc["initial"] == [0]
-    assert doc["final"] == [0, 1, 2]
-    assert doc["covers_all"] is True
-    assert all(len(entry) == 3 for entry in doc["certificate"])
 
 
 @settings(max_examples=100, deadline=None)

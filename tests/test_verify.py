@@ -65,3 +65,19 @@ def test_one_disagreeing_instance_fails_its_check(monkeypatch, suite):
     k = len(calls)
     assert k > 1 and not result.passed
     assert result.details.startswith(f"{k - 1}/{k} ")
+
+
+def test_a_solver_off_by_one_fails_both_line_zf_checks(monkeypatch):
+    real = verify.min_zero_forcing
+    calls = []
+
+    def one_too_high_once(g):
+        result = real(g)
+        calls.append(g)
+        return replace(result, number=result.number + 1) if len(calls) == 1 else result
+
+    monkeypatch.setattr(verify, "min_zero_forcing", one_too_high_once)
+    agree, witness = run_suite("line-zf")
+    assert len(calls) == 100
+    assert not agree.passed and agree.details == "99/100 seeded digraphs agree"
+    assert not witness.passed and witness.details == "99/100 witnesses verified"
