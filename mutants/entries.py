@@ -23,6 +23,7 @@ LINES = "forcing_lab/lines.py"
 DIGRAPH = "forcing_lab/digraph.py"
 PROPAGATION = "forcing_lab/propagation.py"
 CONSTRUCTIONS = "forcing_lab/constructions.py"
+CRITICAL = "forcing_lab/critical.py"
 FAMILIES = "forcing_lab/families.py"
 IO = "forcing_lab/io.py"
 CLI = "forcing_lab/cli.py"
@@ -231,13 +232,6 @@ MUTANTS = [
         "tests/test_constructions.py",
     ),
     Mutant(
-        "constructions: OneFactor checks its arcs on host.arcs",
-        CONSTRUCTIONS,
-        "if u not in self.host._in[v]:",
-        "if (u, v) not in self.host.arcs:",
-        "tests/test_constructions.py::test_line_path_never_builds_the_arc_set",
-    ),
-    Mutant(
         "constructions: goodness decided after the matching",
         CONSTRUCTIONS,
         """    if require_good and in_degree_one_cycles(g):
@@ -251,19 +245,11 @@ MUTANTS = [
         "tests/test_constructions.py::test_good_factor_refused_before_any_matching",
     ),
     Mutant(
-        "constructions: factorization disjoint by distinct factor maps",
+        "constructions: matched arcs left in the remaining lists",
         CONSTRUCTIONS,
-        "if sum(map(len, map(set, tails))) != d * self.host.n:",
-        "if len({factor.f for factor in self.factors}) != d:",
-        "tests/test_constructions.py"
-        "::test_factorization_record_rejects_distinct_factors_sharing_an_arc",
-    ),
-    Mutant(
-        "constructions: factorization without the disjointness count",
-        CONSTRUCTIONS,
-        "if sum(map(len, map(set, tails))) != d * self.host.n:",
-        "if False:",
-        "tests/test_constructions.py",
+        "neighbors[u].remove(v)",
+        "pass",
+        "tests/test_verify.py::test_factors_that_repeat_an_arc_fail_cycle_factorization",
     ),
     Mutant(
         "constructions: the matching head bound dropped",
@@ -351,6 +337,28 @@ MUTANTS = [
         "if given != set(wanted):",
         "if not given >= set(wanted):",
         "tests/test_cli.py::test_gen_rejects_wrong_parameters",
+    ),
+    Mutant(
+        "cli: rank --line-depth exits 0 on an inconsistent report",
+        CLI,
+        "return 0 if report.rank_consistent else 1",
+        "return 0",
+        "tests/test_cli.py::test_rank_line_depth_exits_1_on_an_inconsistent_report",
+    ),
+    # -- forts and the in-twin bound ---------------------------------------
+    Mutant(
+        "critical: the twin bound counts every class member",
+        CRITICAL,
+        "return sum(len(c) - 1 for c in in_twin_classes(g))",
+        "return sum(len(c) for c in in_twin_classes(g))",
+        "tests/test_critical.py::test_twin_bound_on_de_bruijn",
+    ),
+    Mutant(
+        "critical: sources grouped as in-twins",
+        CRITICAL,
+        "        if into:\n",
+        "        if True:\n",
+        "tests/test_critical.py::test_twin_class_pairs_are_strongly_critical",
     ),
     # -- families, corpus, oracles ----------------------------------------
     Mutant(

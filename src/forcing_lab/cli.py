@@ -9,10 +9,11 @@ fields in order and a frozenset as its sorted list.
 
 Exit codes: 0 success, 1 a checked property does not hold (a set fails
 to force, digraphs are not isomorphic, a verification suite has a
-failing check), 2 usage or domain error, 3 search abandoned on a
-resource limit, 4 internal error (any other exception, reported on one
-stderr line), 141 stdout closed before the document was written (like a
-process killed by SIGPIPE, adding nothing to stderr).
+failing check, an adjacency rank is not the predicted one), 2 usage or
+domain error, 3 search abandoned on a resource limit, 4 internal error
+(any other exception, reported on one stderr line), 141 stdout closed
+before the document was written (like a process killed by SIGPIPE,
+adding nothing to stderr).
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             f"order {report.order}, mr {report.min_rank}, "
             f"max nullity {report.max_nullity}"
         )
-        return 0
+        return 0 if report.rank_consistent else 1
     result = adjacency_rank(g)
     _emit({"n": g.n, **result._asdict()})
     _info(

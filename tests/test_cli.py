@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 import forcing_lab
-from forcing_lab import cli, iso, verify
+from forcing_lab import cli, iso, linalg, verify
 from forcing_lab.cli import main
 from forcing_lab.constructions import construct_pds_L2
 from forcing_lab.corpus import random_digraph_min_degrees
@@ -296,6 +296,25 @@ def test_rank_line_depth_report_json_keys(capsys, tmp_path):
     assert doc["degree"] == 2 and doc["depth"] == 1
     assert doc["min_rank"] == 2 and doc["max_nullity"] == 2
     assert doc["rank_method"] == "sandwich"
+
+
+def test_rank_line_depth_exits_1_on_an_inconsistent_report(
+    capsys, tmp_path, monkeypatch
+):
+    real = linalg.adjacency_rank
+
+    def one_rank_off(g):
+        report = real(g)
+        return report._replace(rank=report.rank + 1, nullity=report.nullity - 1)
+
+    monkeypatch.setattr(linalg, "adjacency_rank", one_rank_off)
+    k2 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "2")
+    code, doc, err = _run_json(capsys, "rank", k2, "--line-depth", "2")
+    assert code == 1
+    expected = json.loads((GOLDEN / "rank-line-depth.out").read_text())
+    expected.update(adjacency_rank=5, adjacency_nullity=3, rank_consistent=False)
+    assert doc == expected
+    assert err == "L^2 of the degree-2 input: order 8, mr 4, max nullity 4\n"
 
 
 def test_rank_line_depth_at_order_131072(capsys, tmp_path):
@@ -704,7 +723,10 @@ GOLDEN_COMMANDS = {
     "zf-min": ("zf", "min", "{paths}"),
     "pd-min": ("pd", "min", "{paths}"),
     "rank-line-depth": ("rank", "{k2}", "--line-depth", "2"),
+    "factor": ("factor", "{k3}"),
+    "factor-require-good": ("factor", "{k32}", "--require-good"),
     "factor-cycles": ("factor", "{k3}", "--cycles"),
+    "factor-cycles-k32": ("factor", "{k32}", "--cycles"),
     "iso": ("iso", "{paths}", "{mirror}"),
     "verify-de-bruijn": ("verify", "de-bruijn"),
     "verify-all": ("verify", "all"),

@@ -37,3 +37,22 @@ def test_only_cli_and_io_know_json():
                 ]
     assert sorted(set(importers)) == ["cli", "io"]
     assert renderers == []
+
+
+def test_only_the_rank_input_checks_itself_after_init():
+    """Each result is checked in one place, never again by the record that
+    holds it: ``ExactMatrix``, ``rank_exact``'s input type, is the one
+    class with a ``__post_init__`` (``Digraph`` checks its input in
+    ``__init__``)."""
+    package = Path(forcing_lab.__file__).parent
+    checked = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+            for item in node.body
+        )
+    ]
+    assert checked == ["linalg.ExactMatrix"]
