@@ -44,6 +44,7 @@ MEMO_ONLY = "tests/test_solvers.py::test_sibling_rule_keeps_the_answers_at_order
 VERIFY_SCANS = "tests/test_solvers.py::test_sibling_rule_keeps_the_answers_on_the_verify_iterates"
 WORK_COUNTS = "tests/test_solvers.py::test_subsets_tested_counts_every_closure_at_every_size"
 GOLDEN_STDOUT = "tests/test_cli.py::test_records_print_the_golden_stdout"
+BAD_INTEGERS = "tests/test_corpus.py::test_generators_refuse_bad_integers_before_any_draw"
 
 MUTANTS = [
     # -- the line operator's hand-over ----------------------------------
@@ -152,6 +153,13 @@ MUTANTS = [
         "if not s:",
         "if False:",
         "tests/test_digraph.py::test_an_empty_vertex_set_is_refused_in_the_callers_words",
+    ),
+    Mutant(
+        "digraph: the integer check admits bools",
+        DIGRAPH,
+        "if isinstance(value, bool) or not isinstance(value, int) or value < minimum:",
+        "if not isinstance(value, int) or value < minimum:",
+        "tests/test_digraph.py::test_integer_arguments_are_refused_in_one_wording",
     ),
     # -- labels and their letter limit -----------------------------------
     Mutant(
@@ -418,6 +426,54 @@ MUTANTS = [
         "tests/test_corpus.py"
         "::test_exhaustive_regular_refuses_too_many_rows_before_listing_them",
     ),
+    Mutant(
+        "corpus: random_digraph takes any order",
+        "forcing_lab/corpus.py",
+        """    check_int(n, "order n", 1)
+    arcs = (""",
+        "    arcs = (",
+        BAD_INTEGERS,
+    ),
+    Mutant(
+        "corpus: min-degree generator without its min_out check",
+        "forcing_lab/corpus.py",
+        """    check_int(min_out, "min_out", 0)
+""",
+        "",
+        BAD_INTEGERS,
+    ),
+    Mutant(
+        "corpus: random regular digraphs take any degree",
+        "forcing_lab/corpus.py",
+        """    check_int(d, "degree d", 0)
+    if d > n:
+        raise""",
+        """    if d > n:
+        raise""",
+        BAD_INTEGERS,
+    ),
+    Mutant(
+        "corpus: random regular digraphs refuse degree 0",
+        "forcing_lab/corpus.py",
+        """    check_int(d, "degree d", 0)
+    if d > n:
+        raise""",
+        """    check_int(d, "degree d", 1)
+    if d > n:
+        raise""",
+        "tests/test_corpus.py::test_degree_zero_stays_legal",
+    ),
+    Mutant(
+        "corpus: all_regular_digraphs takes any order and degree",
+        "forcing_lab/corpus.py",
+        """    check_int(n, "order n", 1)
+    check_int(d, "degree d", 0)
+    if d > n:
+        return""",
+        """    if d > n:
+        return""",
+        BAD_INTEGERS,
+    ),
     # -- dense matrices and their rank -----------------------------------
     Mutant(
         "linalg: the sandwich always taken",
@@ -526,7 +582,14 @@ MUTANTS = [
 """,
         NAIVE_REFINE,
     ),
-    # -- the exhaustive scan's sibling rule --------------------------------
+    # -- the exhaustive scan's independence and sibling rule ---------------
+    Mutant(
+        "solvers: imports the propagation engine",
+        SOLVERS,
+        "from .errors import ResourceLimitError\n",
+        "from .errors import ResourceLimitError\nfrom .propagation import zf_closure\n",
+        "tests/test_package.py::test_the_oracles_import_only_what_they_state",
+    ),
     Mutant(
         "solvers: power domination skipped by the union alone",
         SOLVERS,

@@ -5,12 +5,15 @@ Everything here is deterministic given the caller-supplied
 ``random.Random`` instance or explicit parameters, so verification suites
 produce identical corpora on every run.
 
-No generator allocates past the ``digraph`` bounds: ``random_digraph``
-hands ``Digraph`` its tosses as a lazy stream, which ``Digraph`` stops
-reading one arc past ``MAX_ARCS``, and the others refuse, with
-:class:`ResourceLimitError` and before their first draw, a request whose
-working lists could pass ``MAX_ARCS`` entries or whose digraph would pass
-``MAX_ORDER`` vertices.
+Each generator first refuses, with :class:`DomainError`, an order that
+is not an int of at least 1, and a degree, minimum degree or arc count
+that is not an int of at least 0 (``digraph.check_int``), so no float or
+negative request reaches a draw.  No generator allocates past the
+``digraph`` bounds: ``random_digraph`` hands ``Digraph`` its tosses as a
+lazy stream, which ``Digraph`` stops reading one arc past ``MAX_ARCS``,
+and the others refuse, with :class:`ResourceLimitError` and before their
+first draw, a request whose working lists could pass ``MAX_ARCS``
+entries or whose digraph would pass ``MAX_ORDER`` vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import comb
 from random import Random
 from typing import Iterator
 
-from .digraph import MAX_ARCS, MAX_ORDER, Digraph
+from .digraph import MAX_ARCS, MAX_ORDER, Digraph, check_int
 from .errors import DomainError, ResourceLimitError
 from .iso import are_isomorphic
 
@@ -36,6 +39,7 @@ def random_digraph(
     loop_probability: float = 0.15,
 ) -> Digraph:
     """An unconstrained random digraph; every ordered pair tossed once."""
+    check_int(n, "order n", 1)
     arcs = (
         (u, v)
         for u in range(n)
@@ -63,6 +67,10 @@ def random_digraph_min_degrees(
     vertices (``n - 1`` without loops) is refused before any draw, and so
     is an order whose ``n * n`` candidate arcs pass ``MAX_ARCS``.
     """
+    check_int(n, "order n", 1)
+    check_int(min_out, "min_out", 0)
+    check_int(min_in, "min_in", 0)
+    check_int(extra_arcs, "extra_arcs", 0)
     if min_out > (n if allow_loops else n - 1):
         raise DomainError("min_out larger than the number of available heads")
     if min_in > (n if allow_loops else n - 1):
@@ -118,6 +126,8 @@ def random_regular_digraph(rng: Random, n: int, d: int) -> Digraph:
     ``d``-regular digraph can be reached.  An order past ``MAX_ORDER`` or
     ``n * d`` arcs past ``MAX_ARCS`` are refused before the first draw.
     """
+    check_int(n, "order n", 1)
+    check_int(d, "degree d", 0)
     if d > n:
         raise DomainError(f"no {d}-regular digraph on {n} vertices")
     if n > MAX_ORDER:
@@ -147,6 +157,8 @@ def all_regular_digraphs(n: int, d: int) -> Iterator[Digraph]:
     search over rows keeps an explicit stack, so no order meets the recursion
     limit.  More than ``MAX_ARCS`` candidate rows are refused before they
     are listed."""
+    check_int(n, "order n", 1)
+    check_int(d, "degree d", 0)
     if d > n:
         return
     count = comb(n, d)

@@ -69,6 +69,14 @@ MAX_ORDER = 1 << 17
 MAX_ARCS = 1 << 19
 
 
+def check_int(value: object, what: str, minimum: int) -> int:
+    """Return ``value`` as an int of at least ``minimum`` (a bool is no
+    int here) or raise :class:`DomainError` naming it as ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise DomainError(f"{what} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
 def check_vertex(g: "Digraph", v: object) -> int:
     """Return ``v`` as a vertex id of ``g`` or raise :class:`DomainError`."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -118,8 +126,7 @@ class Digraph:
         name: str | None = None,
         _store: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None,
     ) -> None:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise DomainError(f"order must be a positive int, got {n!r}")
+        check_int(n, "order", 1)
         if n > MAX_ORDER:
             raise ResourceLimitError(f"order {n} is above the limit of {MAX_ORDER}")
         self.n = n

@@ -32,14 +32,8 @@ from __future__ import annotations
 
 import warnings
 
-from .digraph import MAX_ORDER, Digraph
-from .errors import DomainError, ResourceLimitError
-
-
-def _check_positive(value: int, what: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise DomainError(f"{what} must be an int >= {minimum}, got {value!r}")
-    return value
+from .digraph import MAX_ORDER, Digraph, check_int
+from .errors import ResourceLimitError
 
 
 def _power(base: int, exponent: int) -> int:
@@ -51,8 +45,8 @@ def _power(base: int, exponent: int) -> int:
 
 def de_bruijn(d: int, big_d: int) -> Digraph:
     """The de Bruijn digraph on ``d**D`` residues, out-degree ``d``."""
-    _check_positive(d, "degree d", 2)
-    _check_positive(big_d, "diameter D", 1)
+    check_int(d, "degree d", 2)
+    check_int(big_d, "diameter D", 1)
     order = _power(d, big_d)
     arcs = ((x, (d * x + t) % order) for x in range(order) for t in range(d))
     return Digraph(order, arcs, name=f"B({d},{big_d})")
@@ -60,8 +54,8 @@ def de_bruijn(d: int, big_d: int) -> Digraph:
 
 def kautz(d: int, big_d: int) -> Digraph:
     """The Kautz digraph on words of length ``D`` with distinct consecutive letters."""
-    _check_positive(d, "degree d", 2)
-    _check_positive(big_d, "diameter D", 1)
+    check_int(d, "degree d", 2)
+    check_int(big_d, "diameter D", 1)
     if d == 2:
         warnings.warn(
             "kautz with d = 2 is outside the range the closed-form results "
@@ -80,16 +74,16 @@ def kautz(d: int, big_d: int) -> Digraph:
 
 def gen_de_bruijn(d: int, n: int) -> Digraph:
     """Generalised de Bruijn digraph: ``x -> d*x + t (mod n)``."""
-    _check_positive(d, "degree d", 2)
-    _check_positive(n, "order n", 1)
+    check_int(d, "degree d", 2)
+    check_int(n, "order n", 1)
     arcs = ((x, (d * x + t) % n) for x in range(n) for t in range(min(d, n)))
     return Digraph(n, arcs, name=f"GB({d},{n})")
 
 
 def gen_kautz(d: int, n: int) -> Digraph:
     """Generalised Kautz (Imase-Itoh) digraph: ``x -> -d*x - t (mod n)``."""
-    _check_positive(d, "degree d", 2)
-    _check_positive(n, "order n", 1)
+    check_int(d, "degree d", 2)
+    check_int(n, "order n", 1)
     arcs = ((x, (-d * x - t - 1) % n) for x in range(n) for t in range(min(d, n)))
     return Digraph(n, arcs, name=f"GK({d},{n})")
 
@@ -100,8 +94,8 @@ def wrapped_butterfly(d: int, n: int) -> Digraph:
     ``(x, l)`` has id ``x*n + l`` with ``x`` read in base ``d``, and its arcs
     rewrite the digit of place value ``d**(n-1-l)``, letter ``l`` of ``x``.
     """
-    _check_positive(d, "degree d", 2)
-    _check_positive(n, "levels n", 2)
+    check_int(d, "degree d", 2)
+    check_int(n, "levels n", 2)
     words = _power(d, n)
     places = [d ** (n - 1 - l) for l in range(n)]
     arcs = (
@@ -113,21 +107,21 @@ def wrapped_butterfly(d: int, n: int) -> Digraph:
 
 def complete_with_loops(d: int) -> Digraph:
     """All ``d*d`` arcs on ``d`` vertices, loops included."""
-    _check_positive(d, "order d", 1)
+    check_int(d, "order d", 1)
     arcs = ((u, v) for u in range(d) for v in range(d))
     return Digraph(d, arcs, name=f"K{d}+loops")
 
 
 def complete_without_loops(m: int) -> Digraph:
     """All ordered pairs of distinct vertices on ``m`` vertices."""
-    _check_positive(m, "order m", 1)
+    check_int(m, "order m", 1)
     arcs = ((u, v) for u in range(m) for v in range(m) if u != v)
     return Digraph(m, arcs, name=f"K{m}*")
 
 
 def cycle(n: int) -> Digraph:
     """The directed cycle ``0 -> 1 -> ... -> n-1 -> 0`` (a loop when ``n = 1``)."""
-    _check_positive(n, "order n", 1)
+    check_int(n, "order n", 1)
     arcs = ((v, (v + 1) % n) for v in range(n))
     return Digraph(n, arcs, name=f"C{n}")
 

@@ -25,7 +25,8 @@ refused with :class:`ResourceLimitError` before one is built (it took
 
 ``adjacency_matrix`` builds one row tuple per distinct out-tuple and
 hands it to every vertex with that out-tuple, so a line digraph's matrix
-holds only ``n / d`` distinct rows (in-twins have equal rows).  It is
+holds only ``n / d`` distinct rows (a row is an out-neighborhood, so the
+out-twins share one: in ``L(G)``, the arcs with the same head).  It is
 refused with :class:`ResourceLimitError` before any row is built when
 the distinct rows times the order pass ``_DENSE_MAX_CELLS``.
 ``ExactMatrix`` checks the length and the entry types of each row object
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, NamedTuple
 
-from .digraph import Digraph
+from .digraph import Digraph, check_int
 from .errors import DomainError, ResourceLimitError
 from .lines import iterated_line
 
@@ -258,8 +259,7 @@ def mr_and_max_nullity_regular_line(g: Digraph, k: int) -> MinimumRankReport:
     maximum nullity 0), and every vertex may force its one out-neighbor,
     so any single vertex is a zero forcing set.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise DomainError(f"depth must be an int >= 1, got {k!r}")
+    check_int(k, "depth", 1)
     d = g.is_regular()
     if d is None:
         raise DomainError("digraph is not regular")

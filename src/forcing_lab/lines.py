@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
-from .digraph import MAX_ORDER, Digraph
+from .digraph import MAX_ORDER, Digraph, check_int
 from .errors import DomainError, ResourceLimitError
 
 # The most label letters an iterate may build over all its levels: twice
@@ -121,6 +121,4 @@ def line_digraph(g: Digraph) -> LineLabeledDigraph:
 
 def iterated_line(g: Digraph, k: int) -> LineLabeledDigraph:
     """Apply the line-digraph operator ``k`` times (``k = 0`` labels ``g`` itself)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise DomainError(f"iteration count must be a non-negative int, got {k!r}")
-    return _iterate(g, k)
+    return _iterate(g, check_int(k, "iteration count", 0))

@@ -65,9 +65,10 @@ holding ``v``, so a vertex skipped there is left out of every later
 size and counted once.
 
 The closure deliberately does not share code with the worklist engine in
-:mod:`forcing_lab.propagation`.  Every witness the constructions return is
-certified by that engine, so a fault in it must not be able to reach the
-oracle that re-derives the same numbers.  It also keeps one word per
+:mod:`forcing_lab.propagation`: this module imports nothing from the
+package but ``digraph`` and ``errors``.  Every witness the constructions
+return is certified by that engine, so a fault in it must not be able to
+reach the oracle that re-derives the same numbers.  It also keeps one word per
 vertex, which on the small digraphs the solvers scan costs less than the
 engine's set bookkeeping.
 

@@ -32,13 +32,16 @@ from forcing_lab.families import (
     gen_de_bruijn,
 )
 from forcing_lab.linalg import adjacency_rank
-from forcing_lab.lines import iterated_line
+from forcing_lab.lines import iterated_line, line_digraph
 from forcing_lab.propagation import (
     is_power_dominating_set,
     is_zero_forcing_set,
     pd_closure,
     zf_closure,
 )
+from forcing_lab.solvers import min_power_dominating, min_zero_forcing
+
+from oracles import naive_rounds
 
 # out-degree 2 everywhere, but vertices 0 and 1 have in-degree 1 and form
 # a 2-cycle, so every 1-factor contains that cycle and none is good
@@ -479,3 +482,38 @@ def test_witness_shares_its_vertex_set_with_its_trace():
         construct_pds_L(k3, {0}),
     ):
         assert witness.vertices is witness.trace.initial
+
+
+def test_power_domination_of_l2_drops_below_the_arc_count_off_the_regular_case():
+    # G has min out-degree 2, min in-degree 1 and a good 1-factor, and
+    # Z(L(G)) = |A| - |V| = 8, the size of construct_pds_L2's witness; yet
+    # brute force on the order-34 L^2(G) finds a power dominating set of 7,
+    # so the regular closed form gamma_P(L^2) = |A| - |V| does not carry over
+    g = Digraph(
+        5,
+        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 1), (2, 3), (2, 4)]
+        + [(3, 0), (3, 1), (3, 2), (3, 4), (4, 1), (4, 2)],
+    )
+    assert one_factor(g, require_good=True) is not None
+    assert g.arc_count - g.n == 8
+    assert min_zero_forcing(line_digraph(g).graph).number == 8
+    l2 = iterated_line(g, 2).graph
+    pd = min_power_dominating(l2)
+    assert (l2.n, pd.number) == (34, 7)
+    assert sorted(pd.witness) == [0, 18, 21, 23, 24, 25, 28]
+    assert naive_rounds(l2, set(pd.witness), dominate=True)[1] == set(range(34))
+    assert len(construct_pds_L2(g).vertices) == 8
+
+
+def test_zero_forcing_of_a_line_digraph_counts_an_isolated_cycle_past_its_nullity():
+    # H has every degree at least 1 and a component that is a 2-cycle: its
+    # line digraph is again a loop-free 2-cycle, which needs a seed of its
+    # own, so Z(L(H)) = |A| - |V| + 1 while the adjacency nullity stays
+    # |A| - |V|; construct_zfs_line refuses H for its out-degree-1 vertices
+    h = Digraph(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (2, 4)])
+    line = line_digraph(h).graph
+    assert h.arc_count - h.n == 1
+    assert min_zero_forcing(line).number == 2
+    assert adjacency_rank(line).nullity == 1
+    with pytest.raises(DomainError, match="^minimum out-degree 1 below required 2$"):
+        construct_zfs_line(h)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 from itertools import combinations, product
 from math import comb
@@ -77,6 +78,81 @@ def test_random_regular_digraph_refuses_before_its_first_draw(n, d, message):
     with pytest.raises(ResourceLimitError, match=message):
         random_regular_digraph(rng, n, d)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (
+            lambda rng: random_regular_digraph(rng, 3, -1),
+            "degree d must be an int >= 0, got -1",
+        ),
+        (
+            lambda rng: random_regular_digraph(rng, 3, 1.5),
+            "degree d must be an int >= 0, got 1.5",
+        ),
+        (
+            lambda rng: random_regular_digraph(rng, True, 1),
+            "order n must be an int >= 1, got True",
+        ),
+        (lambda rng: random_digraph(rng, 2.5), "order n must be an int >= 1, got 2.5"),
+        (lambda rng: random_digraph(rng, 0), "order n must be an int >= 1, got 0"),
+        (
+            lambda rng: next(all_regular_digraphs(2.0, 1)),
+            "order n must be an int >= 1, got 2.0",
+        ),
+        (
+            lambda rng: next(all_regular_digraphs(-1, -2)),
+            "order n must be an int >= 1, got -1",
+        ),
+        (
+            lambda rng: next(all_regular_digraphs(3, -1)),
+            "degree d must be an int >= 0, got -1",
+        ),
+        (
+            lambda rng: random_digraph_min_degrees(rng, 3, min_out=-1),
+            "min_out must be an int >= 0, got -1",
+        ),
+        (
+            lambda rng: random_digraph_min_degrees(rng, 3, min_in=0.5),
+            "min_in must be an int >= 0, got 0.5",
+        ),
+        (
+            lambda rng: random_digraph_min_degrees(rng, 3, extra_arcs=-1),
+            "extra_arcs must be an int >= 0, got -1",
+        ),
+        (
+            lambda rng: random_digraph_min_degrees(rng, 3.0, min_out=1),
+            "order n must be an int >= 1, got 3.0",
+        ),
+    ],
+    ids=[
+        "regular-negative-degree",
+        "regular-float-degree",
+        "regular-bool-order",
+        "random-float-order",
+        "random-zero-order",
+        "all-regular-float-order",
+        "all-regular-negative-order",
+        "all-regular-negative-degree",
+        "min-degrees-negative-min-out",
+        "min-degrees-float-min-in",
+        "min-degrees-negative-extra-arcs",
+        "min-degrees-float-order",
+    ],
+)
+def test_generators_refuse_bad_integers_before_any_draw(build, message):
+    rng = Random(1)
+    state = rng.getstate()
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build(rng)
+    assert rng.getstate() == state
+
+
+def test_degree_zero_stays_legal():
+    assert random_regular_digraph(Random(1), 3, 0) == Digraph(3)
+    assert list(all_regular_digraphs(3, 0)) == [Digraph(3)]
+    assert random_digraph_min_degrees(Random(1), 1, min_out=0, min_in=0) == Digraph(1)
 
 
 def test_min_degree_generator_refuses_before_its_first_draw():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 from itertools import chain, repeat
 from random import Random
@@ -13,6 +14,7 @@ from forcing_lab.critical import is_critical, is_strongly_critical
 from forcing_lab.digraph import MAX_ARCS, MAX_ORDER, Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.families import complete_with_loops, de_bruijn
+from forcing_lab.linalg import mr_and_max_nullity_regular_line
 from forcing_lab.lines import iterated_line, line_digraph
 from forcing_lab.propagation import pd_closure, zf_closure
 
@@ -34,6 +36,45 @@ def test_rejects_bad_order():
         Digraph(-1, [])
     with pytest.raises(DomainError):
         Digraph(True, [])
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: Digraph(0), "order must be an int >= 1, got 0"),
+        (lambda: Digraph(2.0), "order must be an int >= 1, got 2.0"),
+        (
+            lambda: iterated_line(Digraph(1), -1),
+            "iteration count must be an int >= 0, got -1",
+        ),
+        (
+            lambda: iterated_line(Digraph(1), True),
+            "iteration count must be an int >= 0, got True",
+        ),
+        (
+            lambda: mr_and_max_nullity_regular_line(complete_with_loops(2), 0),
+            "depth must be an int >= 1, got 0",
+        ),
+        (lambda: de_bruijn(2, False), "diameter D must be an int >= 1, got False"),
+    ],
+    ids=[
+        "zero-order",
+        "float-order",
+        "negative-iterate",
+        "bool-iterate",
+        "zero-line-depth",
+        "bool-diameter",
+    ],
+)
+def test_integer_arguments_are_refused_in_one_wording(call, message):
+    # every "an int, not a bool, at least m" check is digraph.check_int
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_int_subclasses_other_than_bool_pass_the_integer_check():
+    assert digraph.check_int(Vertex.B, "order", 1) is Vertex.B
+    assert Digraph(Vertex.B).n == 1
 
 
 def test_rejects_out_of_range_arc():

@@ -12,7 +12,6 @@ from forcing_lab.errors import DomainError
 from forcing_lab.families import cycle, de_bruijn
 from forcing_lab.propagation import (
     MODE_POWER_DOMINATION,
-    MODE_ZERO_FORCING,
     PropagationTrace,
     is_power_dominating_set,
     is_zero_forcing_set,
@@ -20,45 +19,16 @@ from forcing_lab.propagation import (
     zf_closure,
 )
 
+from oracles import naive_rounds
 from strategies import digraph_with_set
-
-
-def _naive_rounds(
-    g: Digraph, start: set[int], mode: str
-) -> tuple[list[set[int]], set[int]]:
-    """Straight-from-the-definition synchronous rescan, sets only: the set
-    newly colored in each round, and the final set."""
-    colored = set(start)
-    rounds: list[set[int]] = []
-    if mode == MODE_POWER_DOMINATION:
-        dominated = set()
-        for s in start:
-            dominated |= g.out_neighborhood(s)
-        rounds.append(dominated - colored)
-        colored |= dominated
-    loop_rule = g.has_loops
-    while True:
-        new = set()
-        for u in range(g.n):
-            if not loop_rule and u not in colored:
-                continue
-            uncolored = [w for w in g.out_neighborhood(u) if w not in colored]
-            if len(uncolored) == 1:
-                new.add(uncolored[0])
-        if not new:
-            break
-        rounds.append(new)
-        colored |= new
-    # only an empty domination round can end the list, and it is no round
-    if rounds and not rounds[-1]:
-        rounds.pop()
-    return rounds, colored
 
 
 def _replay(g: Digraph, trace: PropagationTrace) -> None:
     """Re-validate every certificate entry against the color rule, and
     the rounds and final set against the naive rescan."""
-    expected_rounds, expected_final = _naive_rounds(g, set(trace.initial), trace.mode)
+    expected_rounds, expected_final = naive_rounds(
+        g, set(trace.initial), trace.mode == MODE_POWER_DOMINATION
+    )
     colored = set(trace.initial)
     loop_rule = g.has_loops
     by_round: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -230,7 +200,7 @@ def test_bad_vertex_rejected():
 @given(digraph_with_set(6))
 def test_closure_matches_naive_oracle(pair):
     g, s = pair
-    _, final = _naive_rounds(g, set(s), MODE_ZERO_FORCING)
+    _, final = naive_rounds(g, set(s), dominate=False)
     assert zf_closure(g, s).final == final
 
 
