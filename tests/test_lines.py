@@ -194,3 +194,36 @@ def test_iterated_line_matches_the_walk_dict_reference():
             deep_past_8 += k == 3 and n > 8
     assert arc_free >= 60 and with_sink > 100 and 0 < raised
     assert deep_past_8 > 300
+
+
+def test_iterated_line_matches_one_step_at_a_time():
+    # L^k is L applied to L^(k-1): the same ids, arcs and name, and each
+    # label is the tail's walk plus the last letter of the head's walk.
+    rng = Random(7)
+    raised = 0
+    for i in range(120):
+        g = random_digraph(
+            rng,
+            rng.randint(1, 12),
+            arc_probability=rng.uniform(0.05, 0.3),
+            loop_probability=0.2 if i % 2 else 0.0,
+        )
+        if i % 3:
+            g = Digraph(g.n, g.arcs, name=f"G{i}")
+        below = iterated_line(g, 0)
+        for k in range(1, 4):
+            try:
+                step = line_digraph(below.graph)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{exc}$"):
+                    iterated_line(g, k)
+                raised += 1
+                break
+            lab = iterated_line(g, k)
+            assert lab.graph == step.graph
+            assert lab.graph.name == step.graph.name
+            assert lab.labels == tuple(
+                below.labels[u] + (below.labels[v][-1],) for u, v in step.labels
+            )
+            below = lab
+    assert 0 < raised < 120
