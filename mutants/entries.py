@@ -266,6 +266,21 @@ MUTANTS = [
         "if False:",
         "tests/test_constructions.py::test_matching_gives_up_past_its_head_bound",
     ),
+    Mutant(
+        "constructions: the greedy pass takes a head that is already matched",
+        CONSTRUCTIONS,
+        "if match_head[v] < 0:",
+        "if True:",
+        "tests/test_constructions.py::test_one_factor_matches_kuhn_and_enumeration",
+    ),
+    Mutant(
+        "constructions: an augmenting path rewires only its root's arc",
+        CONSTRUCTIONS,
+        "for t, j in zip(tails, positions):",
+        "for t, j in zip(tails[:1], positions):",
+        "tests/test_constructions.py"
+        "::test_cycle_factorization_matches_kuhn_on_the_remaining_arcs",
+    ),
     # -- reading input ----------------------------------------------------
     Mutant(
         "io: JSON nested past the recursion limit not refused",
@@ -430,9 +445,23 @@ MUTANTS = [
         "corpus: random_digraph takes any order",
         "forcing_lab/corpus.py",
         """    check_int(n, "order n", 1)
-    arcs = (""",
-        "    arcs = (",
+    _check_probability(arc_probability""",
+        "    _check_probability(arc_probability",
         BAD_INTEGERS,
+    ),
+    Mutant(
+        "corpus: a NaN probability passes the range check",
+        "forcing_lab/corpus.py",
+        "not 0 <= value <= 1",
+        "value < 0 or value > 1",
+        "tests/test_corpus.py::test_random_digraph_refuses_bad_probabilities_before_any_toss",
+    ),
+    Mutant(
+        "corpus: min-degree requests too sparse to connect sampled anyway",
+        "forcing_lab/corpus.py",
+        "if most < n - 1:",
+        "if False:",
+        "tests/test_corpus.py::test_min_degree_generator_refuses_too_few_arcs_to_connect",
     ),
     Mutant(
         "corpus: min-degree generator without its min_out check",

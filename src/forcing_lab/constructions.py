@@ -10,13 +10,16 @@ internal bug, never a property of the input.  Hypothesis violations raise
 ``_MATCHING_HEADS`` heads raises :class:`ResourceLimitError`.
 
 The factor records hold only their permutations, are built only from the
-perfect matching and are not re-checked: ``verify cycle-factorization``
-and the tests against a reference matching, which share no code with it,
-check that the factors split the arcs.
+perfect matching and are not re-checked.  The checks share no code with
+it: ``verify cycle-factorization`` checks that the factors split the arcs,
+and the tests check each factor as a permutation on the host's arcs and
+ask a reference matching only whether one exists.
 
-All tie-breaks (choice of excluded out-neighbor, choice of in-neighbor,
-matching augmentation order) resolve to the least vertex id, making every
-witness reproducible.
+The choices of excluded out-neighbor and of in-neighbor resolve to the
+least vertex id.  The perfect matching is a greedy pass, tails in id order
+each taking their least free head, then Hopcroft-Karp phases whose
+searches start from the free tails in ascending order and try heads in
+ascending order.  So every witness is reproducible.
 
 A line-digraph witness makes one choice per base vertex, then takes each
 id ``i`` of the iterate whose walk ``labels[i]`` fits it: witness ids are
@@ -34,12 +37,13 @@ from .errors import DomainError, ResourceLimitError
 from .lines import LineLabeledDigraph, iterated_line, line_digraph
 from .propagation import PropagationTrace, pd_closure, zf_closure
 
-# Heads one perfect matching may try past its first step: about two
-# seconds of search (2-core x86_64, Python 3.11.7).  The largest family
-# call tries 294,912 (GB(4, 2^17)'s first factor) and a random 3-regular
-# digraph of order 8192 1.3*10^6, while the chain of loops with arcs
-# (u, u - 1), (u, u) tries about n^2 / 2, past the bound from order 2830.
-_MATCHING_HEADS = 4_000_000
+# Heads one perfect matching may try in its phases: about six seconds of
+# search at the 0.74 us a head measured at order 131072 (2-core x86_64,
+# Python 3.11.7).  A random 3-regular digraph of order MAX_ORDER tries at
+# most 3.6*10^6 in one matching (seeds 1-3) and a 4-regular one 3.7*10^6;
+# no matching of the families measured tries more than 699,052
+# (GK(4, 131071)).
+_MATCHING_HEADS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -103,56 +107,98 @@ def in_degree_one_cycles(g: Digraph) -> list[list[int]]:
 
 
 def _perfect_matching(neighbors: Sequence[Sequence[int]]) -> list[int] | None:
-    """Augmenting-path perfect matching tails -> heads over the sorted
-    out-neighbor lists ``neighbors``; ``result[v]`` is the tail matched to
-    head ``v``.  Deterministic: least ids first.
+    """A perfect matching tails -> heads over the sorted out-neighbor
+    lists ``neighbors``, or None when none exists; ``result[v]`` is the
+    tail matched to head ``v``.
 
-    The depth-first search keeps an explicit stack of tails, each with the
-    index of the head it is trying, so a path through every vertex needs
-    no recursion.  Past ``_MATCHING_HEADS`` heads tried it raises
-    :class:`ResourceLimitError`.
+    A greedy pass gives each tail, in id order, its least free head.
+    Hopcroft-Karp phases then match the tails left free: a breadth-first
+    layering of the tails that alternating paths from them reach, then,
+    from each free tail in ascending order, a search for a path that
+    climbs one layer a step through tails no earlier search of the phase
+    opened, heads in ascending order.  The search keeps an explicit stack,
+    so a path through every vertex needs no recursion.  Each tail the
+    layering or a search opens counts its whole row as heads tried; each
+    layer first checks the count against ``_MATCHING_HEADS`` and raises
+    :class:`ResourceLimitError` past it.
     """
     n = len(neighbors)
     match_head = [-1] * n
+    free = []
+    for u, row in enumerate(neighbors):
+        for v in row:
+            if match_head[v] < 0:
+                match_head[v] = u
+                break
+        else:
+            free.append(u)
     tried = 0
-    visited = [-1] * n  # visited[v] == root: head v seen while augmenting root
-    for root in range(n):
-        row = neighbors[root]
-        if row and match_head[row[0]] == -1:
-            # The search's first step, taken without building its stacks.
-            match_head[row[0]] = root
-            continue
-        tails = [root]
-        positions = [0]
-        while tails:
-            row = neighbors[tails[-1]]
-            i = positions[-1]
-            while i < len(row) and visited[row[i]] == root:
-                i += 1
-            if i == len(row):
-                # No augmenting path through this tail: its parent moves
-                # on to its next head.
-                tails.pop()
-                positions.pop()
-                if positions:
-                    positions[-1] += 1
-                continue
-            tried += 1
+    while free:
+        # layer[u]: the least number of tails before u on an alternating
+        # path from a free tail; -1 once u is out of reach or opened by a
+        # search.
+        layer = [-1] * n
+        for u in free:
+            layer[u] = 0
+        frontier = free
+        meets_free_head = False
+        depth = 0
+        while frontier:
             if tried > _MATCHING_HEADS:
                 raise ResourceLimitError(
                     f"perfect matching gave up after {_MATCHING_HEADS} heads tried"
                 )
-            v = row[i]
-            visited[v] = root
-            positions[-1] = i
-            if match_head[v] == -1:
-                for u, j in zip(tails, positions):
-                    match_head[neighbors[u][j]] = u
-                break
-            tails.append(match_head[v])
-            positions.append(0)
-        else:
-            return None
+            depth += 1
+            reached = []
+            for u in frontier:
+                row = neighbors[u]
+                tried += len(row)
+                for v in row:
+                    w = match_head[v]
+                    if w < 0:
+                        meets_free_head = True
+                    elif layer[w] < 0:
+                        layer[w] = depth
+                        reached.append(w)
+            frontier = reached
+        if not meets_free_head:
+            return None  # no augmenting path: the matching is maximum
+        still_free = []
+        for root in free:
+            tails = [root]
+            positions = [0]
+            tried += len(neighbors[root])
+            while tails:
+                u = tails[-1]
+                row = neighbors[u]
+                i = positions[-1]
+                above = layer[u] + 1
+                while i < len(row):
+                    w = match_head[row[i]]
+                    if w < 0 or layer[w] == above:
+                        break
+                    i += 1
+                if i == len(row):
+                    # No path through this tail in this phase: its parent
+                    # moves on to its next head.
+                    layer[u] = -1
+                    tails.pop()
+                    positions.pop()
+                    if positions:
+                        positions[-1] += 1
+                    continue
+                positions[-1] = i
+                if w < 0:
+                    for t, j in zip(tails, positions):
+                        match_head[neighbors[t][j]] = t
+                        layer[t] = -1
+                    break
+                tails.append(w)
+                positions.append(0)
+                tried += len(neighbors[w])
+            else:
+                still_free.append(root)
+        free = still_free
     return match_head
 
 

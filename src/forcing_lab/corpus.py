@@ -8,18 +8,21 @@ produce identical corpora on every run.
 Each generator first refuses, with :class:`DomainError`, an order that
 is not an int of at least 1, and a degree, minimum degree or arc count
 that is not an int of at least 0 (``digraph.check_int``), so no float or
-negative request reaches a draw.  No generator allocates past the
-``digraph`` bounds: ``random_digraph`` hands ``Digraph`` its tosses as a
-lazy stream, which ``Digraph`` stops reading one arc past ``MAX_ARCS``,
-and the others refuse, with :class:`ResourceLimitError` and before their
-first draw, a request whose working lists could pass ``MAX_ARCS``
-entries or whose digraph would pass ``MAX_ORDER`` vertices.
+negative request reaches a draw.  ``random_digraph`` likewise refuses a
+probability that is a bool, not a real number, NaN or outside [0, 1].
+No generator allocates past the ``digraph`` bounds: ``random_digraph``
+hands ``Digraph`` its tosses as a lazy stream, which ``Digraph`` stops
+reading one arc past ``MAX_ARCS``, and the others refuse, with
+:class:`ResourceLimitError` and before their first draw, a request whose
+working lists could pass ``MAX_ARCS`` entries or whose digraph would
+pass ``MAX_ORDER`` vertices.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
+from numbers import Real
 from random import Random
 from typing import Iterator
 
@@ -31,6 +34,11 @@ from .iso import are_isomorphic
 _MIN_DEGREE_ATTEMPTS = 200
 
 
+def _check_probability(value: object, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= 1:
+        raise DomainError(f"{what} must be a number in [0, 1], got {value!r}")
+
+
 def random_digraph(
     rng: Random,
     n: int,
@@ -40,6 +48,8 @@ def random_digraph(
 ) -> Digraph:
     """An unconstrained random digraph; every ordered pair tossed once."""
     check_int(n, "order n", 1)
+    _check_probability(arc_probability, "arc_probability")
+    _check_probability(loop_probability, "loop_probability")
     arcs = (
         (u, v)
         for u in range(n)
@@ -65,7 +75,9 @@ def random_digraph_min_degrees(
     further random arcs are sprinkled on top.  Weak connectivity is
     enforced by resampling.  A ``min_out`` or ``min_in`` above the ``n``
     vertices (``n - 1`` without loops) is refused before any draw, and so
-    is an order whose ``n * n`` candidate arcs pass ``MAX_ARCS``.
+    are degrees that allow fewer than the ``n - 1`` arcs a weakly connected
+    digraph needs, and an order whose ``n * n`` candidate arcs pass
+    ``MAX_ARCS``.
     """
     check_int(n, "order n", 1)
     check_int(min_out, "min_out", 0)
@@ -75,6 +87,12 @@ def random_digraph_min_degrees(
         raise DomainError("min_out larger than the number of available heads")
     if min_in > (n if allow_loops else n - 1):
         raise DomainError("min_in larger than the number of available tails")
+    most = n * min_out + n * min_in + extra_arcs  # arcs any sample can have
+    if most < n - 1:
+        raise DomainError(
+            f"a weakly connected digraph on {n} vertices needs {n - 1} arcs, "
+            f"but min_out, min_in and extra_arcs allow at most {most}"
+        )
     if n * n > MAX_ARCS:
         raise ResourceLimitError(
             f"order {n} has {n * n} candidate arcs, above the limit of {MAX_ARCS}"

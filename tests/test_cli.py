@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 import forcing_lab
-from forcing_lab import cli, iso, linalg, verify
+from forcing_lab import cli, constructions, iso, linalg, verify
 from forcing_lab.cli import main
 from forcing_lab.constructions import construct_pds_L2
 from forcing_lab.corpus import random_digraph_min_degrees
@@ -380,24 +380,33 @@ def _write_arcs(tmp_path, name: str, n: int, arcs: list[tuple[int, int]]) -> str
     return path
 
 
+def _chain_of_loops(n: int) -> list[tuple[int, int]]:
+    """Loops at ``0 .. n-2`` plus the cycle through every vertex: the one
+    augmenting path of its matching runs through all ``n`` tails."""
+    return [(v, v) for v in range(n - 1)] + [(v, (v + 1) % n) for v in range(n)]
+
+
 def test_factor_commands_on_a_long_chain_of_loops(capsys, tmp_path):
     n = 3000
-    arcs = [(v, v) for v in range(n)] + [(v, (v + 1) % n) for v in range(n)]
-    path = _write_arcs(tmp_path, "chain.json", n, arcs)
+    path = _write_arcs(tmp_path, "chain.json", n, _chain_of_loops(n))
     for flags in ((), ("--require-good",)):
         code, doc, _ = _run_json(capsys, "factor", path, *flags)
         assert code == 0 and doc["factor"]["cycles"] == [list(range(n))]
+    # 2-regular: loops at 0 .. n-2, the chain 2 -> ... -> n-1 and four
+    # more arcs; the first factor augments once, through n - 1 tails
+    arcs = [(v, v) for v in range(n - 1)] + [(v, v + 1) for v in range(2, n - 1)]
+    arcs += [(0, 2), (1, n - 1), (n - 1, 0), (n - 1, 1)]
+    path = _write_arcs(tmp_path, "regular.json", n, arcs)
     code, doc, _ = _run_json(capsys, "factor", path, "--cycles")
     assert code == 0 and doc["degree"] == 2
 
 
-def test_factor_exits_3_past_the_matching_head_bound(capsys, tmp_path):
-    n = 4000
-    arcs = [(0, 0)] + [a for u in range(1, n) for a in ((u, u - 1), (u, u))]
-    path = _write_arcs(tmp_path, "descending.json", n, arcs)
+def test_factor_exits_3_past_the_matching_head_bound(capsys, tmp_path, monkeypatch):
+    path = _write_arcs(tmp_path, "chain.json", 3000, _chain_of_loops(3000))
+    monkeypatch.setattr(constructions, "_MATCHING_HEADS", 5000)
     code, out, err = _run(capsys, "factor", path)
     assert (code, out) == (3, "")
-    assert err.startswith("resource limit: perfect matching gave up after ")
+    assert err == "resource limit: perfect matching gave up after 5000 heads tried\n"
 
 
 def test_no_good_factor_above_ten_vertices(capsys, tmp_path):

@@ -62,14 +62,30 @@ def _in_degree_one_two_cycle(n: int) -> Digraph:
 
 
 def _chain_of_loops(n: int) -> Digraph:
-    """2-regular: a loop at every vertex plus the cycle ``0 -> 1 -> ... -> 0``.
-    The first matching augments along all ``n`` vertices at once."""
-    return Digraph(n, [(v, v) for v in range(n)] + [(v, (v + 1) % n) for v in range(n)])
+    """Loops at ``0 .. n-2`` plus the cycle ``0 -> 1 -> ... -> n-1 -> 0``.
+    The greedy pass matches every tail but ``n - 1`` to its loop, and the
+    one augmenting path then runs through all ``n`` tails."""
+    return Digraph(n, [(v, v) for v in range(n - 1)] + [(v, (v + 1) % n) for v in range(n)])
+
+
+def _regular_chain_of_loops(n: int) -> Digraph:
+    """2-regular: loops at ``0 .. n-2``, the chain ``2 -> 3 -> ... -> n-1``
+    and the arcs ``0 -> 2``, ``1 -> n-1``, ``n-1 -> 0`` and ``n-1 -> 1``.
+    The greedy pass matches every tail but ``n - 1`` to its loop, and the
+    first factor's augmenting path runs through ``n - 1`` tails."""
+    arcs = [(v, v) for v in range(n - 1)] + [(v, v + 1) for v in range(2, n - 1)]
+    return Digraph(n, arcs + [(0, 2), (1, n - 1), (n - 1, 0), (n - 1, 1)])
+
+
+def _is_factor_of(g: Digraph, f: tuple[int, ...]) -> bool:
+    """``f`` is a permutation whose every ``(f[v], v)`` is an arc of ``g``."""
+    return sorted(f) == list(range(g.n)) and all((u, v) in g.arcs for v, u in enumerate(f))
 
 
 def _kuhn_matching(g: Digraph) -> list[int] | None:
     """Recursive Kuhn augmenting paths, heads tried in ascending order;
-    ``result[v]`` is the tail matched to head ``v``."""
+    ``result[v]`` is the tail matched to head ``v``.  The tests use it only
+    to decide whether a perfect matching exists."""
     match = [-1] * g.n
 
     def augment(u: int, visited: set[int]) -> bool:
@@ -142,7 +158,7 @@ def test_one_factor_of_cycle_is_the_cycle():
 
 def test_one_factor_frozen_complete_case():
     factor = one_factor(complete_with_loops(3))
-    assert factor is not None and factor.f == (2, 1, 0)
+    assert factor is not None and factor.f == (0, 1, 2)
 
 
 def test_one_factor_none_when_no_perfect_matching():
@@ -185,11 +201,10 @@ def test_one_factor_matches_kuhn_and_enumeration():
             loop_probability=0.3 if i % 2 == 0 else 0.0,
         )
         factor = one_factor(g)
-        expected = _kuhn_matching(g)
-        assert (factor is None) == (expected is None)
+        assert (factor is None) == (_kuhn_matching(g) is None)
         if factor is None:
             continue
-        assert list(factor.f) == expected
+        assert _is_factor_of(g, factor.f)
         good = one_factor(g, require_good=True)
         exists = any(_good(g, f) for f in _all_factor_maps(g))
         assert (good is not None) == exists
@@ -205,26 +220,21 @@ def test_factors_of_a_long_chain_of_loops():
     around = tuple((v - 1) % n for v in range(n))
     assert one_factor(g).f == around
     assert one_factor(g, require_good=True).f == around
-    factorization = cycle_factorization(g)
-    assert [factor.f for factor in factorization.factors] == [
-        around,
-        tuple(range(n)),
-    ]
+    h = _regular_chain_of_loops(n)
+    first = (n - 1, 1, 0) + tuple(range(2, n - 1))
+    second = (0, n - 1) + tuple(range(2, n - 1)) + (1,)
+    assert [factor.f for factor in cycle_factorization(h).factors] == [first, second]
 
 
-def _descending_chain(n: int) -> Digraph:
-    """A loop at every vertex plus the arcs ``u -> u - 1``.  Root ``u``
-    finds head ``u - 1`` taken by its loop and augments down to vertex 0
-    before it takes its own loop: about ``n^2 / 2`` heads in all."""
-    return Digraph(n, [(0, 0)] + [a for u in range(1, n) for a in ((u, u - 1), (u, u))])
-
-
-def test_matching_gives_up_past_its_head_bound():
-    assert one_factor(_descending_chain(1000)).f == tuple(range(1000))
-    bound = constructions._MATCHING_HEADS
-    message = f"^perfect matching gave up after {bound} heads tried$"
+def test_matching_gives_up_past_its_head_bound(monkeypatch):
+    # the layering of the chain's one free tail opens all 3000 tails, one
+    # per layer, and tries 5999 heads
+    g = _chain_of_loops(3000)
+    assert one_factor(g) is not None
+    monkeypatch.setattr(constructions, "_MATCHING_HEADS", 5000)
+    message = "^perfect matching gave up after 5000 heads tried$"
     with pytest.raises(ResourceLimitError, match=message):
-        one_factor(_descending_chain(4000))
+        one_factor(g)
 
 
 def test_largest_family_factorization_stays_under_the_head_bound():
@@ -235,10 +245,18 @@ def test_largest_family_factorization_stays_under_the_head_bound():
 def test_cycle_factorization_frozen_complete_case():
     factorization = cycle_factorization(complete_with_loops(3))
     assert [factor.f for factor in factorization.factors] == [
-        (2, 1, 0),
-        (0, 2, 1),
-        (1, 0, 2),
+        (0, 1, 2),
+        (2, 0, 1),
+        (1, 2, 0),
     ]
+
+
+def test_random_3_regular_factorization_at_order_16384():
+    g = random_regular_digraph(Random(1), 16384, 3)
+    factors = cycle_factorization(g).factors
+    assert len(factors) == 3
+    arcs = [(u, v) for factor in factors for v, u in enumerate(factor.f)]
+    assert len(arcs) == len(set(arcs)) and set(arcs) == g.arcs
 
 
 def test_cycle_factorization_partitions_arcs():
@@ -260,8 +278,10 @@ def test_cycle_factorization_matches_kuhn_on_the_remaining_arcs():
         g = random_regular_digraph(rng, n, rng.randrange(1, min(n, 4) + 1))
         remaining = g
         for factor in cycle_factorization(g).factors:
-            assert list(factor.f) == _kuhn_matching(remaining)
+            assert _kuhn_matching(remaining) is not None
+            assert _is_factor_of(remaining, factor.f)
             remaining = Digraph(g.n, remaining.arcs - factor.arcs())
+        assert remaining.arc_count == 0
 
 
 def test_cycle_factorization_of_cycle():

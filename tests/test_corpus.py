@@ -149,6 +149,37 @@ def test_generators_refuse_bad_integers_before_any_draw(build, message):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("name", ["arc_probability", "loop_probability"])
+@pytest.mark.parametrize("value", ["0.5", None, True, float("nan"), -0.25, 1.5, 1j])
+def test_random_digraph_refuses_bad_probabilities_before_any_toss(name, value):
+    rng = Random(1)
+    state = rng.getstate()
+    message = f"^{name} must be a number in \\[0, 1\\], got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match=message):
+        random_digraph(rng, 3, **{name: value})
+    assert rng.getstate() == state
+
+
+def test_random_digraph_takes_the_ends_of_the_unit_interval():
+    g = random_digraph(Random(1), 3, arc_probability=1, loop_probability=0.0)
+    assert g.arc_count == 6 and not g.has_loops
+
+
+def test_min_degree_generator_refuses_too_few_arcs_to_connect():
+    rng = Random(1)
+    state = rng.getstate()
+    message = (
+        "^a weakly connected digraph on 40 vertices needs 39 arcs, but min_out, "
+        "min_in and extra_arcs allow at most 5$"
+    )
+    with pytest.raises(DomainError, match=message):
+        random_digraph_min_degrees(rng, 40, min_out=0, min_in=0, extra_arcs=5)
+    assert rng.getstate() == state
+    # exactly n - 1 arcs allowed: sampled
+    g = random_digraph_min_degrees(rng, 2, min_out=0, min_in=0, extra_arcs=1)
+    assert g.arc_count == 1 and g.is_weakly_connected()
+
+
 def test_degree_zero_stays_legal():
     assert random_regular_digraph(Random(1), 3, 0) == Digraph(3)
     assert list(all_regular_digraphs(3, 0)) == [Digraph(3)]
