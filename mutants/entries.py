@@ -289,6 +289,20 @@ MUTANTS = [
         "except json.JSONDecodeError:",
         "tests/test_cli.py::test_malformed_json_exits_2_with_one_error_line",
     ),
+    Mutant(
+        "io: the pre-parse value bound dropped",
+        IO,
+        "if _holds_too_many_values(data):",
+        "if False:",
+        "tests/test_cli.py::test_input_holding_more_values_than_the_bounds_exits_3_unparsed",
+    ),
+    Mutant(
+        "io: escaped quotes taken as string ends",
+        IO,
+        """.replace(b'\\\\"', b"")""",
+        "",
+        "tests/test_cli.py::test_input_holding_more_values_than_the_bounds_exits_3_unparsed",
+    ),
     # -- verification suites ----------------------------------------------
     Mutant(
         "verify: a check with no instance passes",
@@ -411,6 +425,13 @@ MUTANTS = [
         "arcs = ((x, (-d * x - t - 1) % n) for x in range(n) for t in range(min(d, n)))",
         "arcs = ((x, (-d * x - t - 1) % n) for x in range(n) for t in range(d))",
         "tests/test_families.py",
+    ),
+    Mutant(
+        "families: conjunction reads the arc set",
+        FAMILIES,
+        "for a, c in g.arcs_sorted",
+        "for a, c in g.arcs",
+        GOLDEN_STDOUT,
     ),
     Mutant(
         "corpus: random regular digraphs without interchanges",
@@ -622,21 +643,15 @@ MUTANTS = [
     Mutant(
         "solvers: power domination skipped by the union alone",
         SOLVERS,
-        "not dominate or any(not fresh & ~c for c in earlier)",
+        "fresh in map(fresh.__and__, earlier)",
         "True",
         MEMO_ONLY,
     ),
     Mutant(
-        # a fresh zero forcing seed is one vertex, and an earlier closure
-        # holding all of fresh is still needed, so both tests change
         "solvers: skipped when fresh meets the earlier closures",
         SOLVERS,
-        """                if not fresh & ~reached and (
-                    not dominate or any(not fresh & ~c for c in earlier)
-""",
-        """                if fresh & reached and (
-                    not dominate or any(fresh & c for c in earlier)
-""",
+        "if not fresh & ~reached and fresh in map(fresh.__and__, earlier):",
+        "if fresh & reached and any(map(fresh.__and__, earlier)):",
         MEMO_ONLY,
     ),
     Mutant(

@@ -13,8 +13,9 @@ shared object, so the store costs the collector little and costs nothing
 per vertex of degree zero.  ``arc_count`` is the sum of the out-degrees,
 equality, hashing and ``arcs_sorted`` read the out-tuples in order, and
 ``arcs``, the frozenset of the ``(u, v)`` pairs, is built from them on
-first read and kept.  The neighborhood queries return frozensets made on
-each call.
+first read and kept, for callers outside the package: no path in it
+reads that set.  The neighborhood queries return frozensets made on each
+call.
 
 The public constructor is the one place arcs are checked, in one pass:
 the first non-pair, endpoint outside ``0 .. n-1`` (bools included) or
@@ -220,8 +221,8 @@ class Digraph:
         return frozenset(result)
 
     def degrees(self) -> DegreeSummary:
-        out = tuple(len(self._out[v]) for v in range(self.n))
-        inn = tuple(len(self._in[v]) for v in range(self.n))
+        out = tuple(map(len, self._out))
+        inn = tuple(map(len, self._in))
         return DegreeSummary(
             out_degrees=out,
             in_degrees=inn,

@@ -128,7 +128,8 @@ def cycle(n: int) -> Digraph:
 
 def conjunction(g: Digraph, h: Digraph) -> Digraph:
     """Product with vertex ``(a, b) -> a * h.n + b`` and arcs the arc pairs."""
-    arcs = ((a * h.n + b, c * h.n + e) for a, c in g.arcs for b, e in h.arcs)
+    h_arcs = h.arcs_sorted
+    arcs = ((a * h.n + b, c * h.n + e) for a, c in g.arcs_sorted for b, e in h_arcs)
     name = None
     if g.name is not None and h.name is not None:
         name = f"{g.name}x{h.name}"

@@ -12,13 +12,18 @@ interpreter's digit limit, is refused as one that cannot be parsed.
 
 A file above ``MAX_FILE_BYTES`` is refused with
 :class:`ResourceLimitError` before it is read, so the memory of a parse
-is bounded by the bound on the file, not by the file.
+is bounded by the bound on the file, not by the file.  A file that opens
+more objects and lists, or separates more values with commas, outside
+its strings than a document of ``MAX_ARCS`` arcs and ``MAX_ORDER``
+labels is refused the same way before it is parsed, so no parse builds
+more values than a ``Digraph`` and its labels may hold.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 from .digraph import MAX_ARCS, MAX_ORDER, Digraph
@@ -32,6 +37,14 @@ from .errors import DomainError, ResourceLimitError
 MAX_FILE_BYTES = 40 * MAX_ARCS + 64 * MAX_ORDER + (1 << 16)
 
 _ALLOWED_KEYS = {"n", "arcs", "name", "labels"}
+
+# A JSON string literal once its escaped backslashes, and then its escaped
+# quotes, are taken out: JSON pairs a run of backslashes from its left, as
+# ``bytes.replace`` does, so every quote left opens or closes a string
+# (UTF-8 puts no quote or backslash inside a multi-byte character).  The
+# closing quote is optional, so each match succeeds where it starts and
+# one pass is linear, even over a string that never closes.
+_STRING = re.compile(rb'"[^"]*"?')
 
 
 def digraph_to_json_dict(
@@ -90,6 +103,40 @@ def digraph_from_json_dict(doc: object) -> tuple[Digraph, list[str] | None]:
     return g, labels
 
 
+def _over_the_value_bounds(text: bytes) -> bool:
+    """Whether ``text`` opens or separates more values than a document of
+    ``MAX_ARCS`` arcs and ``MAX_ORDER`` labels.
+
+    Such a document opens ``MAX_ARCS + 3`` objects and lists (itself, one
+    list per arc, ``arcs`` and ``labels``; they are counted together, so
+    a small file with an object in ``arcs`` still reaches the parser and
+    its message), and has 3 commas between its keys, ``2 MAX_ARCS - 1``
+    in ``arcs`` and ``MAX_ORDER - 1`` in ``labels``.
+    """
+    return (
+        text.count(b"{") + text.count(b"[") > MAX_ARCS + 3
+        or text.count(b",") > 2 * MAX_ARCS + MAX_ORDER + 1
+    )
+
+
+def _holds_too_many_values(data: bytes) -> bool:
+    """Whether ``data`` is over the value bounds outside its strings.
+
+    Strings only add to the counts, so they are taken out only when the
+    whole file is over.  A legal document has at most ``MAX_ORDER + 5``
+    strings (its keys, name and labels), and ``re.sub`` keeps a piece per
+    match, so the substitution stops there: the brackets and commas of
+    any later string are counted as outside, which can only refuse a
+    document that has more strings than that.
+    """
+    if not _over_the_value_bounds(data):
+        return False
+    unescaped = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    return _over_the_value_bounds(
+        _STRING.sub(b'""', unescaped, count=MAX_ORDER + 5)
+    )
+
+
 def read_digraph(path: str | Path) -> tuple[Digraph, list[str] | None]:
     try:
         with open(path, "rb") as handle:
@@ -104,6 +151,11 @@ def read_digraph(path: str | Path) -> tuple[Digraph, list[str] | None]:
     if size > MAX_FILE_BYTES:
         raise ResourceLimitError(
             f"{path} is above the input limit of {MAX_FILE_BYTES} bytes"
+        )
+    if _holds_too_many_values(data):
+        raise ResourceLimitError(
+            f"{path} holds more values than a document of {MAX_ARCS} arcs "
+            f"and {MAX_ORDER} labels"
         )
     try:
         text = data.decode("utf-8")

@@ -54,15 +54,13 @@ counts it.  Suppose ``P + v`` were a prefix of ``W``.  Then
 of ``v``, and the seeds of ``W - v``, so every seed of ``W``.  If ``a``
 is in ``W``, ``W'`` is smaller; if not, it has the size of ``W`` and
 comes before it, since the vertices of ``W`` below ``v`` are those of
-``P``, all below ``a``.  Either contradicts the choice of ``W``.  Under
-zero forcing the fresh seed is ``v`` alone, so the test is whether ``v``
-lies in the union of the earlier siblings' closures; for power
-domination that union is only a pre-filter, and one closure must hold
-all the fresh seeds.  The earlier siblings include those the memo then
-drops, and not those skipped, whose closures lie in an earlier one.  At
-size 1 the parent is empty and the same ``W'`` works for every ``W``
-holding ``v``, so a vertex skipped there is left out of every later
-size and counted once.
+``P``, all below ``a``.  Either contradicts the choice of ``W``.  The
+union of the earlier siblings' closures is only a pre-filter: one
+closure must hold all the fresh seeds.  The earlier siblings include
+those the memo then drops, and not those skipped, whose closures lie in
+an earlier one.  At size 1 the parent is empty and the same ``W'`` works
+for every ``W`` holding ``v``, so a vertex skipped there is left out of
+every later size and counted once.
 
 The closure deliberately does not share code with the worklist engine in
 :mod:`forcing_lab.propagation`: this module imports nothing from the
@@ -181,9 +179,8 @@ def _scan(g: Digraph, dominate: bool) -> MinimumSetResult:
                 fresh = seeds[v] & ~base
                 if not fresh:
                     continue
-                if not fresh & ~reached and (
-                    not dominate or any(not fresh & ~c for c in earlier)
-                ):
+                # skipped when one earlier closure holds every fresh seed
+                if not fresh & ~reached and fresh in map(fresh.__and__, earlier):
                     skipped += 1
                     if not chosen:
                         excluded |= 1 << v

@@ -333,7 +333,7 @@ def check_cycle_factorization() -> list[CheckResult]:
         outcomes.append(
             len(factors) == d
             and all(sorted(factor.f) == list(range(g.n)) for factor in factors)
-            and factor_arcs == sorted(g.arcs)
+            and factor_arcs == list(g.arcs_sorted)
         )
     return [
         _tally(

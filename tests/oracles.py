@@ -7,6 +7,9 @@ and each is written straight from the definition.
 
 from __future__ import annotations
 
+from itertools import combinations
+from typing import NamedTuple
+
 from forcing_lab.digraph import Digraph
 
 
@@ -44,3 +47,84 @@ def naive_rounds(
     if rounds and not rounds[-1]:
         rounds.pop()
     return rounds, colored
+
+
+class FortCover(NamedTuple):
+    """A minimum set found by ``ilp_minimum``, with the hitting sets it
+    solved (``rounds``) and the constraints it held at the end."""
+
+    witness: frozenset[int]
+    rounds: int
+    constraints: int
+
+    def __str__(self) -> str:
+        return (
+            f"{len(self.witness)}: {self.rounds} rounds, "
+            f"{self.constraints} constraints"
+        )
+
+
+def ilp_minimum(g: Digraph, dominate: bool) -> FortCover:
+    """A minimum zero forcing set of ``g``, or with ``dominate`` a minimum
+    power dominating set, by the fort-cover integer program of Brimkov,
+    Fast & Hicks ("Computational approaches for zero forcing and related
+    problems", EJOR 2019), its constraints added lazily.
+
+    Every answer must meet each constraint set.  The white set ``W`` a
+    closure leaves is one: every vertex that may force has none or at
+    least two of its out-neighbors in ``W``, so a set that misses ``W``
+    never colors any of it; a power dominating set must meet ``N-[W]``.
+    An in-twin pair ``{a, b}`` is one too, since every in-neighbor of one
+    points to both.  The loop seeds the pairs, then solves the hitting
+    set, closes it with ``naive_rounds`` and adds its white set, until a
+    hitting set closes: it is minimum, as every closing set meets every
+    constraint.  Sets are never empty, so an empty answer becomes
+    ``{0}``, as in ``forcing_lab.solvers``.
+    """
+
+    def must_meet(white: set[int]) -> frozenset[int]:
+        if dominate:
+            white = white.union(*map(g.in_neighborhood, white))
+        return frozenset(white)
+
+    classes: dict[frozenset[int], list[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(g.in_neighborhood(v), []).append(v)
+    constraints = [
+        must_meet({a, b})
+        for twins in classes.values()
+        for a, b in combinations(twins, 2)
+    ]
+    everything = set(range(g.n))
+    rounds = 0
+    while True:
+        rounds += 1
+        chosen = _minimum_hitting_set(g.n, constraints)
+        colored = naive_rounds(g, chosen, dominate)[1]
+        if colored == everything:
+            return FortCover(frozenset(chosen or {0}), rounds, len(constraints))
+        constraints.append(must_meet(everything - colored))
+
+
+def _minimum_hitting_set(n: int, sets: list[frozenset[int]]) -> set[int]:
+    """A least subset of ``0 .. n-1`` that meets every one of ``sets``, by
+    ``scipy.optimize.milp``; scipy is imported here, so the other oracles
+    load without it."""
+    if not sets:
+        return set()
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    rows = [i for i, members in enumerate(sets) for _ in members]
+    cols = [v for members in sets for v in members]
+    rows_by_set = coo_array((np.ones(len(cols)), (rows, cols)), shape=(len(sets), n))
+    found = milp(
+        np.ones(n),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+        constraints=LinearConstraint(rows_by_set, lb=1),
+        options={"mip_rel_gap": 0},
+    )
+    assert found.success, found.message
+    return {v for v in range(n) if found.x[v] > 0.5}

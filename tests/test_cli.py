@@ -16,7 +16,7 @@ from forcing_lab import cli, constructions, iso, linalg, verify
 from forcing_lab.cli import main
 from forcing_lab.constructions import construct_pds_L2
 from forcing_lab.corpus import random_digraph_min_degrees
-from forcing_lab.digraph import Digraph
+from forcing_lab.digraph import MAX_ARCS, MAX_ORDER, Digraph
 from forcing_lab.families import (
     complete_with_loops,
     complete_without_loops,
@@ -530,6 +530,63 @@ def test_input_file_above_the_byte_bound_exits_3_unparsed(capsys, tmp_path, monk
     )
 
 
+def test_input_holding_more_values_than_the_bounds_exits_3_unparsed(
+    capsys, tmp_path, monkeypatch
+):
+    # Brackets, braces, commas and escaped quotes inside strings are not
+    # counted: the largest document by each bound is handed to the parser
+    # (patched here to take it and return no object, so it exits 2), and
+    # one list, object or comma past it is refused before the parse.
+    parsed = []
+    monkeypatch.setattr(json, "loads", parsed.append)
+
+    def label(i):
+        return json.dumps(f'{i}"[{{,\\')
+
+    def doc(labels, arcs):
+        return (
+            f'{{"n": 2, "name": {label(-1)}, "labels": [{", ".join(labels)}], '
+            f'"arcs": [{",".join(arcs)}]}}'
+        )
+
+    labels = list(map(label, range(MAX_ORDER)))
+    arcs = ["[0,1]"] * MAX_ARCS
+    cases = [
+        (doc(labels, arcs), 2),
+        (doc(labels, arcs + ["[0,1]"]), 3),
+        (doc(labels + ['"x"'], arcs), 3),
+        (doc([], ["{}"] * MAX_ARCS), 2),
+        (doc([], ["{}"] * (MAX_ARCS + 1)), 3),
+    ]
+    for case, (text, code_wanted) in enumerate(cases):
+        path = tmp_path / f"{case}.json"
+        path.write_text(text)
+        calls = len(parsed)
+        code, out, err = _run(capsys, "zf", "min", str(path))
+        parses = int(code_wanted == 2)
+        assert (code, out, len(parsed) - calls) == (code_wanted, "", parses), err
+        if code == 3:
+            assert err == (
+                f"resource limit: {path} holds more values than a document of "
+                f"{MAX_ARCS} arcs and {MAX_ORDER} labels\n"
+            )
+
+
+def test_unterminated_string_of_escaped_quotes_exits_2_at_once(capsys, tmp_path):
+    # Its commas put the file over the value bounds, so the strings are
+    # taken out before the count.  A scan that needs each string's closing
+    # quote would try every escaped quote as an end, from every quote; this
+    # one reads the file in one pass, finds the commas inside the string,
+    # and the parser refuses it.
+    path = tmp_path / "open.json"
+    path.write_text('{"n": 2, "name": "' + '\\",' * (2 * MAX_ARCS + MAX_ORDER + 2))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "zf", "min", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not valid JSON (Unterminated string")
+
+
 def test_largest_document_the_cli_writes_is_read_back(capsys, tmp_path):
     k2 = _gen(capsys, tmp_path, "k.json", "gen", "complete-loops", "--d", "2")
     line = _gen(capsys, tmp_path, "l.json", "line", k2, "--iterate", "16")
@@ -749,13 +806,23 @@ GOLDEN_COMMANDS = {
 }
 
 
+def _no_arc_set(g: Digraph) -> frozenset[tuple[int, int]]:
+    raise AssertionError("the library read Digraph.arcs")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_records_print_the_golden_stdout(capsys, tmp_path, name):
-    """Each record prints, byte for byte, the stdout in ``tests/golden``."""
+def test_records_print_the_golden_stdout(capsys, monkeypatch, tmp_path, name):
+    """Each record prints, byte for byte, the stdout in ``tests/golden``.
+
+    The commands run ``verify all``, the three witness constructions, the
+    1-factor and the cycle factorization with ``Digraph.arcs`` made to
+    raise, since the library reads only the out- and in-tuples; the arc
+    set is kept for callers outside it."""
     inputs = _golden_inputs(capsys, tmp_path)
     argv = [arg.format(**inputs) for arg in GOLDEN_COMMANDS[name]]
-    code, out, _ = _run(capsys, *argv)
-    assert code == 0
+    monkeypatch.setattr(Digraph, "arcs", property(_no_arc_set))
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 

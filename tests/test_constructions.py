@@ -29,7 +29,7 @@ from forcing_lab.families import (
     complete_without_loops,
     cycle,
     de_bruijn,
-    gen_de_bruijn,
+    gen_kautz,
 )
 from forcing_lab.linalg import adjacency_rank
 from forcing_lab.lines import iterated_line, line_digraph
@@ -41,7 +41,7 @@ from forcing_lab.propagation import (
 )
 from forcing_lab.solvers import min_power_dominating, min_zero_forcing
 
-from oracles import naive_rounds
+from oracles import ilp_minimum, naive_rounds
 
 # out-degree 2 everywhere, but vertices 0 and 1 have in-degree 1 and form
 # a 2-cycle, so every 1-factor contains that cycle and none is good
@@ -238,8 +238,13 @@ def test_matching_gives_up_past_its_head_bound(monkeypatch):
 
 
 def test_largest_family_factorization_stays_under_the_head_bound():
-    g = gen_de_bruijn(4, 2**17)
-    assert len(cycle_factorization(g).factors) == 4
+    # of the families at orders up to 2**17, the one whose matchings try
+    # the most heads past the greedy pass: 699,052 in one phase
+    g = gen_kautz(4, 131071)
+    factors = cycle_factorization(g).factors
+    assert len(factors) == 4
+    arcs = [(u, v) for factor in factors for v, u in enumerate(factor.f)]
+    assert len(arcs) == len(set(arcs)) and set(arcs) == g.arcs
 
 
 def test_cycle_factorization_frozen_complete_case():
@@ -504,16 +509,20 @@ def test_witness_shares_its_vertex_set_with_its_trace():
         assert witness.vertices is witness.trace.initial
 
 
+# the base G of the next two tests
+_GAMMA_P_BELOW_ARC_COUNT = Digraph(
+    5,
+    [(0, 1), (0, 2), (1, 2), (1, 3), (2, 1), (2, 3), (2, 4)]
+    + [(3, 0), (3, 1), (3, 2), (3, 4), (4, 1), (4, 2)],
+)
+
+
 def test_power_domination_of_l2_drops_below_the_arc_count_off_the_regular_case():
     # G has min out-degree 2, min in-degree 1 and a good 1-factor, and
     # Z(L(G)) = |A| - |V| = 8, the size of construct_pds_L2's witness; yet
     # brute force on the order-34 L^2(G) finds a power dominating set of 7,
     # so the regular closed form gamma_P(L^2) = |A| - |V| does not carry over
-    g = Digraph(
-        5,
-        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 1), (2, 3), (2, 4)]
-        + [(3, 0), (3, 1), (3, 2), (3, 4), (4, 1), (4, 2)],
-    )
+    g = _GAMMA_P_BELOW_ARC_COUNT
     assert one_factor(g, require_good=True) is not None
     assert g.arc_count - g.n == 8
     assert min_zero_forcing(line_digraph(g).graph).number == 8
@@ -523,6 +532,14 @@ def test_power_domination_of_l2_drops_below_the_arc_count_off_the_regular_case()
     assert sorted(pd.witness) == [0, 18, 21, 23, 24, 25, 28]
     assert naive_rounds(l2, set(pd.witness), dominate=True)[1] == set(range(34))
     assert len(construct_pds_L2(g).vertices) == 8
+
+
+def test_the_fort_cover_program_finds_the_same_drop():
+    g = _GAMMA_P_BELOW_ARC_COUNT
+    z = ilp_minimum(line_digraph(g).graph, dominate=False)
+    pd = ilp_minimum(iterated_line(g, 2).graph, dominate=True)
+    print(f"Z(L(G)) = {z}; gamma_P(L^2(G)) = {pd}")
+    assert (len(z.witness), len(pd.witness)) == (8, 7)
 
 
 def test_zero_forcing_of_a_line_digraph_counts_an_isolated_cycle_past_its_nullity():
