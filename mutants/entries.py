@@ -45,6 +45,8 @@ VERIFY_SCANS = "tests/test_solvers.py::test_sibling_rule_keeps_the_answers_on_th
 WORK_COUNTS = "tests/test_solvers.py::test_subsets_tested_counts_every_closure_at_every_size"
 GOLDEN_STDOUT = "tests/test_cli.py::test_records_print_the_golden_stdout"
 BAD_INTEGERS = "tests/test_corpus.py::test_generators_refuse_bad_integers_before_any_draw"
+WITNESS_IDS = "tests/test_constructions.py::test_witness_ids_match_the_label_comprehensions"
+VERTEX_SETS = "tests/test_digraph.py::test_vertex_sets_keep_their_verdicts_and_messages"
 
 MUTANTS = [
     # -- the line operator's hand-over ----------------------------------
@@ -155,6 +157,13 @@ MUTANTS = [
         "tests/test_digraph.py::test_an_empty_vertex_set_is_refused_in_the_callers_words",
     ),
     Mutant(
+        "digraph: the bulk vertex-set test admits id n",
+        DIGRAPH,
+        "max(vertices) < g.n",
+        "max(vertices) <= g.n",
+        VERTEX_SETS,
+    ),
+    Mutant(
         "digraph: the integer check admits bools",
         DIGRAPH,
         "if isinstance(value, bool) or not isinstance(value, int) or value < minimum:",
@@ -163,10 +172,10 @@ MUTANTS = [
     ),
     # -- labels and their letter limit -----------------------------------
     Mutant(
-        "lines: label extended by the first letter of the next walk",
+        "lines: walk extended by the out-tuple of its first vertex",
         LINES,
-        "(labels[v][-1],)",
-        "(labels[v][0],)",
+        "walks = [w + x for w in walks for x in steps[w[-1]]]",
+        "walks = [w + x for w in walks for x in steps[w[0]]]",
         WALK_DICT,
     ),
     Mutant(
@@ -224,6 +233,27 @@ MUTANTS = [
         "next((w for w in heads if w not in on_bad_cycle), None)",
         "next((w for w in reversed(heads) if w not in on_bad_cycle), None)",
         "tests/test_constructions.py",
+    ),
+    Mutant(
+        "constructions: the spared arc's id one past its place",
+        CONSTRUCTIONS,
+        "spared.append(start[v] + heads.index(spare))",
+        "spared.append(start[v] + heads.index(spare) + 1)",
+        WITNESS_IDS,
+    ),
+    Mutant(
+        "constructions: the L^2 block of the factor arc out of u, not into it",
+        CONSTRUCTIONS,
+        "first = block[start[f[u]] + out[f[u]].index(u)]",
+        "first = block[start[u] + out[u].index(after[u])]",
+        WITNESS_IDS,
+    ),
+    Mutant(
+        "constructions: no arc for the vertices paired with tail 0",
+        CONSTRUCTIONS,
+        "for v, u in enumerate(tail) if u >= 0}",
+        "for v, u in enumerate(tail) if u > 0}",
+        WITNESS_IDS,
     ),
     Mutant(
         "constructions: in-degree-one cycles ignored",

@@ -24,6 +24,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, is_dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -317,7 +318,11 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, and prints its usage, help and errors to the
+    ``sys.stdout`` and ``sys.stderr`` of the moment."""
     parser = argparse.ArgumentParser(
         prog="forcing-lab",
         description=(
@@ -333,19 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--D", type=int, default=None, help="word-length parameter")
     gen.add_argument("--n", type=int, default=None, help="order or level parameter")
     gen.add_argument("-o", "--output", default=None)
-    gen.set_defaults(handler=_cmd_gen)
 
     line = sub.add_parser("line", help="apply the line-digraph operator")
     line.add_argument("input")
     line.add_argument("--iterate", type=int, default=1, metavar="K")
     line.add_argument("-o", "--output", default=None)
-    line.set_defaults(handler=_cmd_line)
 
     zf = sub.add_parser("zf", help="zero forcing operations")
     zf.add_argument("action", choices=["closure", "check", "min", "construct"])
     zf.add_argument("input")
     zf.add_argument("--set", default=None, help="comma-separated ids or labels")
-    zf.set_defaults(handler=_cmd_zf)
 
     pd = sub.add_parser("pd", help="power domination operations")
     pd.add_argument(
@@ -354,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pd.add_argument("input")
     pd.add_argument("--set", default=None, help="comma-separated ids or labels")
-    pd.set_defaults(handler=_cmd_pd)
 
     rank = sub.add_parser("rank", help="exact adjacency rank and nullity")
     rank.add_argument("input")
@@ -365,28 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="report mr and max nullity of L^K of the regular input",
     )
-    rank.set_defaults(handler=_cmd_rank)
 
     factor = sub.add_parser("factor", help="1-factor or cycle factorization")
     factor.add_argument("input")
     kind = factor.add_mutually_exclusive_group()
     kind.add_argument("--cycles", action="store_true")
     kind.add_argument("--require-good", action="store_true")
-    factor.set_defaults(handler=_cmd_factor)
 
     iso = sub.add_parser("iso", help="isomorphism certificate")
     iso.add_argument("first")
     iso.add_argument("second")
-    iso.set_defaults(handler=_cmd_iso)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite")
-    verify.set_defaults(handler=_cmd_verify)
 
     export = sub.add_parser("export-dot", help="write Graphviz DOT")
     export.add_argument("input")
     export.add_argument("-o", "--output", default=None)
-    export.set_defaults(handler=_cmd_export_dot)
 
     return parser
 
@@ -402,7 +398,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # main in-process
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            code = args.handler(args)
+            # command ``export-dot`` runs ``_cmd_export_dot``, looked up at
+            # each call rather than held by the cached parser
+            code = globals()["_cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # a closed stdout is found here, not at exit
         return code
     except DomainError as exc:

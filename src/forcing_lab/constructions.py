@@ -21,15 +21,20 @@ each taking their least free head, then Hopcroft-Karp phases whose
 searches start from the free tails in ascending order and try heads in
 ascending order.  So every witness is reproducible.
 
-A line-digraph witness makes one choice per base vertex, then takes each
-id ``i`` of the iterate whose walk ``labels[i]`` fits it: witness ids are
-label positions (see ``lines``), and no walk is ever looked up.  The CLI
-prints a witness with its walks, read from ``line.labels``.
+A line-digraph witness makes one choice per base vertex and computes its
+ids from arc order, with no walk built or looked up.  The walks of an
+iterate are numbered in lexicographic order (see ``lines``), so in
+``L(g)`` the arc ``(v, w)`` has id ``start[v]`` plus the place of ``w`` in
+the out-tuple of ``v``, ``start`` the running sum of the out-degrees.  In
+``L^2(g)`` the walks ``(t, u, .)`` are the arcs out of the vertex ``(t,
+u)`` of ``L(g)``: one block of ids, ordered as the out-tuple of ``u``.
+The CLI prints a witness with its walks, read from ``line.labels``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .digraph import Digraph, check_nonempty_vertex_set
@@ -291,17 +296,19 @@ def construct_zfs_line(g: Digraph) -> LineWitness:
     """
     _require_degrees(g, 2, 1)
     on_bad_cycle = {v for cycle in in_degree_one_cycles(g) for v in cycle}
-    spared = []
+    start = [0, *accumulate(map(len, g._out))]
+    spared = []  # the id in L(g) of each vertex's spared arc
     for v, heads in enumerate(g._out):
         spare = next((w for w in heads if w not in on_bad_cycle), None)
         if spare is None:
             raise AssertionError(
                 f"vertex {v} has every out-neighbor on an in-degree-one cycle"
             )
-        spared.append(spare)
-    labeled = line_digraph(g)
-    chosen = {i for i, (v, w) in enumerate(labeled.labels) if w != spared[v]}
-    return _verified(labeled, chosen, g.arc_count - g.n, zf_closure, "zero forcing")
+        spared.append(start[v] + heads.index(spare))
+    chosen = set(range(g.arc_count)).difference(spared)
+    return _verified(
+        line_digraph(g), chosen, g.arc_count - g.n, zf_closure, "zero forcing"
+    )
 
 
 def construct_pds_L2(g: Digraph) -> LineWitness:
@@ -317,13 +324,22 @@ def construct_pds_L2(g: Digraph) -> LineWitness:
     factor = one_factor(g, require_good=True)
     if factor is None:
         raise DomainError("digraph has no suitable 1-factor")
-    labeled = iterated_line(g, 2)
-    f = factor.f
-    chosen = {
-        i for i, (t, u, v) in enumerate(labeled.labels) if t == f[u] and u != f[v]
-    }
+    out, f = g._out, factor.f
+    after = [0] * g.n  # after[u]: the head of the factor arc out of u
+    for v, u in enumerate(f):
+        after[u] = v
+    # In L(g) the arc (t, u) has id start[t] + out[t].index(u).  In L^2(g)
+    # the walks (t, u, .) are the ids from block[that id], the out-degrees
+    # of the heads summed over the arcs before it; u spares (f(u), u, after[u]).
+    start = [0, *accumulate(map(len, out))]
+    block = [0, *accumulate(len(out[u]) for heads in out for u in heads)]
+    chosen = set()
+    for u, heads in enumerate(out):
+        first = block[start[f[u]] + out[f[u]].index(u)]
+        chosen.update(range(first, first + len(heads)))
+        chosen.remove(first + heads.index(after[u]))
     return _verified(
-        labeled, chosen, g.arc_count - g.n, pd_closure, "power domination"
+        iterated_line(g, 2), chosen, g.arc_count - g.n, pd_closure, "power domination"
     )
 
 
@@ -357,8 +373,8 @@ def construct_pds_L(g: Digraph, s: Iterable[int]) -> LineWitness:
                 )
     # Each vertex's paired in-neighbor; -1, no vertex, for those of s.
     tail = [-1 if v in chosen_s else owner.get(v, min(g._in[v])) for v in range(g.n)]
-    labeled = line_digraph(g)
-    chosen = {i for i, (u, v) in enumerate(labeled.labels) if u == tail[v]}
+    start = [0, *accumulate(map(len, g._out))]
+    chosen = {start[u] + g._out[u].index(v) for v, u in enumerate(tail) if u >= 0}
     return _verified(
-        labeled, chosen, g.n - len(chosen_s), pd_closure, "power domination"
+        line_digraph(g), chosen, g.n - len(chosen_s), pd_closure, "power domination"
     )

@@ -3,7 +3,7 @@
 The line digraph of ``G`` has one vertex per arc of ``G``, and an arc from
 ``(u, v)`` to ``(x, y)`` exactly when ``v == x``.  Vertex ``v`` of
 ``L^k(G)`` is the ``v``-th length-``k`` walk of ``G`` in lexicographic
-order, kept as its label, and walk ``w`` has an arc to every walk
+order, its label, and walk ``w`` has an arc to every walk
 ``w[1:] + (x,)``.  This is the numbering that sorting the arcs of each
 iterate gives, by induction on ``k``: sorting the arcs ``(u, v)`` of
 ``L^j`` sorts them by ``label(u) + (last letter of label(v),)``.
@@ -34,42 +34,66 @@ This proves the labels, so they are not checked again; the test
 ``test_iterated_line_matches_the_walk_dict_reference`` compares them with
 walks looked up in a dictionary.  The CLI writes a label as ``3-0-1``.
 
-Each level's order, ``start[-1]``, is known before its walks or ids
-exist, and one above ``digraph.MAX_ORDER`` is refused with
-:class:`ResourceLimitError`, as is a level that takes the letters of all
-labels built, ``order * (level + 2)`` per level, past ``_MAX_LETTERS``: a
-digraph of out-degree 1 never grows, but its labels do.  Arcs need no
-check here: a level's arc count is the next level's order, and
-``Digraph`` refuses a last level whose out-degrees sum past
-``digraph.MAX_ARCS``.
+The labels are built on first read and kept, and no library path reads
+them: the witnesses of ``constructions`` take their ids from arc order.
+A first read extends each walk, level by level, by the out-tuple of its
+last vertex; the walks of a level are in lexicographic order and each
+out-tuple is ascending, so the extended walks are too, and the arc
+``(u, v)`` of ``G`` is vertex ``start[u]`` of ``L(G)`` plus the place of
+``v`` in the out-tuple of ``u``.
+
+Each level's order, ``start[-1]``, is known before its ids exist, and one
+above ``digraph.MAX_ORDER`` is refused with :class:`ResourceLimitError`,
+as is a level at which the labels of all levels up to it would take more
+than ``_MAX_LETTERS`` letters, ``order * (level + 2)`` per level.  So the
+bound is on what a first read of the labels would build, and it refuses
+the iterate whether or not they are ever read: a digraph of out-degree 1
+never grows, but its labels do.  Arcs need no check here: a level's arc
+count is the next level's order, and ``Digraph`` refuses a last level
+whose out-degrees sum past ``digraph.MAX_ARCS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 from .digraph import MAX_ORDER, Digraph, check_int
 from .errors import DomainError, ResourceLimitError
 
-# The most label letters an iterate may build over all its levels: twice
-# the 2**21 of ``L^16(K_2 + loops)``.  Measured with Python 3.11 on x86-64,
-# 2 cores, one process each: that iterate builds in 0.23-0.31 s at a max RSS
-# of 79 MiB; ``L^6(cycle(131072))``, 3.5 * 10**6 letters, in 0.76-0.85 s at
-# 115 MiB (56 MiB of it the cycle); ``L^1000`` of it is refused at ``L^7``
-# in 0.7 s, and ``L^(10**7)(cycle(1))`` at ``L^2895`` in 0.03 s.  Unbounded,
-# ``L^25(cycle(131072))`` took 3.6 s and 158 MiB, and more at each level.
+# The most label letters an iterate's labels may take over all its levels:
+# twice the 2**21 of ``L^16(K_2 + loops)``.  Measured with Python 3.11 on
+# x86-64, 2 cores, one process each: that iterate builds in 0.10-0.12 s at
+# a max RSS of 45 MiB, and with a first read of its labels in 0.18-0.19 s
+# at 69 MiB; ``L^6(cycle(131072))``, 3.5 * 10**6 letters, builds in
+# 0.41-0.61 s at 85 MiB (56 MiB of it the cycle), and with a first read in
+# 0.56-0.61 s at 96 MiB; ``L^1000`` of it is refused at ``L^7`` in 0.4 s,
+# and ``L^(10**7)(cycle(1))`` at ``L^2895`` in 0.01 s.  Unbounded, a first
+# read of the labels of ``L^25(cycle(131072))`` took 2.7-3.4 s and 131 MiB,
+# and more at each level.
 _MAX_LETTERS = 1 << 22
 
 
 @dataclass(frozen=True)
 class LineLabeledDigraph:
-    """A digraph together with one walk label per vertex: ``labels[v]`` is
-    the walk of the base digraph that vertex ``v`` stands for, proven by
-    ``_iterate`` and not checked again (module docstring)."""
+    """``L^depth(base)`` as ``graph``, with one walk label per vertex:
+    ``labels[v]`` is the walk of ``base`` that vertex ``v`` stands for,
+    built on first read and kept, and not checked again (module
+    docstring)."""
 
     graph: Digraph
-    labels: tuple[tuple[int, ...], ...]
+    base: Digraph
+    depth: int
+
+    @cached_property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        # each out-tuple as one-letter tuples: one concatenation a walk
+        steps = [tuple((x,) for x in heads) for heads in self.base._out]
+        walks = [(v,) for v in range(self.base.n)]
+        for _ in range(self.depth):
+            walks = [w + x for w in walks for x in steps[w[-1]]]
+        return tuple(walks)
 
 
 def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:
@@ -77,8 +101,7 @@ def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:
     degrees (module docstring); ``heads[u]`` is the sorted out-tuple of
     ``u`` at the current level and ``indeg[u]`` its in-degree."""
     heads, indeg = g._out, list(map(len, g._in))
-    labels = [(v,) for v in range(g.n)]
-    letters = 0  # letters of the labels built so far, level 0's not counted
+    letters = 0  # letters of the labels up to this level, level 0's not counted
     for level in range(k):
         outdeg = list(map(len, heads))
         start = [0, *accumulate(outdeg)]
@@ -105,13 +128,12 @@ def _iterate(g: Digraph, k: int) -> LineLabeledDigraph:
             in_start = [0, *accumulate(indeg)]
             into = [by_head[in_start[v] : in_start[v + 1]] for v in range(len(indeg))]
             tails = list(chain.from_iterable(map(repeat, into, outdeg)))
-        labels = [w + (labels[v][-1],) for w, out in zip(labels, heads) for v in out]
         heads = list(map(block.__getitem__, head_of))
     graph = g
     if k:
         name = None if g.name is None else "L(" * k + g.name + ")" * k
-        graph = Digraph(len(labels), name=name, _store=(heads, tails))
-    return LineLabeledDigraph(graph=graph, labels=tuple(labels))
+        graph = Digraph(len(heads), name=name, _store=(heads, tails))
+    return LineLabeledDigraph(graph=graph, base=g, depth=k)
 
 
 def line_digraph(g: Digraph) -> LineLabeledDigraph:

@@ -250,7 +250,7 @@ def test_zf_construct(capsys, tmp_path):
 def test_line_witness_json_shape(capsys, tmp_path):
     """Each witness lists its ids ascending and, in the same order, the
     labels that ``line`` writes for them, also where the witness set does
-    not iterate in ascending order (checked on B(2,4))."""
+    not iterate in ascending order (checked on K(2,3))."""
     rng = Random(71)
     bases = [random_digraph_min_degrees(rng, 5, min_out=2, min_in=1) for _ in range(5)]
     paths = [
@@ -273,7 +273,8 @@ def test_line_witness_json_shape(capsys, tmp_path):
         assert doc["witness_labels"] == [line["labels"][v] for v in doc["witness"]]
         mode = "zero-forcing" if command[0] == "zf" else "power-domination"
         assert doc["mode"] == mode
-    witness = construct_pds_L2(de_bruijn(2, 4)).vertices
+    with pytest.warns(UserWarning, match="^kautz with d = 2"):
+        witness = construct_pds_L2(kautz(2, 3)).vertices
     assert list(witness) != sorted(witness)
 
 
@@ -687,6 +688,27 @@ def _module_env() -> dict[str, str]:
     src = str(Path(forcing_lab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, path)))}
+
+
+def test_one_parser_prints_what_fresh_processes_print(capsys, monkeypatch):
+    # The parser is built once per process; a bad command line and then good
+    # ones, run in this process, print what each prints in a process of its
+    # own, usage and help text included.
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ["factor", "g.json", "--cycles", "--require-good"],
+        ["gen", "cycle", "--n", "3"],
+        ["zf", "nope", "g.json"],
+        ["pd", "--help"],
+        ["gen", "kautz", "--d", "3", "--D", "2"],
+    ]
+    for argv in runs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "forcing_lab", *argv],
+            capture_output=True, text=True, env=_module_env(), timeout=60,
+        )
+        assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_python_dash_m_runs_the_command_line(capsys):

@@ -30,9 +30,10 @@ from forcing_lab.families import (
     cycle,
     de_bruijn,
     gen_kautz,
+    kautz,
 )
 from forcing_lab.linalg import adjacency_rank
-from forcing_lab.lines import iterated_line, line_digraph
+from forcing_lab.lines import LineLabeledDigraph, iterated_line, line_digraph
 from forcing_lab.propagation import (
     is_power_dominating_set,
     is_zero_forcing_set,
@@ -40,6 +41,7 @@ from forcing_lab.propagation import (
     zf_closure,
 )
 from forcing_lab.solvers import min_power_dominating, min_zero_forcing
+from forcing_lab.verify import SUITES, run_suite
 
 from oracles import ilp_minimum, naive_rounds
 
@@ -507,6 +509,95 @@ def test_witness_shares_its_vertex_set_with_its_trace():
         construct_pds_L(k3, {0}),
     ):
         assert witness.vertices is witness.trace.initial
+
+
+def _zfs_ids_by_label(g: Digraph) -> set[int]:
+    """The ids of ``construct_zfs_line(g)`` as the label comprehension
+    picked them: every arc ``(v, w)`` but the spared one."""
+    on_bad_cycle = {v for cycle in in_degree_one_cycles(g) for v in cycle}
+    spared = [min(g.out_neighborhood(v) - on_bad_cycle) for v in range(g.n)]
+    return {i for i, (v, w) in enumerate(line_digraph(g).labels) if w != spared[v]}
+
+
+def _pds_l2_ids_by_label(g: Digraph) -> set[int]:
+    """The walks ``f(u) -> u -> v`` with ``u != f(v)``, by label."""
+    f = one_factor(g, require_good=True).f
+    labels = iterated_line(g, 2).labels
+    return {i for i, (t, u, v) in enumerate(labels) if t == f[u] and u != f[v]}
+
+
+def _pds_l_ids_by_label(g: Digraph, s: frozenset[int]) -> set[int]:
+    """Each vertex outside ``s`` with its paired in-neighbor, by label."""
+    tail = {v: u for u, v in _pds_l_walks(g, s)}
+    return {i for i, (u, v) in enumerate(line_digraph(g).labels) if tail.get(v) == u}
+
+
+def _line_witness_bases() -> list[tuple[Digraph, int]]:
+    """The seven bases of the ``line-witness`` benchmark workload, each with
+    its depth ``k`` (``L^k`` has order 1024 to 4096); here the fixed ones
+    keep their ids and the two random ones are drawn by the library."""
+    rng = Random(3)
+    return [
+        (complete_with_loops(2), 11),
+        (complete_with_loops(3), 6),
+        (complete_with_loops(4), 4),
+        (de_bruijn(2, 3), 8),
+        (kautz(3, 2), 5),
+        (random_regular_digraph(rng, 16, 2), 7),
+        (random_regular_digraph(rng, 14, 3), 4),
+    ]
+
+
+def test_witness_ids_match_the_label_comprehensions():
+    # The ids computed from arc order are the ids the walk labels picked,
+    # on seeded bases with and without loops and on the benchmark's bases.
+    rng = Random(20261020)
+    zfs_bases, pds_l2_bases, pds_l_bases = [], [], []
+    for i in range(60):
+        loops = i % 2 == 0
+        n = rng.randint(3, 9)
+        zfs_bases.append(
+            random_digraph_min_degrees(
+                rng, n, min_out=2, min_in=1, extra_arcs=i % 4, allow_loops=loops
+            )
+        )
+        pds_l_bases.append(
+            random_digraph_min_degrees(rng, n, min_out=2, min_in=2, allow_loops=loops)
+        )
+    pds_l2_bases = [g for g in zfs_bases if one_factor(g, require_good=True)]
+    for base, k in _line_witness_bases():
+        below2 = iterated_line(base, k - 2).graph
+        below1 = iterated_line(base, k - 1).graph
+        zfs_bases.append(below1)
+        pds_l2_bases.append(below2)
+        pds_l_bases.append(below1)
+    assert sum(g.has_loops for g in zfs_bases) >= 30
+    assert len(pds_l2_bases) >= 30
+    for g in zfs_bases:
+        assert construct_zfs_line(g).vertices == _zfs_ids_by_label(g)
+    for g in pds_l2_bases:
+        assert construct_pds_L2(g).vertices == _pds_l2_ids_by_label(g)
+    for g in pds_l_bases:
+        s = frozenset({rng.randrange(g.n)})
+        assert construct_pds_L(g, s).vertices == _pds_l_ids_by_label(g, s)
+
+
+def _no_labels(line: LineLabeledDigraph) -> tuple[tuple[int, ...], ...]:
+    raise AssertionError("the library read LineLabeledDigraph.labels")
+
+
+def test_witnesses_and_verify_never_read_walk_labels(monkeypatch):
+    # The labels are built on first read; the witnesses take their ids from
+    # arc order, and every verify suite reads only the iterates' digraphs.
+    monkeypatch.setattr(LineLabeledDigraph, "labels", property(_no_labels))
+    base = random_regular_digraph(Random(3), 14, 3)
+    for g in (complete_with_loops(3), base, iterated_line(base, 2).graph):
+        assert construct_zfs_line(g).trace.covers_all
+        assert construct_pds_L2(g).trace.covers_all
+        assert construct_pds_L(g, {0}).trace.covers_all
+    for suite in SUITES:
+        results = run_suite(suite)
+        assert results and all(result.passed for result in results), suite
 
 
 # the base G of the next two tests

@@ -297,6 +297,49 @@ def test_neighborhood_rejects_bad_vertex():
             g.out_neighborhood(v)
 
 
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        (True, "vertex id must be an int, got True"),
+        (1.5, "vertex id must be an int, got 1.5"),
+        (-1, "vertex id -1 out of range for order 4"),
+        (4, "vertex id 4 out of range for order 4"),
+        ([2], "vertex id must be an int, got [2]"),
+    ],
+    ids=["bool", "float", "negative", "order", "unhashable"],
+)
+def test_vertex_sets_keep_their_verdicts_and_messages(bad, message):
+    # Sets of plain ints in range pass one bulk test; every other input
+    # gets the per-vertex check, so each container names the same offender.
+    g = Digraph(4, [(0, 1)])
+    containers = [list, tuple, lambda ids: (v for v in ids)]
+    if not isinstance(bad, list):
+        containers += [set, frozenset]
+    for make in containers:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            digraph.check_vertex_set(g, make([0, bad, 3]))
+    # an iterator is read as far as its first offender, and no further
+    rest = iter([0, bad, 3])
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        digraph.check_vertex_set(g, rest)
+    assert list(rest) == [3]
+
+
+def test_vertex_sets_of_ints_in_range_pass_unchanged():
+    g = Digraph(4, [(0, 1)])
+    for ids, expected in [
+        (set(), set()),
+        ({3}, {3}),
+        (frozenset({2, 0}), {0, 2}),
+        (range(4), {0, 1, 2, 3}),
+        (iter([3, 0, 3]), {0, 3}),
+    ]:
+        assert digraph.check_vertex_set(g, ids) == expected
+    # an int subclass other than bool is admitted as itself, as by check_vertex
+    checked = digraph.check_vertex_set(g, {Vertex.B, 0})
+    assert checked == {0, 1} and {type(v) for v in checked} == {int, Vertex}
+
+
 def test_degree_summary():
     g = Digraph(3, [(0, 1), (0, 2), (1, 2)])
     degrees = g.degrees()
