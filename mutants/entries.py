@@ -493,6 +493,27 @@ MUTANTS = [
         "::test_exhaustive_regular_refuses_too_many_rows_before_listing_them",
     ),
     Mutant(
+        "corpus: class orbits closed under the swap alone",
+        "forcing_lab/corpus.py",
+        "generators = [(*range(1, n), 0), (1, 0, *range(2, n))] if n > 1 else []",
+        "generators = [(1, 0, *range(2, n))] if n > 1 else []",
+        "tests/test_corpus.py::test_regular_classes_match_the_pairwise_reference",
+    ),
+    Mutant(
+        "corpus: a relabelling renames tails but not heads",
+        "forcing_lab/corpus.py",
+        "image[p[u]] = tuple(sorted(map(p.__getitem__, heads)))",
+        "image[p[u]] = heads",
+        "tests/test_corpus.py::test_regular_classes_match_the_pairwise_reference",
+    ),
+    Mutant(
+        "corpus: the held-arc bound of the class orbits dropped",
+        "forcing_lab/corpus.py",
+        "if len(seen) * n * d > _MAX_HELD_ARCS:",
+        "if False:",
+        "tests/test_corpus.py::test_regular_classes_refuse_past_the_held_arcs",
+    ),
+    Mutant(
         "corpus: random_digraph takes any order",
         "forcing_lab/corpus.py",
         """    check_int(n, "order n", 1)

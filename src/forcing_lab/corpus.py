@@ -16,6 +16,26 @@ reading one arc past ``MAX_ARCS``, and the others refuse, with
 :class:`ResourceLimitError` and before their first draw, a request whose
 working lists could pass ``MAX_ARCS`` entries or whose digraph would
 pass ``MAX_ORDER`` vertices.
+
+``regular_digraphs_up_to_iso`` picks its classes with no isomorphism
+search.  Renaming the vertices by a permutation keeps every in- and
+out-degree and weak connectivity, so each relabelling of a weakly
+connected ``d``-regular digraph is again one that ``all_regular_digraphs``
+yields, exactly once.  The swap (0 1) and the rotation (0 1 ... n-1)
+generate the symmetric group (the rotation conjugates the swap into each
+adjacent transposition (i i+1), and those generate it), so closing a
+digraph breadth first under the two relabellings reaches its whole
+isomorphism class.  The first digraph of a class in enumeration order is
+therefore the first that is not yet in the set ``seen`` of closed
+classes: it is kept, its class goes into ``seen``, and every later
+member of the class costs one lookup.  The representatives are the first
+of each class in enumeration order, as a pairwise isomorphism test over
+the same walk would pick them.  ``seen`` holds every labelled digraph of
+the classes met so far, and a call whose held digraphs pass
+``_MAX_HELD_ARCS`` = 2^20 arcs in all is refused with
+:class:`ResourceLimitError`: (6, 2) holds 795,240 arcs in 66,270
+digraphs (1.8 s, a process peak RSS of 48 MiB), while (6, 3), (6, 4),
+(7, 2) and (10, 1) are refused after 0.8-14 s at peaks of 42-81 MiB.
 """
 
 from __future__ import annotations
@@ -28,10 +48,14 @@ from typing import Iterator
 
 from .digraph import MAX_ARCS, MAX_ORDER, Digraph, check_int
 from .errors import DomainError, ResourceLimitError
-from .iso import are_isomorphic
 
 # Resampling budget of the connectivity rejection in random_digraph_min_degrees.
 _MIN_DEGREE_ATTEMPTS = 200
+
+# The arcs of the labelled digraphs regular_digraphs_up_to_iso may hold.
+# Traced at the bound, the held digraphs peaked at 24-37 MiB for (6, 3),
+# (6, 4) and (7, 2), and at 65 MiB for (10, 1), whose rows are 1-tuples.
+_MAX_HELD_ARCS = 2**20
 
 
 def _check_probability(value: object, what: str) -> None:
@@ -219,14 +243,40 @@ def all_regular_digraphs(n: int, d: int) -> Iterator[Digraph]:
             return
 
 
+def _relabel(
+    out: tuple[tuple[int, ...], ...], p: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The out-tuples of the digraph ``out`` with each vertex ``u`` renamed
+    ``p[u]``."""
+    image: list[tuple[int, ...]] = [()] * len(out)
+    for u, heads in enumerate(out):
+        image[p[u]] = tuple(sorted(map(p.__getitem__, heads)))
+    return tuple(image)
+
+
 def regular_digraphs_up_to_iso(n: int, d: int) -> list[Digraph]:
     """Representatives of the isomorphism classes of weakly connected
-    ``d``-regular digraphs on ``n`` vertices."""
+    ``d``-regular digraphs on ``n`` vertices: the first of each class in
+    the order of ``all_regular_digraphs``."""
     representatives: list[Digraph] = []
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    # the rotation (0 1 ... n-1) and the swap (0 1), as images of 0 .. n-1
+    generators = [(*range(1, n), 0), (1, 0, *range(2, n))] if n > 1 else []
     for g in all_regular_digraphs(n, d):
-        if not g.is_weakly_connected():
-            continue
-        if any(are_isomorphic(g, h) is not None for h in representatives):
+        if g._out in seen or not g.is_weakly_connected():
             continue
         representatives.append(g)
+        orbit = [g._out]
+        seen.add(g._out)
+        for out in orbit:
+            if len(seen) * n * d > _MAX_HELD_ARCS:
+                raise ResourceLimitError(
+                    f"the classes of {d}-regular digraphs on {n} vertices "
+                    f"hold more than {_MAX_HELD_ARCS} arcs"
+                )
+            for p in generators:
+                image = _relabel(out, p)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
     return representatives

@@ -300,14 +300,59 @@ def test_exhaustive_regular_at_order_1200():
     assert first.arcs == frozenset((v, v) for v in range(1200))
 
 
+def _pairwise_classes(n, d):
+    """The reference: each weakly connected labelled digraph, in enumeration
+    order, kept unless it is isomorphic to one kept before."""
+    representatives = []
+    for g in all_regular_digraphs(n, d):
+        if g.is_weakly_connected() and all(
+            are_isomorphic(g, h) is None for h in representatives
+        ):
+            representatives.append(g)
+    return representatives
+
+
+@pytest.mark.parametrize(
+    ("n", "d"), [(n, d) for n in range(1, 6) for d in range(n + 1)]
+)
+def test_regular_classes_match_the_pairwise_reference(n, d):
+    assert regular_digraphs_up_to_iso(n, d) == _pairwise_classes(n, d)
+
+
 def test_regular_classes_frozen_counts():
     assert len(list(regular_digraphs_up_to_iso(2, 2))) == 1
     assert len(list(regular_digraphs_up_to_iso(3, 2))) == 3
     assert len(list(regular_digraphs_up_to_iso(4, 2))) == 7
     assert len(list(regular_digraphs_up_to_iso(3, 3))) == 1
     assert len(list(regular_digraphs_up_to_iso(4, 3))) == 5
+    assert len(regular_digraphs_up_to_iso(5, 2)) == 24
+    assert len(regular_digraphs_up_to_iso(5, 3)) == 27
+    assert len(regular_digraphs_up_to_iso(6, 2)) == 117
     # 1-regular on 4 vertices: only C4 is weakly connected
     assert len(regular_digraphs_up_to_iso(4, 1)) == 1
+
+
+def test_regular_classes_refuse_past_the_held_arcs(monkeypatch):
+    # the 7 classes of (4, 2) hold all 87 weakly connected labelled
+    # digraphs, 696 arcs
+    monkeypatch.setattr(corpus, "_MAX_HELD_ARCS", 696)
+    assert len(regular_digraphs_up_to_iso(4, 2)) == 7
+    monkeypatch.setattr(corpus, "_MAX_HELD_ARCS", 695)
+    message = (
+        "^the classes of 2-regular digraphs on 4 vertices hold more than 695 arcs$"
+    )
+    with pytest.raises(ResourceLimitError, match=message):
+        regular_digraphs_up_to_iso(4, 2)
+
+
+def test_regular_classes_of_order_7_are_refused():
+    # 3,110,940 labelled 2-regular digraphs on 7 vertices: the refusal comes
+    # once 2**20 arcs of them are held
+    start = time.perf_counter()
+    message = "^the classes of 2-regular digraphs on 7 vertices hold more than"
+    with pytest.raises(ResourceLimitError, match=message):
+        regular_digraphs_up_to_iso(7, 2)
+    assert time.perf_counter() - start < 20
 
 
 def test_regular_classes_disconnected_variant():
@@ -326,6 +371,9 @@ def test_regular_classes_disconnected_variant():
 
 
 def test_regular_classes_pairwise_non_isomorphic():
-    classes = list(regular_digraphs_up_to_iso(4, 2))
-    for a, b in combinations(classes, 2):
-        assert are_isomorphic(a, b) is None
+    # corpus imports no iso (tests/test_package.py), so this checks iso's
+    # refutations on classes that iso did not pick
+    for n, d in [(4, 2), (4, 3), (5, 2), (5, 3)]:
+        classes = regular_digraphs_up_to_iso(n, d)
+        for a, b in combinations(classes, 2):
+            assert are_isomorphic(a, b) is None

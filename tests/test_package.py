@@ -63,6 +63,15 @@ def test_the_oracles_import_only_what_they_state():
     assert _package_imports(oracles) == {("forcing_lab.digraph", "Digraph")}
 
 
+def test_the_corpus_picks_classes_without_iso():
+    """``corpus`` imports nothing from the package but ``digraph`` and
+    ``errors``, so the tests that check ``iso`` on its regular classes
+    check it on classes that ``iso`` did not pick."""
+    package = Path(forcing_lab.__file__).parent
+    corpus_modules = {module for module, _ in _package_imports(package / "corpus.py")}
+    assert corpus_modules == {"forcing_lab.digraph", "forcing_lab.errors"}
+
+
 def test_only_the_rank_input_checks_itself_after_init():
     """Each result is checked in one place, never again by the record that
     holds it: ``ExactMatrix``, ``rank_exact``'s input type, is the one
