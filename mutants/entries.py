@@ -1,8 +1,9 @@
 """The committed mutants.
 
 Each entry names one file under ``src/``, an exact snippet of it, the
-snippet's replacement and a pytest selector.  The snippet must occur
-exactly once in the file, and the selector must fail once it is replaced.
+snippet's replacement and one or more pytest selectors, separated by
+spaces.  The snippet must occur exactly once in the file, and the
+selectors must fail once it is replaced.
 A change that rewrites a mutated line re-points its entry here.
 """
 
@@ -16,7 +17,7 @@ class Mutant(NamedTuple):
     file: str  # a path under src/
     snippet: str
     replacement: str
-    test: str  # a pytest selector, run from the repository root
+    test: str  # pytest selectors, space-separated, run from the repository root
 
 
 LINES = "forcing_lab/lines.py"
@@ -47,6 +48,8 @@ GOLDEN_STDOUT = "tests/test_cli.py::test_records_print_the_golden_stdout"
 BAD_INTEGERS = "tests/test_corpus.py::test_generators_refuse_bad_integers_before_any_draw"
 WITNESS_IDS = "tests/test_constructions.py::test_witness_ids_match_the_label_comprehensions"
 VERTEX_SETS = "tests/test_digraph.py::test_vertex_sets_keep_their_verdicts_and_messages"
+REGULAR_REFERENCE = "tests/test_corpus.py::test_regular_classes_match_the_pairwise_reference"
+CENSUS_REFERENCE = "tests/test_corpus.py::test_census_matches_the_pairwise_reference"
 
 MUTANTS = [
     # -- the line operator's hand-over ----------------------------------
@@ -497,21 +500,36 @@ MUTANTS = [
         "forcing_lab/corpus.py",
         "generators = [(*range(1, n), 0), (1, 0, *range(2, n))] if n > 1 else []",
         "generators = [(1, 0, *range(2, n))] if n > 1 else []",
-        "tests/test_corpus.py::test_regular_classes_match_the_pairwise_reference",
+        f"{REGULAR_REFERENCE} {CENSUS_REFERENCE}",
     ),
     Mutant(
         "corpus: a relabelling renames tails but not heads",
         "forcing_lab/corpus.py",
         "image[p[u]] = tuple(sorted(map(p.__getitem__, heads)))",
         "image[p[u]] = heads",
-        "tests/test_corpus.py::test_regular_classes_match_the_pairwise_reference",
+        f"{REGULAR_REFERENCE} {CENSUS_REFERENCE}",
     ),
     Mutant(
         "corpus: the held-arc bound of the class orbits dropped",
         "forcing_lab/corpus.py",
-        "if len(seen) * n * d > _MAX_HELD_ARCS:",
+        "if held + len(orbit) * arcs > _MAX_HELD_ARCS:",
         "if False:",
-        "tests/test_corpus.py::test_regular_classes_refuse_past_the_held_arcs",
+        "tests/test_corpus.py::test_regular_classes_refuse_past_the_held_arcs"
+        " tests/test_corpus.py::test_census_refusal_counts_the_held_arcs",
+    ),
+    Mutant(
+        "corpus: the early refusal counts n! labelled digraphs, not (n-1)!",
+        "forcing_lab/corpus.py",
+        "for k in range(1, n):",
+        "for k in range(1, n + 1):",
+        "tests/test_corpus.py::test_regular_classes_refuse_early_by_the_least_class",
+    ),
+    Mutant(
+        "corpus: the census walks 5 vertices and more",
+        "forcing_lab/corpus.py",
+        "if cells > _MAX_HELD_ARCS.bit_length() or cells << (cells - 1) > _MAX_HELD_ARCS:",
+        "if False:",
+        "tests/test_corpus.py::test_census_refuses_from_5_vertices_before_the_walk",
     ),
     Mutant(
         "corpus: random_digraph takes any order",

@@ -8,7 +8,7 @@ not occur exactly once.  It then copies ``src/`` to a temporary
 directory and runs every selector there unchanged, which must pass.
 Each of ``JOBS`` workers then takes its own copy and applies one entry at
 a time: it writes the mutated file, runs ``python -m pytest -x`` on the
-entry's selector against the copy, and restores the file.  A mutant is
+entry's selectors against the copy, and restores the file.  A mutant is
 caught when pytest reports a failed test (exit 1); an import or
 collection error, or a run past ``TIMEOUT_S``, does not count.  The exit
 code is 0 when every mutant is caught and 1 otherwise.
@@ -65,7 +65,7 @@ def _run_share(src: Path, share: list[Mutant]) -> list[tuple[Mutant, int, str, f
         path.write_text(original.replace(m.snippet, m.replacement))
         start = time.perf_counter()
         try:
-            code, summary = _pytest(src, [m.test])
+            code, summary = _pytest(src, m.test.split())
         finally:
             path.write_text(original)
         results.append((m, code, summary, time.perf_counter() - start))
@@ -85,7 +85,7 @@ def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copies = [_copy(Path(tmp) / f"w{i}") for i in range(JOBS)]
-        selectors = list(dict.fromkeys(m.test for m in MUTANTS))
+        selectors = list(dict.fromkeys(t for m in MUTANTS for t in m.test.split()))
         code, summary = _pytest(copies[0], selectors)
         if code != 0:
             print(f"the selectors do not pass on the unchanged copy: {summary}")

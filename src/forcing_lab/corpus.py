@@ -1,5 +1,6 @@
-"""Digraph corpora for verification: seeded random generators and
-exhaustive enumeration of small regular digraphs.
+"""Digraph corpora for verification: seeded random generators, and
+exhaustive enumeration of small regular digraphs and of every small
+digraph.
 
 Everything here is deterministic given the caller-supplied
 ``random.Random`` instance or explicit parameters, so verification suites
@@ -17,25 +18,49 @@ reading one arc past ``MAX_ARCS``, and the others refuse, with
 working lists could pass ``MAX_ARCS`` entries or whose digraph would
 pass ``MAX_ORDER`` vertices.
 
-``regular_digraphs_up_to_iso`` picks its classes with no isomorphism
-search.  Renaming the vertices by a permutation keeps every in- and
+``regular_digraphs_up_to_iso`` and ``all_digraphs_up_to_iso`` pick
+their classes with no isomorphism search.  Each walks a set of labelled
+digraphs that every renaming of the vertices maps onto itself, each
+member exactly once: a renaming by a permutation keeps every in- and
 out-degree and weak connectivity, so each relabelling of a weakly
 connected ``d``-regular digraph is again one that ``all_regular_digraphs``
-yields, exactly once.  The swap (0 1) and the rotation (0 1 ... n-1)
-generate the symmetric group (the rotation conjugates the swap into each
-adjacent transposition (i i+1), and those generate it), so closing a
-digraph breadth first under the two relabellings reaches its whole
-isomorphism class.  The first digraph of a class in enumeration order is
-therefore the first that is not yet in the set ``seen`` of closed
-classes: it is kept, its class goes into ``seen``, and every later
-member of the class costs one lookup.  The representatives are the first
-of each class in enumeration order, as a pairwise isomorphism test over
-the same walk would pick them.  ``seen`` holds every labelled digraph of
-the classes met so far, and a call whose held digraphs pass
-``_MAX_HELD_ARCS`` = 2^20 arcs in all is refused with
-:class:`ResourceLimitError`: (6, 2) holds 795,240 arcs in 66,270
-digraphs (1.8 s, a process peak RSS of 48 MiB), while (6, 3), (6, 4),
-(7, 2) and (10, 1) are refused after 0.8-14 s at peaks of 42-81 MiB.
+yields, and each relabelling of a digraph on ``n`` vertices is again one
+of the ``2^(n*n)`` that ``all_digraphs_up_to_iso`` walks.  The swap
+(0 1) and the rotation (0 1 ... n-1) generate the symmetric group (the
+rotation conjugates the swap into each adjacent transposition (i i+1),
+and those generate it), so ``_close_class``, which closes a digraph
+breadth first under the two relabellings, reaches its whole isomorphism
+class, and every member of it is in the walk.  The first digraph of a
+class in walk order is therefore the first that is not yet in the set
+``seen`` of closed classes: it is kept, its class goes into ``seen``,
+and every later member of the class costs one lookup.  The
+representatives are the first of each class in walk order, as a
+pairwise isomorphism test over the same walk would pick them.
+
+``seen`` holds every labelled digraph of the classes met so far, and
+``_close_class`` refuses with :class:`ResourceLimitError` a call whose
+held digraphs pass ``_MAX_HELD_ARCS`` = 2^20 arcs in all: (6, 2) holds
+795,240 arcs in 66,270 digraphs (1.8 s, a process peak RSS of 48 MiB),
+and the census of 4 vertices 524,288 arcs in 65,536 digraphs (0.6 s at
+38 MiB), while (6, 3), (6, 4) and (7, 2) are refused after 0.6-1.0 s at
+peaks of 41-56 MiB.
+
+A request that is sure to pass the bound is refused before its walk.
+The census closes every class, so it would hold all
+``n*n * 2^(n*n - 1)`` arcs of its digraphs, past the bound from 5
+vertices on.  A regular request with ``1 <= d <= n`` has a first class
+(the circulant ``x -> x + t`` for ``1 <= t <= d`` is weakly connected),
+and every class is large.  An automorphism of a weakly connected digraph
+whose in- and out-degrees all equal ``d`` is fixed by the image of one
+vertex and then, along each edge of a spanning tree of the underlying
+graph, by the image of the edge's far end, which is one of the ``d``
+out- or in-neighbors of the image of its near end.  So a class has at
+most ``n * d^(n-1)`` automorphisms, and at least
+``n! / (n * d^(n-1))``, hence ``ceil((n-1)! / d^(n-1))``, labelled
+digraphs of ``n * d`` arcs each.  When those pass the bound, the request
+is refused at once: (10, 1) and (1200, 1) in under 0.1 ms, where the
+walk of (10, 1) used to take 13.7 s and that of (1200, 1) practically
+never ended.
 """
 
 from __future__ import annotations
@@ -52,9 +77,8 @@ from .errors import DomainError, ResourceLimitError
 # Resampling budget of the connectivity rejection in random_digraph_min_degrees.
 _MIN_DEGREE_ATTEMPTS = 200
 
-# The arcs of the labelled digraphs regular_digraphs_up_to_iso may hold.
-# Traced at the bound, the held digraphs peaked at 24-37 MiB for (6, 3),
-# (6, 4) and (7, 2), and at 65 MiB for (10, 1), whose rows are 1-tuples.
+# The arcs of the labelled digraphs _close_class may hold.  Traced at the
+# bound, the held digraphs peaked at 24-37 MiB for (6, 3), (6, 4) and (7, 2).
 _MAX_HELD_ARCS = 2**20
 
 
@@ -254,29 +278,100 @@ def _relabel(
     return tuple(image)
 
 
+def _held_past_the_bound(kind: str, n: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"the classes of {kind} on {n} vertices hold more than {_MAX_HELD_ARCS} arcs"
+    )
+
+
+def _close_class(
+    out: tuple[tuple[int, ...], ...],
+    seen: set[tuple[tuple[int, ...], ...]],
+    held: int,
+    kind: str,
+) -> int:
+    """Put the isomorphism class of the digraph ``out`` into ``seen``,
+    closed breadth first under the swap (0 1) and the rotation
+    (0 1 ... n-1).  ``held`` is the arcs of the digraphs already in
+    ``seen``; the arcs held with this class are returned, and refused,
+    as classes of ``kind``, once they pass ``_MAX_HELD_ARCS``."""
+    n = len(out)
+    arcs = sum(map(len, out))  # in every member of the class
+    # the rotation (0 1 ... n-1) and the swap (0 1), as images of 0 .. n-1
+    generators = [(*range(1, n), 0), (1, 0, *range(2, n))] if n > 1 else []
+    orbit = [out]
+    seen.add(out)
+    for member in orbit:
+        if held + len(orbit) * arcs > _MAX_HELD_ARCS:
+            raise _held_past_the_bound(kind, n)
+        for p in generators:
+            image = _relabel(member, p)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return held + len(orbit) * arcs
+
+
+def _least_class_passes_the_bound(n: int, d: int) -> bool:
+    """Whether ``ceil((n-1)! / d^(n-1))`` digraphs of ``n * d`` arcs, the
+    least class of weakly connected ``d``-regular digraphs on ``n``
+    vertices for ``1 <= d <= n``, pass ``_MAX_HELD_ARCS``."""
+    most = _MAX_HELD_ARCS // (n * d)  # the digraphs of n * d arcs it admits
+    if most == 0:
+        return True
+    # k! / d^k falls while k < d and grows after, so once it passes `most`
+    # at some k >= d it stays past: the loop stops there, long before k! is
+    # large
+    factorial = power = 1
+    for k in range(1, n):
+        factorial *= k
+        power *= d
+        if k >= d and factorial > most * power:
+            return True
+    return False
+
+
 def regular_digraphs_up_to_iso(n: int, d: int) -> list[Digraph]:
     """Representatives of the isomorphism classes of weakly connected
     ``d``-regular digraphs on ``n`` vertices: the first of each class in
     the order of ``all_regular_digraphs``."""
+    check_int(n, "order n", 1)
+    check_int(d, "degree d", 0)
+    kind = f"{d}-regular digraphs"
+    if 1 <= d <= n and _least_class_passes_the_bound(n, d):
+        raise _held_past_the_bound(kind, n)
     representatives: list[Digraph] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    # the rotation (0 1 ... n-1) and the swap (0 1), as images of 0 .. n-1
-    generators = [(*range(1, n), 0), (1, 0, *range(2, n))] if n > 1 else []
+    held = 0
     for g in all_regular_digraphs(n, d):
-        if g._out in seen or not g.is_weakly_connected():
-            continue
-        representatives.append(g)
-        orbit = [g._out]
-        seen.add(g._out)
-        for out in orbit:
-            if len(seen) * n * d > _MAX_HELD_ARCS:
-                raise ResourceLimitError(
-                    f"the classes of {d}-regular digraphs on {n} vertices "
-                    f"hold more than {_MAX_HELD_ARCS} arcs"
-                )
-            for p in generators:
-                image = _relabel(out, p)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
+        if g._out not in seen and g.is_weakly_connected():
+            representatives.append(g)
+            held = _close_class(g._out, seen, held, kind)
+    return representatives
+
+
+def all_digraphs_up_to_iso(n: int) -> list[Digraph]:
+    """Representatives of the isomorphism classes of digraphs on ``n``
+    vertices, loops allowed: the first of each class when the labelled
+    digraphs are walked in increasing order of the adjacency matrix read
+    as one binary number, row 0 most significant and in each row the
+    column of vertex ``v`` worth 2^v.  From 5 vertices on, the classes
+    would hold more than ``_MAX_HELD_ARCS`` arcs, and the call is refused
+    before its walk."""
+    check_int(n, "order n", 1)
+    # the 2^(n*n) labelled digraphs hold n*n * 2^(n*n - 1) arcs in all, past
+    # the bound when 2^(n*n - 1) alone passes it
+    cells = n * n
+    if cells > _MAX_HELD_ARCS.bit_length() or cells << (cells - 1) > _MAX_HELD_ARCS:
+        raise _held_past_the_bound("digraphs", n)
+    rows = [tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
+    representatives: list[Digraph] = []
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    held = 0
+    for out in itertools.product(rows, repeat=n):
+        if out not in seen:
+            representatives.append(
+                Digraph(n, [(u, v) for u, heads in enumerate(out) for v in heads])
+            )
+            held = _close_class(out, seen, held, "digraphs")
     return representatives

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import re
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from random import Random
 
@@ -10,6 +10,7 @@ import pytest
 
 from forcing_lab import corpus
 from forcing_lab.corpus import (
+    all_digraphs_up_to_iso,
     all_regular_digraphs,
     random_digraph,
     random_digraph_min_degrees,
@@ -19,6 +20,9 @@ from forcing_lab.corpus import (
 from forcing_lab.digraph import MAX_ARCS, Digraph
 from forcing_lab.errors import DomainError, ResourceLimitError
 from forcing_lab.iso import are_isomorphic
+from forcing_lab.linalg import adjacency_rank
+from forcing_lab.lines import line_digraph
+from forcing_lab.solvers import min_zero_forcing
 
 
 def test_random_digraph_deterministic_per_seed():
@@ -125,6 +129,24 @@ def test_random_regular_digraph_refuses_before_its_first_draw(n, d, message):
             lambda rng: random_digraph_min_degrees(rng, 3.0, min_out=1),
             "order n must be an int >= 1, got 3.0",
         ),
+        (
+            # the least class of (10, 1) passes the held-arc bound, but the
+            # integer checks come first
+            lambda rng: regular_digraphs_up_to_iso(10, True),
+            "degree d must be an int >= 0, got True",
+        ),
+        (
+            lambda rng: all_digraphs_up_to_iso(True),
+            "order n must be an int >= 1, got True",
+        ),
+        (
+            lambda rng: all_digraphs_up_to_iso(2.0),
+            "order n must be an int >= 1, got 2.0",
+        ),
+        (
+            lambda rng: all_digraphs_up_to_iso(0),
+            "order n must be an int >= 1, got 0",
+        ),
     ],
     ids=[
         "regular-negative-degree",
@@ -139,6 +161,10 @@ def test_random_regular_digraph_refuses_before_its_first_draw(n, d, message):
         "min-degrees-float-min-in",
         "min-degrees-negative-extra-arcs",
         "min-degrees-float-order",
+        "regular-classes-bool-degree",
+        "census-bool-order",
+        "census-float-order",
+        "census-zero-order",
     ],
 )
 def test_generators_refuse_bad_integers_before_any_draw(build, message):
@@ -377,3 +403,131 @@ def test_regular_classes_pairwise_non_isomorphic():
         classes = regular_digraphs_up_to_iso(n, d)
         for a, b in combinations(classes, 2):
             assert are_isomorphic(a, b) is None
+
+
+def _refuse_the_walk(*args):
+    raise AssertionError("the walk started")
+
+
+@pytest.mark.parametrize("n", [10, 1200])
+def test_regular_classes_refuse_before_the_walk_when_one_class_passes(
+    monkeypatch, n
+):
+    # a class of n-cycles holds (n - 1)! labelled digraphs of n arcs
+    monkeypatch.setattr(corpus, "all_regular_digraphs", _refuse_the_walk)
+    message = (
+        f"^the classes of 1-regular digraphs on {n} vertices "
+        "hold more than 1048576 arcs$"
+    )
+    with pytest.raises(ResourceLimitError, match=message):
+        regular_digraphs_up_to_iso(n, 1)
+
+
+def test_regular_classes_refuse_early_by_the_least_class(monkeypatch):
+    # the 24 labelled 5-cycles hold 120 arcs, and 4! / 1^4 = 24 of them is
+    # the least class the early refusal counts: at 120 the walk runs and
+    # keeps the first 5-cycle, at 119 it is refused before the walk
+    monkeypatch.setattr(corpus, "_MAX_HELD_ARCS", 120)
+    cycle = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert regular_digraphs_up_to_iso(5, 1) == [cycle]
+    monkeypatch.setattr(corpus, "_MAX_HELD_ARCS", 119)
+    monkeypatch.setattr(corpus, "all_regular_digraphs", _refuse_the_walk)
+    message = "^the classes of 1-regular digraphs on 5 vertices hold more than 119"
+    with pytest.raises(ResourceLimitError, match=message):
+        regular_digraphs_up_to_iso(5, 1)
+
+
+def _census_code(n, arcs):
+    """The place of a digraph in the census order: its adjacency matrix
+    read as one binary number, row 0 most significant, and in each row the
+    column of vertex v worth 2^v."""
+    return sum(1 << n * (n - 1 - u) + v for u, v in arcs)
+
+
+def _census_walk(n):
+    """Every digraph on ``n`` labelled vertices, in the census order."""
+    cells = [(u, v) for u in range(n) for v in range(n)]
+    for code in range(1 << n * n):
+        yield Digraph(n, [a for a in cells if code & _census_code(n, [a])])
+
+
+@pytest.fixture(scope="module")
+def census():
+    return {n: all_digraphs_up_to_iso(n) for n in range(1, 5)}
+
+
+def test_census_frozen_counts(census):
+    assert [len(census[n]) for n in range(1, 5)] == [2, 10, 104, 3044]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_census_matches_the_pairwise_reference(n):
+    representatives = []
+    for g in _census_walk(n):
+        if all(are_isomorphic(g, h) is None for h in representatives):
+            representatives.append(g)
+    assert all_digraphs_up_to_iso(n) == representatives
+
+
+def test_census_keeps_the_first_of_each_class_in_walk_order(census):
+    # by every relabelling, not by the swap and the rotation: each
+    # representative comes before the rest of its class in the walk, and
+    # the classes it stands for hold all 2^(n*n) labelled digraphs
+    for n in range(1, 5):
+        members = 0
+        for g in census[n]:
+            codes = {
+                _census_code(n, [(p[u], p[v]) for u, v in g.arcs_sorted])
+                for p in permutations(range(n))
+            }
+            assert min(codes) == _census_code(n, g.arcs_sorted)
+            members += len(codes)
+        assert members == 1 << n * n
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_census_refuses_from_5_vertices_before_the_walk(monkeypatch, n):
+    # 2^25 digraphs of 5 vertices hold 25 * 2^24 arcs, far past 2^20
+    monkeypatch.setattr(corpus, "_close_class", _refuse_the_walk)
+    message = f"^the classes of digraphs on {n} vertices hold more than 1048576 arcs$"
+    with pytest.raises(ResourceLimitError, match=message):
+        all_digraphs_up_to_iso(n)
+
+
+def test_census_refusal_counts_the_held_arcs(monkeypatch):
+    # the 512 digraphs of 3 vertices hold 9 * 2^8 = 2304 arcs
+    monkeypatch.setattr(corpus, "_MAX_HELD_ARCS", 2304)
+    assert len(all_digraphs_up_to_iso(3)) == 104
+    monkeypatch.setattr(corpus, "_MAX_HELD_ARCS", 2303)
+    monkeypatch.setattr(corpus, "_close_class", _refuse_the_walk)
+    with pytest.raises(ResourceLimitError, match="on 3 vertices hold more than 2303"):
+        all_digraphs_up_to_iso(3)
+
+
+def test_line_digraph_zero_forcing_and_rank_by_one_count_on_the_census(census):
+    # Z(L(H)) = max(1, A - V11 + c) and rank A(L(H)) = V11, where V11
+    # counts the vertices of H with an in-arc and an out-arc and c the
+    # weak components that are one directed cycle (0 when H has a loop)
+    checked = 0
+    for n in range(1, 5):
+        for h in census[n]:
+            if h.arc_count == 0:
+                continue
+            line = line_digraph(h).graph
+            both = sum(
+                bool(h.out_neighborhood(v) and h.in_neighborhood(v)) for v in range(n)
+            )
+            cycles = 0
+            if not h.has_loops:
+                cycles = sum(
+                    all(
+                        len(h.out_neighborhood(v)) == len(h.in_neighborhood(v)) == 1
+                        for v in component
+                    )
+                    for component in h.weak_components()
+                )
+            count = max(1, h.arc_count - both + cycles)
+            assert min_zero_forcing(line).number == count, h
+            assert adjacency_rank(line).rank == both, h
+            checked += 1
+    assert checked == 3156

@@ -30,9 +30,10 @@ def test_every_snippet_occurs_once_in_its_file():
 
 def test_every_selector_names_a_test_file_and_a_def_in_it():
     for m in _mutants():
-        path, _, name = m.test.partition("::")
-        test_file = ROOT / path
-        assert test_file.is_file(), m.name
-        if name:
-            pattern = rf"^def {re.escape(name)}\("
-            assert re.search(pattern, test_file.read_text(), re.MULTILINE), m.name
+        for selector in m.test.split():
+            path, _, name = selector.partition("::")
+            test_file = ROOT / path
+            assert test_file.is_file(), m.name
+            if name:
+                pattern = rf"^def {re.escape(name)}\("
+                assert re.search(pattern, test_file.read_text(), re.MULTILINE), m.name
