@@ -50,6 +50,9 @@ WITNESS_IDS = "tests/test_constructions.py::test_witness_ids_match_the_label_com
 VERTEX_SETS = "tests/test_digraph.py::test_vertex_sets_keep_their_verdicts_and_messages"
 REGULAR_REFERENCE = "tests/test_corpus.py::test_regular_classes_match_the_pairwise_reference"
 CENSUS_REFERENCE = "tests/test_corpus.py::test_census_matches_the_pairwise_reference"
+FORT_RANDOM = "tests/test_fort_cover.py::test_fort_cover_agrees_with_the_scan_on_random_digraphs"
+FORT_EMPTY = "tests/test_fort_cover.py::test_fort_cover_answers_1_when_the_loop_rule_closes_the_empty_set"
+FORT_WORK = "tests/test_fort_cover.py::test_fort_cover_work_counts"
 
 MUTANTS = [
     # -- the line operator's hand-over ----------------------------------
@@ -758,5 +761,43 @@ MUTANTS = [
                     earlier.append(colored)
 """,
         WORK_COUNTS,
+    ),
+    # -- the fort-cover solver's constraints, bound and answer ---------------
+    Mutant(
+        "solvers: the learned gamma_P constraint is W instead of N-[W]",
+        SOLVERS,
+        "constraints.append(must_meet(white))",
+        "constraints.append(white)",
+        FORT_RANDOM,
+    ),
+    Mutant(
+        "solvers: the seeded pairs grouped by out-mask",
+        SOLVERS,
+        "for v, key in enumerate(inn):",
+        "for v, key in enumerate(masks):",
+        FORT_RANDOM,
+    ),
+    # Pruning at equality searches one size less at each size, so the
+    # answers hold and only the work counts show it.
+    Mutant(
+        "solvers: the packing bound prunes at equality",
+        SOLVERS,
+        "if bound > k:",
+        "if bound >= k:",
+        FORT_WORK,
+    ),
+    Mutant(
+        "solvers: the closing empty set answered with 0",
+        SOLVERS,
+        "number=chosen.bit_count() or 1,",
+        "number=chosen.bit_count(),",
+        FORT_EMPTY,
+    ),
+    Mutant(
+        "solvers: the colored set learned instead of the white one",
+        SOLVERS,
+        "constraints.append(must_meet(white))",
+        "constraints.append(must_meet(colored))",
+        FORT_WORK,
     ),
 ]

@@ -53,7 +53,13 @@ from .linalg import (
     mr_and_max_nullity_regular_line,
     rank_exact,
 )
-from .solvers import MinimumSetResult, min_power_dominating, min_zero_forcing
+from .solvers import (
+    FortCoverResult,
+    MinimumSetResult,
+    fort_cover_minimum,
+    min_power_dominating,
+    min_zero_forcing,
+)
 
 __version__ = "0.1.0"
 
@@ -100,7 +106,9 @@ __all__ = [
     "adjacency_rank",
     "mr_and_max_nullity_regular_line",
     "rank_exact",
+    "FortCoverResult",
     "MinimumSetResult",
+    "fort_cover_minimum",
     "min_power_dominating",
     "min_zero_forcing",
     "__version__",

@@ -1,9 +1,11 @@
-"""Exhaustive minimum-set solvers for zero forcing and power domination.
+"""Exact minimum-set solvers for zero forcing and power domination: an
+exhaustive scan, and a fort-cover solver that ``verify`` reads.
 
-These are the independent oracles the closed-form results are checked
-against, so they stay simple: candidate sets are taken in lexicographic
-order, smallest size first, and the first whose closure colors every
-vertex is the lexicographically least minimum witness.
+The scan is the independent oracle the closed-form results and the
+fort-cover solver are checked against, so it stays simple: candidate
+sets are taken in lexicographic order, smallest size first, and the
+first whose closure colors every vertex is the lexicographically least
+minimum witness.
 
 The scan goes one size at a time.  A level maps the closure of each
 surviving set of the previous size to that set's vertex mask, in the
@@ -83,11 +85,59 @@ closure computed, so the sets held never outnumber ``subsets_tested <=
 _MAX_CLOSURES``, at about 110 bytes each (a dict slot and two ints).  The
 solver never silently approximates.  There is no wall-clock limit, so a
 verdict never depends on the speed of the host.
+
+The fort-cover solver (Brimkov, Fast & Hicks, "Computational approaches
+for zero forcing and related problems", EJOR 2019) keeps a list of
+vertex sets, the constraints, that every closing set must meet.  It
+seeds them, finds a minimum hitting set, closes it, and learns new
+constraints from a set that does not close, until a minimum hitting set
+closes.  A constraint is valid when every closing set meets it; the
+seeds of a set ``S`` are ``S`` itself for zero forcing and ``S`` with its
+out-neighbors for power domination, and ``S`` closes when the closure of
+its seeds is every vertex.
+
+- The white set ``W = V - cl(X)`` that the seeds of a set ``X`` leave is
+  valid for zero forcing, and ``N-[W]``, ``W`` with its in-neighbors,
+  for power domination.  Let ``C = cl(X)``.  If the seeds of ``S`` lie
+  in ``C``, then ``cl(S) <= cl(C) = C``, as the closure is monotone and
+  idempotent, and ``S`` does not close.  So the seeds of a closing set
+  meet ``W``: for zero forcing ``S`` meets ``W``, and for power
+  domination a vertex of ``S`` is in ``W`` or has an out-neighbor there,
+  so ``S`` meets ``N-[W]``.
+- An in-twin pair ``{a, b}``, two vertices with the same in-neighbors,
+  is valid for zero forcing, and ``N-[{a, b}]`` for power domination.
+  Every vertex has both or neither of ``a`` and ``b`` as out-neighbors,
+  so none can force while both are white, under either rule, and seeds
+  that miss both never color either.
+- A minimum hitting set ``H`` that closes is a minimum closing set:
+  every closing set meets every valid constraint, so it is a hitting
+  set and has at least ``|H|`` vertices.  If ``H`` is empty, which only
+  the loop rule allows, every single vertex closes too, and the answer
+  is 1 with witness ``{0}``, as in the scan.
+
+The constraints start from the in-twin pairs, grouped by in-mask.  Each
+round finds a minimum hitting set by a depth-first search at one size at
+a time, from the previous round's size up, since constraints are only
+added; it branches on the vertices of an unmet constraint with the
+fewest vertices left, and prunes a node when a packing of pairwise
+disjoint unmet constraints, each needing its own vertex, needs more
+vertices than the size left.  The set is closed from scratch.  If it
+does not close, its white set is learned, and the set is extended by
+its least white vertex, closed again and its white set learned, until
+it closes; then the next round starts.  Each learned constraint is
+unmet by the set it came from, so no round repeats a hitting set.
+``fort_cover_minimum`` refuses an order above ``_MAX_ORDER`` too, and
+raises :class:`ResourceLimitError` once its hitting-set nodes and
+closures together pass ``_MAX_FORT_STEPS``; every learned constraint
+follows a closure, so the constraints held never outnumber the seeded
+pairs plus that budget.  Its witness is a minimum closing set, not in
+general the lexicographically least one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .digraph import Digraph, adjacency_masks
 from .errors import ResourceLimitError
@@ -97,6 +147,8 @@ from .errors import ResourceLimitError
 # budget is what bounds time and memory at any order.
 _MAX_ORDER = 40
 _MAX_CLOSURES = 5_000_000
+# The hitting-set nodes and closures one fort-cover solve may take together.
+_MAX_FORT_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -222,3 +274,130 @@ def min_zero_forcing(g: Digraph) -> MinimumSetResult:
 def min_power_dominating(g: Digraph) -> MinimumSetResult:
     """Minimum power dominating set by exhaustive scan, smallest size first."""
     return _scan(g, dominate=True)
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of ``mask``, in increasing order."""
+    found = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        found.append(bit.bit_length() - 1)
+    return found
+
+
+class FortCoverResult(NamedTuple):
+    """A proven-minimum set: a minimum hitting set of valid constraints
+    that closes.  ``subsets_tested`` counts the closures computed,
+    ``nodes`` the hitting-set search nodes, and ``rounds`` the hitting
+    sets solved.  A named tuple: a frozen dataclass would add about a
+    millisecond to every import of the package."""
+
+    number: int
+    witness: frozenset[int]
+    subsets_tested: int
+    rounds: int
+    constraints_seeded: int
+    constraints_learned: int
+    nodes: int
+
+
+def fort_cover_minimum(g: Digraph, dominate: bool) -> FortCoverResult:
+    """A minimum zero forcing set of ``g``, or with ``dominate`` a minimum
+    power dominating set, by the fort-cover loop of the module docstring."""
+    n = g.n
+    if n > _MAX_ORDER:
+        raise ResourceLimitError(
+            f"order {n} exceeds the configured solver limit {_MAX_ORDER}"
+        )
+    budget = _MAX_FORT_STEPS
+    masks, inn = adjacency_masks(g)
+    seeds = [(1 << v) | (masks[v] if dominate else 0) for v in range(n)]
+    loop_rule = g.has_loops
+    full = (1 << n) - 1
+    nodes = tested = 0
+
+    def must_meet(white: int) -> int:
+        """The constraint a set must meet to color part of ``white``."""
+        if dominate:
+            for v in _members(white):
+                white |= inn[v]
+        return white
+
+    def spend() -> None:
+        if nodes + tested > budget:
+            raise ResourceLimitError(f"fort-cover budget of {budget} steps exhausted")
+
+    def close(colored: int, fresh: int, pool: int) -> int:
+        nonlocal tested
+        tested += 1
+        spend()
+        return _closure(masks, inn, loop_rule, colored, fresh, pool)
+
+    def hit(k: int, chosen: int, allowed: int) -> int | None:
+        """``chosen`` with at most ``k`` more vertices of ``allowed`` that
+        meets every constraint, or None."""
+        nonlocal nodes
+        nodes += 1
+        spend()
+        packed = bound = 0
+        branch, fewest = 0, n + 1
+        for c in constraints:
+            if c & chosen:
+                continue
+            c &= allowed
+            if not c:
+                return None
+            if not c & packed:
+                packed |= c
+                bound += 1
+                if bound > k:
+                    return None
+            count = c.bit_count()
+            if count < fewest:
+                branch, fewest = c, count
+        if not branch:
+            return chosen
+        for v in _members(branch):
+            found = hit(k - 1, chosen | 1 << v, allowed)
+            if found is not None:
+                return found
+            allowed &= ~(1 << v)
+        return None
+
+    # in-twin pairs: classes maps an in-mask to the vertices seen with it
+    constraints: list[int] = []
+    classes: dict[int, int] = {}
+    for v, key in enumerate(inn):
+        twins = classes.get(key, 0)
+        constraints += [must_meet(1 << u | 1 << v) for u in _members(twins)]
+        classes[key] = twins | 1 << v
+    seeded = len(constraints)
+    size = rounds = 0
+    while True:
+        rounds += 1
+        # smallest first, so that the packing takes the tight ones
+        constraints.sort(key=int.bit_count)
+        while (chosen := hit(size, 0, full)) is None:
+            size += 1
+        colored = 0
+        for v in _members(chosen):
+            colored |= seeds[v]
+        # from scratch: every vertex is fresh, and under the loop rule
+        # every vertex may force, the empty set's closure included
+        colored = close(colored, full, full)
+        if colored == full:
+            return FortCoverResult(
+                number=chosen.bit_count() or 1,
+                witness=frozenset(_members(chosen or 1)),
+                subsets_tested=tested,
+                rounds=rounds,
+                constraints_seeded=seeded,
+                constraints_learned=len(constraints) - seeded,
+                nodes=nodes,
+            )
+        while colored != full:
+            white = full & ~colored
+            constraints.append(must_meet(white))
+            fresh = seeds[(white & -white).bit_length() - 1] & ~colored
+            colored = close(colored | fresh, fresh, 0)

@@ -1,11 +1,11 @@
 """Acceptance gate: one test per criterion, printing one PASS/FAIL line
 each, running every closed-form claim against its independent oracle.
 
-Two criteria run on a reduced grid because their full grids cost far
-more than all suites together: Z of the 27-vertex 3-regular iterate and
-gamma_P of each 36-vertex iterate are slow to scan, and the 36-vertex Z
-scans exhaust the 5*10^6-subset budget.  The suite details say exactly
-what was skipped.  Everything actually run must pass exactly.
+Two criteria run on a reduced grid: the 3-regular depth-2 iterates are
+cut, and Z of each 36-vertex one takes seconds by the fort-cover solver,
+far more than all suites together.  The suite details say exactly what
+was skipped, and ``tests/test_fort_cover.py`` checks every cut instance
+with the integer program.  Everything actually run must pass exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ _CRITERIA = [
         1,
         "line-zf",
         2,
-        "brute-force Z(L(G)) equals |A(G)|-|V(G)| and the constructed "
+        "fort-cover Z(L(G)) equals |A(G)|-|V(G)| and the constructed "
         "witness is a verified minimum on 100 seeded random digraphs "
         "with out-degree >= 2 and in-degree >= 1 (exact)",
     ),
@@ -28,7 +28,7 @@ _CRITERIA = [
         "de-bruijn",
         7,
         "Z(B(2,2))=2, Z(B(2,3))=4, Z(B(3,2))=6 and power domination "
-        "numbers 1, 2, 2 by brute force; mr(B(2,3))=4 and max nullity 4 "
+        "numbers 1, 2, 2 by fort cover; mr(B(2,3))=4 and max nullity 4 "
         "by exact rank (exact)",
     ),
     (
@@ -38,21 +38,21 @@ _CRITERIA = [
         "Z(K(3,3))=24 by the in-twin fort bound met by a verified "
         "witness, mr(K(3,3))=12 by exact 36x36 rank, power domination "
         "number 8 by a constructed set and ceil(Z / max out-degree), no "
-        "brute force (exact)",
+        "solver (exact)",
     ),
     (
         4,
         "gen-families",
         3,
         "GB(2,6) and GK(2,6) are isomorphic to the line digraphs of "
-        "GB(2,3) and GK(2,3); Z(GB(2,12))=6 by brute force (exact)",
+        "GB(2,3) and GK(2,3); Z(GB(2,12))=6 by fort cover (exact)",
     ),
     (
         5,
         "wrapped-butterfly",
         4,
-        "WB(2,2) is isomorphic to L(K_2 (x) C_2); Z=4 by brute force; "
-        "mr=4 by exact rank; the brute-force power domination value is "
+        "WB(2,2) is isomorphic to L(K_2 (x) C_2); Z=4 by fort cover; "
+        "mr=4 by exact rank; the fort-cover power domination value is "
         "produced and compared with the claimed 2(d-1) (exact)",
     ),
     (
@@ -66,10 +66,10 @@ _CRITERIA = [
         7,
         "nullity-collapse",
         1,
-        "adjacency nullity of L^k(G) equals brute-force Z(L^k(G)) for "
+        "adjacency nullity of L^k(G) equals fort-cover Z(L^k(G)) for "
         "regular classes, d in {2,3}, order <= 4, k in {1,2}; 3-regular "
-        "depth-2 runs are slow or exhaust the subset budget and are "
-        "covered at the smaller sizes instead (exact on everything run)",
+        "depth-2 runs are cut and covered at the smaller sizes instead "
+        "(exact on everything run)",
     ),
     (
         8,
@@ -90,15 +90,15 @@ _CRITERIA = [
         "sandwich",
         1,
         "Z >= power domination number >= ceil(Z / max out-degree) on "
-        "every instance where both numbers were brute-forced (exact)",
+        "every instance where both numbers were found by fort cover (exact)",
     ),
     (
         11,
         "pd-identity",
         1,
-        "brute-force power domination of L^2(G) equals brute-force "
+        "fort-cover power domination of L^2(G) equals fort-cover "
         "Z(L(G)) for regular classes, d in {2,3}, order <= 4; the "
-        "3-regular order-4 case is slow to scan and is skipped "
+        "3-regular order-4 case is cut and is skipped "
         "(exact on everything run)",
     ),
 ]

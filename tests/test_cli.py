@@ -464,7 +464,7 @@ def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
     monkeypatch.setattr(verify, "regular_digraphs_up_to_iso", lambda n, d: [])
     code, doc, err = _run_json(capsys, "verify", "nullity-collapse")
     assert code == 1 and doc["failed"] >= 1
-    label = "adjacency nullity of iterates equals brute-force zero forcing"
+    label = "adjacency nullity of iterates equals fort-cover zero forcing"
     assert f"\nFAIL {label}: 0/0 " in "\n" + err
     assert err.endswith("0/1 checks passed\n")
 

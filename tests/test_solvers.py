@@ -222,17 +222,15 @@ def _assert_matches_memo_only_scan(g: Digraph, dominate: bool) -> int:
 
 
 def test_sibling_rule_keeps_the_answers_on_the_verify_iterates(monkeypatch):
-    # every scan of the nullity-collapse, sandwich and pd-identity suites,
-    # the order-27 gamma_P of L^2(K_3 + loops) among them
+    # every digraph the nullity-collapse, sandwich and pd-identity suites
+    # solve, the order-27 gamma_P of L^2(K_3 + loops) among them
     scans = []
-    for name, dominate in (
-        ("min_zero_forcing", False),
-        ("min_power_dominating", True),
-    ):
-        solve = getattr(verify, name)
-        monkeypatch.setattr(
-            verify, name, lambda g, s=solve, d=dominate: scans.append((g, d)) or s(g)
-        )
+    solve = verify.fort_cover_minimum
+    monkeypatch.setattr(
+        verify,
+        "fort_cover_minimum",
+        lambda g, dominate: scans.append((g, dominate)) or solve(g, dominate),
+    )
     for suite in ("nullity-collapse", "sandwich", "pd-identity"):
         assert all(check.passed for check in verify.SUITES[suite]())
     assert (27, True) in {(g.n, d) for g, d in scans}

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from forcing_lab import verify
@@ -53,17 +51,26 @@ def test_a_check_left_with_no_instance_fails(monkeypatch, suite):
     assert result.details.startswith("0/0 ")
 
 
-@pytest.mark.parametrize("suite", ["nullity-collapse", "pd-identity"])
-def test_one_disagreeing_instance_fails_its_check(monkeypatch, suite):
-    real = verify.min_zero_forcing
+def _first_zero_forcing_one_too_high(monkeypatch) -> list:
+    """Make the first zero forcing number ``verify`` reads one too high;
+    the list returned collects every digraph whose Z it reads."""
+    real = verify.fort_cover_minimum
     calls = []
 
-    def one_too_high_once(g):
-        result = real(g)
+    def one_too_high_once(g, dominate):
+        result = real(g, dominate)
+        if dominate:
+            return result
         calls.append(g)
-        return replace(result, number=result.number + 1) if len(calls) == 1 else result
+        return result._replace(number=result.number + 1) if len(calls) == 1 else result
 
-    monkeypatch.setattr(verify, "min_zero_forcing", one_too_high_once)
+    monkeypatch.setattr(verify, "fort_cover_minimum", one_too_high_once)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["nullity-collapse", "pd-identity"])
+def test_one_disagreeing_instance_fails_its_check(monkeypatch, suite):
+    calls = _first_zero_forcing_one_too_high(monkeypatch)
     [result] = run_suite(suite)
     k = len(calls)
     assert k > 1 and not result.passed
@@ -71,15 +78,7 @@ def test_one_disagreeing_instance_fails_its_check(monkeypatch, suite):
 
 
 def test_a_solver_off_by_one_fails_both_line_zf_checks(monkeypatch):
-    real = verify.min_zero_forcing
-    calls = []
-
-    def one_too_high_once(g):
-        result = real(g)
-        calls.append(g)
-        return replace(result, number=result.number + 1) if len(calls) == 1 else result
-
-    monkeypatch.setattr(verify, "min_zero_forcing", one_too_high_once)
+    calls = _first_zero_forcing_one_too_high(monkeypatch)
     agree, witness = run_suite("line-zf")
     assert len(calls) == 100
     assert not agree.passed and agree.details == "99/100 seeded digraphs agree"
