@@ -771,10 +771,34 @@ MUTANTS = [
         FORT_RANDOM,
     ),
     Mutant(
-        "solvers: the seeded pairs grouped by out-mask",
+        "solvers: the in-twin classes grouped by out-mask",
         SOLVERS,
         "for v, key in enumerate(inn):",
         "for v, key in enumerate(masks):",
+        FORT_RANDOM,
+    ),
+    Mutant(
+        "solvers: a row needs all |C| of its class",
+        SOLVERS,
+        "(c, c.bit_count() - 1)",
+        "(c, c.bit_count())",
+        FORT_RANDOM,
+    ),
+    Mutant(
+        "solvers: learned constraints packed over rows still in need",
+        SOLVERS,
+        """                bound += need
+                packed |= row
+""",
+        """                bound += need
+""",
+        FORT_RANDOM,
+    ),
+    Mutant(
+        "solvers: the search starts one above the row bound",
+        SOLVERS,
+        "size = sum(least for _, least in rows)",
+        "size = sum(least for _, least in rows) + 1",
         FORT_RANDOM,
     ),
     # Pruning at equality searches one size less at each size, so the
@@ -782,8 +806,12 @@ MUTANTS = [
     Mutant(
         "solvers: the packing bound prunes at equality",
         SOLVERS,
-        "if bound > k:",
-        "if bound >= k:",
+        """                bound += 1
+                if bound > k:
+""",
+        """                bound += 1
+                if bound >= k:
+""",
         FORT_WORK,
     ),
     Mutant(

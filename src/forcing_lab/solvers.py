@@ -109,29 +109,42 @@ its seeds is every vertex.
   Every vertex has both or neither of ``a`` and ``b`` as out-neighbors,
   so none can force while both are white, under either rule, and seeds
   that miss both never color either.
+- So for zero forcing a closing set holds at least ``|C| - 1`` vertices
+  of each in-twin class ``C``, the class's *row*: a set that missed two,
+  ``a`` and ``b``, would miss the valid pair ``{a, b}``.
 - A minimum hitting set ``H`` that closes is a minimum closing set:
   every closing set meets every valid constraint, so it is a hitting
   set and has at least ``|H|`` vertices.  If ``H`` is empty, which only
   the loop rule allows, every single vertex closes too, and the answer
   is 1 with witness ``{0}``, as in the scan.
 
-The constraints start from the in-twin pairs, grouped by in-mask.  Each
-round finds a minimum hitting set by a depth-first search at one size at
-a time, from the previous round's size up, since constraints are only
-added; it branches on the vertices of an unmet constraint with the
-fewest vertices left, and prunes a node when a packing of pairwise
-disjoint unmet constraints, each needing its own vertex, needs more
-vertices than the size left.  The set is closed from scratch.  If it
-does not close, its white set is learned, and the set is extended by
-its least white vertex, closed again and its white set learned, until
-it closes; then the next round starts.  Each learned constraint is
-unmet by the set it came from, so no round repeats a hitting set.
-``fort_cover_minimum`` refuses an order above ``_MAX_ORDER`` too, and
-raises :class:`ResourceLimitError` once its hitting-set nodes and
-closures together pass ``_MAX_FORT_STEPS``; every learned constraint
-follows a closure, so the constraints held never outnumber the seeded
-pairs plus that budget.  Its witness is a minimum closing set, not in
-general the lexicographically least one.
+The in-twin classes of two or more vertices, grouped by in-mask, seed a
+row each for zero forcing, and ``N-[pair]`` for each pair in them for
+power domination.  A hitting set meets every constraint and holds what
+every row needs.  Each round finds a minimum one by a depth-first search
+at one size at a time, from the previous round's size up, since
+constraints are only added; the first starts at the sum of ``|C| - 1``,
+as the rows are disjoint.  At a node with ``X`` chosen and ``A``
+allowed, a row needs ``|C| - 1 - |C & X|`` more of ``C & A - X``, and
+the bound adds those needs and one for each of a greedy packing of
+disjoint unmet constraints that miss every row in need.  A hitting set
+that extends the node adds that many vertices inside each row in need
+and one inside each packed constraint, all disjoint, so the bound never
+exceeds it, and the node is pruned when the bound passes the size left
+or a row cannot meet its need.  It branches, each child excluding the
+earlier ones, on what is left of the row in need or unmet constraint
+with the fewest vertices left, one of which every such hitting set
+holds.  The set is closed from scratch.  If it does not close, its white
+set is learned, and the set is extended by its least white vertex,
+closed again and its white set learned, until it closes; then the next
+round starts.  Each learned constraint is unmet by the set it came from,
+so no round repeats a hitting set.  ``fort_cover_minimum`` refuses an
+order above ``_MAX_ORDER`` too, and raises :class:`ResourceLimitError`
+once its hitting-set nodes and closures together pass
+``_MAX_FORT_STEPS``; every learned constraint follows a closure, so the
+constraints held never outnumber the seeds plus that budget.  Its
+witness is a minimum closing set, not in general the lexicographically
+least one.
 """
 
 from __future__ import annotations
@@ -290,8 +303,10 @@ class FortCoverResult(NamedTuple):
     """A proven-minimum set: a minimum hitting set of valid constraints
     that closes.  ``subsets_tested`` counts the closures computed,
     ``nodes`` the hitting-set search nodes, and ``rounds`` the hitting
-    sets solved.  A named tuple: a frozen dataclass would add about a
-    millisecond to every import of the package."""
+    sets solved; ``constraints_seeded`` counts the rows for zero forcing
+    and the ``N-[pair]`` seeds for power domination.  A named tuple: a
+    frozen dataclass would add about a millisecond to every import of the
+    package."""
 
     number: int
     witness: frozenset[int]
@@ -336,12 +351,25 @@ def fort_cover_minimum(g: Digraph, dominate: bool) -> FortCoverResult:
 
     def hit(k: int, chosen: int, allowed: int) -> int | None:
         """``chosen`` with at most ``k`` more vertices of ``allowed`` that
-        meets every constraint, or None."""
+        meets every constraint and holds what every row needs, or None."""
         nonlocal nodes
         nodes += 1
         spend()
         packed = bound = 0
         branch, fewest = 0, n + 1
+        for row, least in rows:
+            need = least - (row & chosen).bit_count()
+            if need > 0:
+                row &= allowed & ~chosen
+                count = row.bit_count()
+                if need > count:
+                    return None
+                bound += need
+                packed |= row
+                if count < fewest:
+                    branch, fewest = row, count
+        if bound > k:
+            return None
         for c in constraints:
             if c & chosen:
                 continue
@@ -365,15 +393,20 @@ def fort_cover_minimum(g: Digraph, dominate: bool) -> FortCoverResult:
             allowed &= ~(1 << v)
         return None
 
-    # in-twin pairs: classes maps an in-mask to the vertices seen with it
+    # in-twin classes: classes maps an in-mask to the vertices seen with it
     constraints: list[int] = []
     classes: dict[int, int] = {}
     for v, key in enumerate(inn):
         twins = classes.get(key, 0)
-        constraints += [must_meet(1 << u | 1 << v) for u in _members(twins)]
+        if dominate:
+            constraints += [must_meet(1 << u | 1 << v) for u in _members(twins)]
         classes[key] = twins | 1 << v
+    rows = [(c, c.bit_count() - 1) for c in classes.values() if c & (c - 1)]
+    if dominate:
+        rows = []
     seeded = len(constraints)
-    size = rounds = 0
+    size = sum(least for _, least in rows)
+    rounds = 0
     while True:
         rounds += 1
         # smallest first, so that the packing takes the tight ones
@@ -392,7 +425,7 @@ def fort_cover_minimum(g: Digraph, dominate: bool) -> FortCoverResult:
                 witness=frozenset(_members(chosen or 1)),
                 subsets_tested=tested,
                 rounds=rounds,
-                constraints_seeded=seeded,
+                constraints_seeded=seeded + len(rows),
                 constraints_learned=len(constraints) - seeded,
                 nodes=nodes,
             )

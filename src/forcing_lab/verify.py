@@ -6,16 +6,15 @@ command and the acceptance tests share these implementations, so a suite
 passing on the command line is exactly the acceptance evidence.  All
 random corpora use fixed seeds, making every run identical.
 
-Two checks deliberately cover only a sub-grid: the 3-regular depth-2
-instances are replaced by the same property at the smaller sizes, and
-the details strings say so explicitly.  Under the fort-cover solver
-(2-core x86_64, Python 3.11.7) each cut instance closes in the first
-round, from the in-twin pairs alone: Z of L^2 of the 3-regular order-3
-class (27 vertices, Z = 18) takes 44,299 search nodes and 0.08-0.12 s;
-gamma_P of L^2 of each of the five 3-regular order-4 classes (36
-vertices, gamma_P = 8) takes 1,193-3,444 nodes and 4-11 ms; and Z of
-those order-4 iterates (Z = nullity = 24) takes 1,195,759 nodes and
-3-5 s each, against about 0.05 s for all suites together in one process.
+One check deliberately covers only a sub-grid: ``pd-identity`` leaves out
+the 3-regular order-4 classes, and its details string says so.  Under the
+fort-cover solver (2-core x86_64, Python 3.11.7) gamma_P of L^2 of each
+of those five classes (36 vertices, gamma_P = 8) closes in the first
+round from the in-twin pairs, in 1,193-3,444 search nodes and 4-15 ms,
+against about 0.05 s for all suites together in one process.
+``nullity-collapse`` runs its full grid: Z of each 3-regular depth-2
+iterate meets the in-twin row bound at once, in 19 nodes at 27 vertices
+and 25 at 36.
 """
 
 from __future__ import annotations
@@ -285,20 +284,16 @@ def _iterates(
 
 def check_nullity_collapse() -> list[CheckResult]:
     """Adjacency nullity of L^k(G) equals fort-cover Z(L^k(G)) over the
-    regular classes; the 3-regular depth-2 sizes are skipped, since Z of
-    each 36-vertex iterate takes 1.2*10^6 search nodes (the same identity
-    is covered at every smaller size)."""
+    regular classes of degree 2 and 3, order up to 4, depth 1 and 2."""
     outcomes = [
         adjacency_rank(lk).nullity == _zero_forcing_number(lk)
-        for lk in _iterates([(2, (2, 3, 4), (1, 2)), (3, (3, 4), (1,))])
+        for lk in _iterates([(2, (2, 3, 4), (1, 2)), (3, (3, 4), (1, 2))])
     ]
     return [
         _tally(
             "adjacency nullity of iterates equals fort-cover zero forcing",
             outcomes,
-            "(d,order,depth) instances; 3-regular depth-2 "
-            "skipped: by fort cover Z takes 4.4*10^4 search nodes on the "
-            "27-vertex iterate and 1.2*10^6 on each 36-vertex one",
+            "(d,order,depth) instances",
         )
     ]
 

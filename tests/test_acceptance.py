@@ -1,11 +1,10 @@
 """Acceptance gate: one test per criterion, printing one PASS/FAIL line
 each, running every closed-form claim against its independent oracle.
 
-Two criteria run on a reduced grid: the 3-regular depth-2 iterates are
-cut, and Z of each 36-vertex one takes seconds by the fort-cover solver,
-far more than all suites together.  The suite details say exactly what
-was skipped, and ``tests/test_fort_cover.py`` checks every cut instance
-with the integer program.  Everything actually run must pass exactly.
+One criterion runs on a reduced grid: ``pd-identity`` leaves out the
+3-regular order-4 classes.  Its details say exactly what was skipped, and
+``tests/test_fort_cover.py`` checks every cut instance with the integer
+program.  Everything actually run must pass exactly.
 """
 
 from __future__ import annotations
@@ -67,9 +66,8 @@ _CRITERIA = [
         "nullity-collapse",
         1,
         "adjacency nullity of L^k(G) equals fort-cover Z(L^k(G)) for "
-        "regular classes, d in {2,3}, order <= 4, k in {1,2}; 3-regular "
-        "depth-2 runs are cut and covered at the smaller sizes instead "
-        "(exact on everything run)",
+        "regular classes, d in {2,3}, order <= 4, k in {1,2}, the "
+        "3-regular depth-2 iterates of order 27 and 36 included (exact)",
     ),
     (
         8,

@@ -1,11 +1,12 @@
 """The fort-cover solver ``solvers.fort_cover_minimum`` that ``verify``
 reads, and the fort-cover integer program of ``oracles.ilp_minimum``.
 
-The integer program covers both size cuts of ``verify`` in full, where
-the exhaustive scan does not reach, and agrees with the scan where it
-does.  The solver agrees with the scan on every instance ``verify``
-solves and on seeded random digraphs, and with the integer program on
-the cut iterates it solves in well under a second.
+The integer program covers the 3-regular depth-2 iterates of
+``nullity-collapse`` and the size cut of ``pd-identity``, where the
+exhaustive scan does not reach, and agrees with the scan where it does.
+The solver agrees with the scan on every instance ``verify`` solves that
+the scan reaches and on seeded random digraphs, and with the integer
+program past that.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from oracles import ilp_minimum, naive_rounds
 
 
 def test_zero_forcing_equals_the_nullity_at_3_regular_depth_2():
-    # the nullity-collapse cut: Z(L^2(G)) of the 3-regular classes of
-    # order 3 and 4 is the adjacency nullity, 18 at order 27, 24 at 36
+    # Z(L^2(G)) of the 3-regular classes of order 3 and 4 is the adjacency
+    # nullity, 18 at order 27, 24 at 36; the in-twin rows bound the search
+    # to within a few dozen nodes, so a lost row bound fails here
     for n, order, z in [(3, 27, 18), (4, 36, 24)]:
         for g in regular_digraphs_up_to_iso(n, 3):
             l2 = iterated_line(g, 2).graph
@@ -46,9 +48,7 @@ def test_zero_forcing_equals_the_nullity_at_3_regular_depth_2():
             print(f"Z(L^2) of a 3-regular class of order {n} = {cover}")
             assert (l2.n, len(cover.witness)) == (order, z)
             assert adjacency_rank(l2).nullity == z
-            if order == 27:
-                # the 36-vertex ones take seconds each by fort cover
-                _assert_closing_minimum(l2, False, z)
+            assert _assert_closing_minimum(l2, False, z).nodes <= 100
 
 
 def test_power_domination_of_l2_equals_zero_forcing_of_l_at_3_regular_order_4():
@@ -79,13 +79,15 @@ def test_the_integer_program_agrees_with_the_scan_on_random_digraphs():
     print(f"150 instances: {rounds} rounds, {constraints} constraints")
 
 
-def _assert_closing_minimum(g: Digraph, dominate: bool, number: int) -> int:
+def _assert_closing_minimum(
+    g: Digraph, dominate: bool, number: int
+) -> solvers.FortCoverResult:
     """``fort_cover_minimum`` finds ``number``, with a witness of that many
-    vertices that closes under the naive closure; returns its rounds."""
+    vertices that closes under the naive closure; returns its result."""
     found = fort_cover_minimum(g, dominate)
     assert (found.number, len(found.witness)) == (number, number)
     assert naive_rounds(g, set(found.witness), dominate)[1] == set(range(g.n))
-    return found.rounds
+    return found
 
 
 def _line_zf_instances() -> list[Digraph]:
@@ -110,7 +112,7 @@ def _verify_instances() -> list[tuple[Digraph, bool]]:
     through the suites' builders: the sandwich instances hold those of
     the de-bruijn, gen-families and wrapped-butterfly suites."""
     z = [*_line_zf_instances(), *verify._sandwich_instances()]
-    z += verify._iterates([(2, (2, 3, 4), (1, 2)), (3, (3, 4), (1,))])
+    z += verify._iterates([(2, (2, 3, 4), (1, 2)), (3, (3, 4), (1, 2))])
     lines = list(verify._iterates([(2, (2, 3, 4), (1,)), (3, (3,), (1,))]))
     gamma = [*verify._sandwich_instances()]
     gamma += [line_digraph(line).graph for line in lines]
@@ -131,11 +133,19 @@ def test_fort_cover_agrees_with_the_scan_on_every_verify_instance(monkeypatch):
 
     monkeypatch.setattr(verify, "fort_cover_minimum", recorded)
     assert all(check.passed for check in verify.run_suite("all"))
-    # 201 solves of 153 distinct instances
-    assert (len(solved), len(instances)) == (201, 153)
+    # 207 solves of 159 distinct instances
+    assert (len(solved), len(instances)) == (207, 159)
     assert set(solved) == set(instances)
-    for g, dominate in instances.values():
-        _assert_closing_minimum(g, dominate, _scan(g, dominate).number)
+    # Z of the six 3-regular depth-2 iterates, at orders 27 and 36, is past
+    # the scan; the integer program checks those
+    past = {_key(g, False) for g in verify._iterates([(3, (3, 4), (2,))])}
+    assert sorted(key[0] for key in past) == [27, 36, 36, 36, 36, 36]
+    for key, (g, dominate) in instances.items():
+        if key in past:
+            number = len(ilp_minimum(g, dominate).witness)
+        else:
+            number = _scan(g, dominate).number
+        _assert_closing_minimum(g, dominate, number)
 
 
 def test_fort_cover_agrees_with_the_scan_on_random_digraphs():
@@ -150,7 +160,7 @@ def test_fort_cover_agrees_with_the_scan_on_random_digraphs():
         )
         for dominate in (False, True):
             number = _scan(g, dominate).number
-            rounds.append(_assert_closing_minimum(g, dominate, number))
+            rounds.append(_assert_closing_minimum(g, dominate, number).rounds)
     # the learning loop is exercised, not only the in-twin seeds
     assert sum(r > 1 for r in rounds) > 500 and max(rounds) > 20
 
@@ -172,17 +182,19 @@ def test_fort_cover_answers_1_when_the_loop_rule_closes_the_empty_set():
 # (digraph, dominate, number, rounds, seeded, learned, nodes, closures)
 _SEEDED_7 = random_digraph(Random(2), 7, arc_probability=0.35, loop_probability=0.0)
 _WORK = [
-    (de_bruijn(2, 3), False, 4, 1, 4, 0, 9, 1),
+    (de_bruijn(2, 3), False, 4, 1, 4, 0, 5, 1),
     (de_bruijn(2, 3), True, 2, 1, 4, 0, 10, 1),
-    (_SEEDED_7, False, 3, 5, 1, 6, 25, 11),
+    (_SEEDED_7, False, 3, 5, 1, 6, 24, 11),
     (_SEEDED_7, True, 2, 2, 1, 1, 7, 3),
 ]
 
 
 def test_fort_cover_work_counts(monkeypatch):
-    # B(2,3) closes from its four in-twin pairs; the seeded digraph of
-    # order 7 has one in-twin pair and learns the rest.  A budget of
-    # exactly the nodes and closures counted suffices.
+    # B(2,3) has four in-twin classes of two: Z closes from their four
+    # rows, a root and one node per row, and gamma_P from their four
+    # N-[pair] seeds.  The seeded digraph of order 7 has one in-twin pair
+    # and learns the rest.  A budget of exactly the nodes and closures
+    # counted suffices.
     for g, dominate, number, rounds, seeded, learned, nodes, tested in _WORK:
         monkeypatch.setattr(solvers, "_MAX_FORT_STEPS", nodes + tested)
         found = fort_cover_minimum(g, dominate)

@@ -223,7 +223,9 @@ def _assert_matches_memo_only_scan(g: Digraph, dominate: bool) -> int:
 
 def test_sibling_rule_keeps_the_answers_on_the_verify_iterates(monkeypatch):
     # every digraph the nullity-collapse, sandwich and pd-identity suites
-    # solve, the order-27 gamma_P of L^2(K_3 + loops) among them
+    # solve, the order-27 gamma_P of L^2(K_3 + loops) among them, but the
+    # six Z of the 3-regular depth-2 iterates at orders 27 and 36, which
+    # the scan does not reach; tests/test_fort_cover.py checks those
     scans = []
     solve = verify.fort_cover_minimum
     monkeypatch.setattr(
@@ -234,7 +236,9 @@ def test_sibling_rule_keeps_the_answers_on_the_verify_iterates(monkeypatch):
     for suite in ("nullity-collapse", "sandwich", "pd-identity"):
         assert all(check.passed for check in verify.SUITES[suite]())
     assert (27, True) in {(g.n, d) for g, d in scans}
-    skipped = [_assert_matches_memo_only_scan(g, d) for g, d in scans]
+    scanned = [(g, d) for g, d in scans if d or g.n < 27]
+    assert len(scans) - len(scanned) == 6
+    skipped = [_assert_matches_memo_only_scan(g, d) for g, d in scanned]
     assert len(skipped) == 92 and sum(s > 0 for s in skipped) > 80
 
 
